@@ -10,6 +10,7 @@ floating point.
 from .linalg import (
     AmbientMismatch,
     DimensionMismatch,
+    PostconditionError,
     QMatrix,
     ShapeMismatch,
     Subspace,
@@ -84,7 +85,7 @@ from .skeleton import Skeleton, skeleton_of, to_dot
 from .lang import Diagnostic, Document, parse, serialize
 
 __all__ = [
-    "AmbientMismatch", "DimensionMismatch", "QMatrix", "ShapeMismatch",
+    "AmbientMismatch", "DimensionMismatch", "PostconditionError", "QMatrix", "ShapeMismatch",
     "Subspace", "block_assemble", "block_diag", "block_extract",
     "format_rational", "image_basis", "is_exact_at", "kernel_basis",
     "parse_rational", "rank", "serialize_matrix", "subspace_equal",

@@ -340,12 +340,12 @@ def verify_gluing(g: GluingQuadruple) -> Report:
     for (label, (start, stop)), r_k in zip(g.decomposition, g.m2_dims):
         for i in range(row_offset, row_offset + r_k):
             for j in range(g.psi_dim):
-                if not (start <= j < stop) and g.u.entry(i, j) != 0:
+                if not (start <= j < stop) and g.u.entry(i, j):
                     support_ok = False
                     offender = f"u row for node {label} touches psi coordinate {j}"
         for j in range(row_offset, row_offset + r_k):
             for i in range(g.psi_dim):
-                if not (start <= i < stop) and g.v.entry(i, j) != 0:
+                if not (start <= i < stop) and g.v.entry(i, j):
                     support_ok = False
                     offender = f"v column for node {label} touches psi coordinate {i}"
         row_offset += r_k

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import lang
 from .assembly import (
@@ -73,6 +73,7 @@ EXIT_USAGE = 2
 class CommandResult:
     exit_code: int
     payload: str
+    out: str | None = None  # the parsed --out path; None means stdout
 
 
 class _UsageError(Exception):
@@ -160,8 +161,11 @@ def _render_diagnostics(diags: list[lang.Diagnostic], fmt: str) -> str:
 
 
 def _load_document(path: str) -> lang.Document | list[lang.Diagnostic]:
-    with open(path, "rb") as handle:
-        text = handle.read().decode("latin-1")
+    try:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("latin-1")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise _UsageError(f"error: cannot read {path}: {exc.strerror or exc}") from exc
     return lang.parse(text)
 
 
@@ -627,26 +631,23 @@ def run(argv: list[str]) -> CommandResult:
     except _UsageError as exc:
         return CommandResult(EXIT_USAGE, str(exc) + "\n")
     try:
-        return ns.func(ns)
+        result = ns.func(ns)
     except _UsageError as exc:
         return CommandResult(EXIT_USAGE, str(exc) + "\n")
-    except FileNotFoundError as exc:
-        return CommandResult(EXIT_USAGE, f"error: {exc}\n")
+    return replace(result, out=ns.out)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    result = run(args)
-    out_path = None
-    if "--out" in args:
-        idx = args.index("--out")
-        if idx + 1 < len(args):
-            out_path = args[idx + 1]
+    result = run(list(sys.argv[1:] if argv is None else argv))
     if result.exit_code == EXIT_USAGE:
         sys.stderr.write(result.payload)
-    elif out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(result.payload)
+    elif result.out is not None:
+        try:
+            with open(result.out, "w", encoding="utf-8") as handle:
+                handle.write(result.payload)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {result.out}: {exc.strerror or exc}\n")
+            return EXIT_USAGE
     else:
         sys.stdout.write(result.payload)
     return result.exit_code

@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 from . import intertwine
 from .linalg import (
+    PostconditionError,
     QMatrix,
     Scalar,
     ShapeMismatch,
@@ -293,7 +294,8 @@ def ext_isomorphism_witness(
             w_sub, quot_a, quot_b,
             QMatrix.zero(e2.sub.a_dim, r), QMatrix.zero(e2.sub.b_dim, e1.quot.b_dim),
         )
-        assert verify_ext_witness(e1, e2, witness)
+        if not verify_ext_witness(e1, e2, witness):
+            raise PostconditionError("extension witness failed verification")
         return witness
 
     # block regime: solve for the full upper-triangular intertwiner
@@ -358,7 +360,8 @@ def ext_isomorphism_witness(
         IsoWitness(found["p"], found["a_s"], found["b_s"], found["q"]),
         found["a_q"], found["b_q"], found["h_a"], found["h_b"],
     )
-    assert verify_ext_witness(e1, e2, witness)
+    if not verify_ext_witness(e1, e2, witness):
+        raise PostconditionError("extension witness failed verification")
     return witness
 
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from .extension import ExtensionPresentation, make_extension
 from .assembly import GluingQuadruple
@@ -112,39 +113,54 @@ class GluingItem:
 Item = Union[SpaceItem, MapItem, ZigZagItem, ExtensionItem, NodesItem, GluingItem]
 
 
+_NAMED_KINDS = (SpaceItem, MapItem, ZigZagItem, ExtensionItem, GluingItem)
+
+
 @dataclass(frozen=True)
 class Document:
     items: tuple[Item, ...]
+    # per-kind name index and the first nodes block, built once from items
+    _index: dict[type, dict[str, Item]] = field(init=False, repr=False, compare=False)
+    _nodes: NodesItem | None = field(init=False, repr=False, compare=False)
 
-    def _by_kind(self, kind: type) -> dict[str, Item]:
-        return {it.name: it for it in self.items if isinstance(it, kind)}
+    def __post_init__(self) -> None:
+        index: dict[type, dict[str, Item]] = {kind: {} for kind in _NAMED_KINDS}
+        nodes = None
+        for it in self.items:
+            if isinstance(it, NodesItem):
+                if nodes is None:
+                    nodes = it
+                continue
+            for kind in _NAMED_KINDS:
+                if isinstance(it, kind):
+                    index[kind][it.name] = it
+                    break
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_nodes", nodes)
 
     @property
-    def spaces(self) -> dict[str, SpaceItem]:
-        return self._by_kind(SpaceItem)
+    def spaces(self) -> Mapping[str, SpaceItem]:
+        return MappingProxyType(self._index[SpaceItem])
 
     @property
-    def maps(self) -> dict[str, MapItem]:
-        return self._by_kind(MapItem)
+    def maps(self) -> Mapping[str, MapItem]:
+        return MappingProxyType(self._index[MapItem])
 
     @property
-    def zigzags(self) -> dict[str, ZigZagItem]:
-        return self._by_kind(ZigZagItem)
+    def zigzags(self) -> Mapping[str, ZigZagItem]:
+        return MappingProxyType(self._index[ZigZagItem])
 
     @property
-    def extensions(self) -> dict[str, ExtensionItem]:
-        return self._by_kind(ExtensionItem)
+    def extensions(self) -> Mapping[str, ExtensionItem]:
+        return MappingProxyType(self._index[ExtensionItem])
 
     @property
-    def gluings(self) -> dict[str, GluingItem]:
-        return self._by_kind(GluingItem)
+    def gluings(self) -> Mapping[str, GluingItem]:
+        return MappingProxyType(self._index[GluingItem])
 
     @property
     def nodes_item(self) -> NodesItem | None:
-        for it in self.items:
-            if isinstance(it, NodesItem):
-                return it
-        return None
+        return self._nodes
 
     def build_extension(self, name: str) -> ExtensionPresentation:
         """Materialize an extension declaration; may raise module errors."""
@@ -189,10 +205,7 @@ class Document:
 
     def structurally_equal(self, other: Document) -> bool:
         """Same declarations up to item order; node-list order still counts."""
-        for kind in (SpaceItem, MapItem, ZigZagItem, ExtensionItem, GluingItem):
-            if self._by_kind(kind) != other._by_kind(kind):
-                return False
-        return self.nodes_item == other.nodes_item
+        return self._index == other._index and self._nodes == other._nodes
 
 
 # -- tokenizer ---------------------------------------------------------

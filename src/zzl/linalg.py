@@ -7,15 +7,26 @@ rows and zero columns are first class: a 0xn or nx0 matrix is a genuine
 map to or from the zero space, and many of the objects downstream (the
 minimal-extension zig-zag, empty coupling blocks) rely on that.
 
-No floating point is used anywhere.  Gaussian elimination always picks
-the first nonzero pivot, so every basis this module produces is
-deterministic and safe to freeze into golden tests.
+No floating point is used anywhere.  Every elimination (``rref``,
+``rank``, ``solve``, ``kernel_basis``, ``image_basis`` and
+``QMatrix.inverse``) runs on one fraction-free integer kernel in the
+style of Bareiss: each row is scaled once by the LCM of its
+denominators, rows are updated as ``p*row_i - f*row_r`` and divided by
+their gcd, and entries become fractions again only in the result.  The
+pivot is always the first nonzero entry of its column, exactly as in
+rational Gauss-Jordan elimination, and the reduced row-echelon form of
+a matrix is unique, so the pivots, bases and serialized output are the
+same as those of rational elimination, byte for byte, and safe to
+freeze into golden tests.  Exactness and subspace containment are
+decided by rank, and products visit only the nonzero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -31,8 +42,17 @@ class ShapeMismatch(ValueError):
     """A matrix block does not fit the declared partition."""
 
 
+class PostconditionError(RuntimeError):
+    """A computed result failed its own exact re-check; indicates a bug."""
+
+
 Scalar = Fraction | int
 Vector = tuple[Fraction, ...]
+
+# shared constants: tuple and matrix equality compare identical objects
+# without calling Fraction.__eq__, which keeps sparse comparisons cheap
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -98,12 +118,12 @@ class QMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> QMatrix:
-        return QMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+        return QMatrix(rows, cols, (_ZERO,) * (rows * cols))
 
     @staticmethod
     def identity(n: int) -> QMatrix:
         return QMatrix(
-            n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n))
+            n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
         )
 
     @staticmethod
@@ -137,7 +157,7 @@ class QMatrix:
         return [self.col(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -163,21 +183,28 @@ class QMatrix:
                 raise DimensionMismatch(
                     f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
                 )
+            # row i of the product sums a_it * (row t of other) over the
+            # nonzeros a_it of row i, reading only the nonzeros of each row
+            # t; the sums run on integers over one denominator per row of
+            # the product (that of row i times a common one of other); rows
+            # are list slices, for the reason given at _int_rows
             k, m = self.cols, other.cols
-            a, b = self.entries, other.entries
-            zero = Fraction(0)
-            out = []
+            a = list(self.entries)
+            den_b = _common_denominator(other.entries)
+            b = [x.numerator * (den_b // x.denominator) if x else 0 for x in other.entries]
+            b_nonzero = [[j for j in range(t * m, (t + 1) * m) if b[j]] for t in range(k)]
+            out: list[Fraction] = []
             for i in range(self.rows):
-                base = i * k
-                for j in range(m):
-                    acc = zero
-                    for t in range(k):
-                        av = a[base + t]
-                        if av:
-                            bv = b[t * m + j]
-                            if bv:
-                                acc = acc + av * bv
-                    out.append(acc)
+                row = a[i * k : (i + 1) * k]
+                den = _common_denominator(row)
+                acc = [0] * m
+                for t, x in enumerate(row):
+                    if x:
+                        x = x.numerator * (den // x.denominator)
+                        base = t * m
+                        for j in b_nonzero[t]:
+                            acc[j - base] += x * b[j]
+                out += _scaled(acc, den * den_b)
             return QMatrix(self.rows, m, tuple(out))
         return QMatrix(self.rows, self.cols, tuple(_frac(other) * e for e in self.entries))
 
@@ -198,10 +225,7 @@ class QMatrix:
         v = as_vector(vec)
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector of length {len(v)} for {self.rows}x{self.cols}")
-        return tuple(
-            sum((self.entry(i, k) * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        return (self * QMatrix(len(v), 1, v)).entries
 
     def transpose(self) -> QMatrix:
         return QMatrix(
@@ -214,54 +238,129 @@ class QMatrix:
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        pivots = _rref_in_place(aug)
-        if pivots[:n] != list(range(n)):
+        work = _int_rows(self, QMatrix.identity(n))
+        if _eliminate(work, n) != list(range(n)):
             raise ValueError("matrix is singular")
-        return QMatrix.from_rows([row[n:] for row in aug], cols=n)
+        return QMatrix(
+            n, n, tuple(x for i, row in enumerate(work) for x in _scaled(row[n:], row[i]))
+        )
 
 
-def _rref_in_place(m: list[list[Fraction]]) -> list[int]:
-    """Reduce to RREF with first-nonzero pivoting; returns pivot column indices."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+def _int_rows(m: QMatrix, right: QMatrix | None = None) -> list[list[int]]:
+    """The rows of m, each extended by the same row of right, as integer rows.
+
+    Rows are sliced from lists, not taken as ``QMatrix.row`` tuples: short
+    tuples freed in bulk stay on the interpreter's tuple free lists, which
+    fragments memory and raises the peak resident size of long runs.
+    """
+    left, c = list(m.entries), m.cols
+    extra, k = (list(right.entries), right.cols) if right is not None else ([], 0)
+    return [_int_row(left[i * c : (i + 1) * c] + extra[i * k : (i + 1) * k]) for i in range(m.rows)]
+
+
+def _int_row(values: Sequence[Fraction]) -> list[int]:
+    """The row times the LCM of its denominators, divided by the content."""
+    den = _common_denominator(values)
+    row = [x.numerator * (den // x.denominator) for x in values]
+    g = _content(row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    """LCM of the denominators (1 for no values)."""
+    den = 1
+    for x in values:
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    return den
+
+
+def _content(row: list[int]) -> int:
+    """gcd of the entries, 0 for a zero row.
+
+    A loop rather than ``gcd(*row)``, which would build an argument tuple
+    per row (see _int_rows), and it stops as soon as the gcd is 1.
+    """
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    return g
+
+
+def _eliminate(rows: list[list[int]], pivot_cols: int, reduce: bool = True) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Pivots are searched in the first ``pivot_cols`` columns only, always
+    the first nonzero entry from the top; the row updates span the whole
+    row, so extra columns (a right-hand side, an identity) ride along.
+    Each row update is ``p*row_i - f*row_r`` with ``p, f`` the pivot and
+    the entry to clear (divided by their gcd), and the result is divided
+    by its content, so entries stay small.  With ``reduce`` the rows above
+    each pivot are cleared as well, so that row ``r`` divided by its
+    pivot entry is row ``r`` of the reduced row-echelon form; without it
+    only the rows below are cleared, which is enough for the rank and the
+    pivot columns.  Each row stays a nonzero multiple of the row that
+    rational Gauss-Jordan elimination would hold at the same step, so the
+    pivot columns agree with it exactly.  Returns the pivot columns.
+    """
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(pivot_cols):
+        if r == nrows:
             break
-        pivot_row = None
         for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(row, pivot_row)]
+            g = _content(row)
+            rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return pivots
 
 
+def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
+    """The integers divided by ``den`` as fractions in lowest terms."""
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in values]
+    return [Fraction(x, den) if x else _ZERO for x in values]
+
+
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices."""
-    if m.rows == 0 or m.cols == 0:
-        return m, ()
-    work = m.rows_list()
-    pivots = _rref_in_place(work)
-    return QMatrix.from_rows(work, cols=m.cols), tuple(pivots)
+    work = _int_rows(m)
+    pivots = _eliminate(work, m.cols)
+    entries: list[Fraction] = []
+    for row, c in zip(work, pivots):
+        entries += _scaled(row, row[c])
+    entries += [_ZERO] * ((m.rows - len(pivots)) * m.cols)
+    return QMatrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
+
+
+def _pivot_columns(m: QMatrix) -> list[int]:
+    """Pivot columns of the row-echelon form, without reducing above pivots."""
+    return _eliminate(_int_rows(m), m.cols, reduce=False)
 
 
 def rank(m: QMatrix) -> int:
     """Dimension of the column span."""
-    return len(rref(m)[1])
+    return len(_pivot_columns(m))
 
 
 @dataclass(frozen=True)
@@ -294,8 +393,7 @@ class Subspace:
         if any(len(c) != ambient_dim for c in cols):
             raise AmbientMismatch("spanning vector of wrong length")
         m = QMatrix.from_columns(cols, rows=ambient_dim)
-        _, pivots = rref(m)
-        keep = QMatrix.from_columns([m.col(j) for j in pivots], rows=ambient_dim)
+        keep = QMatrix.from_columns([cols[j] for j in _pivot_columns(m)], rows=ambient_dim)
         return Subspace(ambient_dim, keep)
 
     @property
@@ -306,12 +404,13 @@ class Subspace:
         v = as_vector(vec)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector of wrong length")
-        return solve(self.basis, v) is not None
+        return rank(hstack(self.basis, QMatrix.column(v))) == self.dim
 
     def contains_subspace(self, other: Subspace) -> bool:
+        """One rank test: the stacked bases span no more than this basis does."""
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces of different ambient spaces")
-        return all(self.contains(other.basis.col(j)) for j in range(other.dim))
+        return rank(hstack(self.basis, other.basis)) == self.dim
 
 
 def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
@@ -319,42 +418,41 @@ def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
     rhs = as_vector(b)
     if len(rhs) != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
-    if a.cols == 0:
-        return () if all(x == 0 for x in rhs) else None
-    aug = [list(a.row(i)) + [rhs[i]] for i in range(a.rows)]
-    pivots = _rref_in_place(aug)
-    if a.cols in pivots:
+    n = a.cols
+    work = _int_rows(a, QMatrix(a.rows, 1, rhs))
+    pivots = _eliminate(work, n)
+    if any(row[n] for row in work[len(pivots):]):
         return None
-    x = [Fraction(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][a.cols]
+    x = [_ZERO] * n
+    for row, c in zip(work, pivots):
+        x[c] = Fraction(row[n], row[c])
     return tuple(x)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Basis of {x : m*x = 0}; dimension is cols - rank by rank-nullity."""
-    reduced, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
-    vectors = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.entry(r, f)
-        vectors.append(v)
-    basis = QMatrix.from_columns(vectors, rows=m.cols)
-    return Subspace(m.cols, basis)
+    work = _int_rows(m)
+    pivots = _eliminate(work, m.cols)
+    pivot_set = set(pivots)
+    free = [f for f in range(m.cols) if f not in pivot_set]
+    k = len(free)
+    entries = [_ZERO] * (m.cols * k)
+    for q, f in enumerate(free):
+        entries[f * k + q] = _ONE
+        for row, c in zip(work, pivots):
+            if row[f]:
+                entries[c * k + q] = Fraction(-row[f], row[c])
+    return Subspace(m.cols, QMatrix(m.cols, k, tuple(entries)))
 
 
 def image_basis(m: QMatrix) -> Subspace:
     """Basis of the column span: the original columns at the pivot positions."""
-    _, pivots = rref(m)
-    basis = QMatrix.from_columns([m.col(j) for j in pivots], rows=m.rows)
+    basis = QMatrix.from_columns([m.col(j) for j in _pivot_columns(m)], rows=m.rows)
     return Subspace(m.rows, basis)
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
-    """True iff each basis vector of either lies in the span of the other."""
+    """True iff the dimensions agree and the stacked bases have rank s1.dim."""
     if s1.ambient_dim != s2.ambient_dim:
         raise AmbientMismatch(
             f"ambient dims differ: {s1.ambient_dim} vs {s2.ambient_dim}"
@@ -410,12 +508,16 @@ def vstack(*mats: QMatrix) -> QMatrix:
 
 
 def is_exact_at(f: QMatrix, g: QMatrix) -> bool:
-    """Exactness at the middle of f: X -> Y, g: Y -> Z, i.e. im f = ker g."""
+    """Exactness at the middle of f: X -> Y, g: Y -> Z, i.e. im f = ker g.
+
+    Decided by rank: im f = ker g iff g*f = 0 (im f inside ker g) and
+    rank f + rank g = dim Y (equal dimensions, by rank-nullity).
+    """
     if f.rows != g.cols:
         raise DimensionMismatch(
             f"middle dimensions disagree: f lands in Q^{f.rows}, g leaves Q^{g.cols}"
         )
-    return subspace_equal(image_basis(f), kernel_basis(g))
+    return rank(f) + rank(g) == f.rows and (g * f).is_zero()
 
 
 def block_assemble(
@@ -442,17 +544,17 @@ def block_assemble(
                 )
     total_rows = sum(row_dims)
     total_cols = sum(col_dims)
-    row_offsets = [sum(row_dims[:i]) for i in range(len(row_dims))]
-    col_offsets = [sum(col_dims[:j]) for j in range(len(col_dims))]
-    grid = [[Fraction(0)] * total_cols for _ in range(total_rows)]
+    row_offsets = list(accumulate(row_dims, initial=0))
+    col_offsets = list(accumulate(col_dims, initial=0))
+    flat = [_ZERO] * (total_rows * total_cols)
     for bi, row in enumerate(blocks):
         for bj, blk in enumerate(row):
             if blk is None:
                 continue
             for i in range(blk.rows):
-                for j in range(blk.cols):
-                    grid[row_offsets[bi] + i][col_offsets[bj] + j] = blk.entry(i, j)
-    return QMatrix.from_rows(grid, cols=total_cols)
+                start = (row_offsets[bi] + i) * total_cols + col_offsets[bj]
+                flat[start : start + blk.cols] = blk.row(i)
+    return QMatrix(total_rows, total_cols, tuple(flat))
 
 
 def block_extract(

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     DimensionMismatch,
+    PostconditionError,
     QMatrix,
     Scalar,
     Subspace,
@@ -114,7 +115,8 @@ class NilpotentOperator:
     def index(self) -> int:
         """Least k with matrix^k = 0 (0 for the operator on the zero space)."""
         k = nilpotency_index(self.matrix)
-        assert k is not None
+        if k is None:
+            raise PostconditionError("no power <= dim of a verified nilpotent vanishes")
         return k
 
 
@@ -229,7 +231,8 @@ def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     )
     filtration = WeightFiltration(center, steps)
     issues = check_weight_conditions(n, filtration)
-    assert not issues, f"weight filtration conditions failed: {issues}"
+    if issues:
+        raise PostconditionError(f"weight filtration conditions failed: {issues}")
     return filtration
 
 

@@ -178,3 +178,31 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.err
+
+    def test_main_out_path_separate(self, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        code = main(["check", fx("table1.zzl"), "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["status"] == "pass"
+        assert capsys.readouterr().out == ""
+
+    def test_main_out_path_with_equals(self, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        code = main(["check", fx("table1.zzl"), "--format", "json", f"--out={out}"])
+        assert code == EXIT_OK
+        assert out.read_text() == run(["check", fx("table1.zzl"), "--format", "json"]).payload
+        assert capsys.readouterr().out == ""
+
+    def test_directory_as_file_exits_two(self, tmp_path, capsys):
+        result = run(["check", str(tmp_path)])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload.count("\n") == 1 and str(tmp_path) in result.payload
+        assert main(["check", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == result.payload
+
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys):
+        code = main(["tables", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == "" and captured.err.count("\n") == 1

@@ -3,6 +3,7 @@ import string
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from zzl.lang import (
     CODE_SYNTAX,
     Diagnostic,
     Document,
+    NodesItem,
     parse,
     serialize,
 )
@@ -163,6 +165,35 @@ class TestParse:
         report = verify_gluing(doc.build_gluing("g"))
         assert not report.passed
         assert any("respect" in c.name or "disjoint" in c.name for c in report.failures())
+
+
+class TestDocumentIndex:
+    TEXT = (
+        "space V dim 1\nmap m : V -> V = [1]\n"
+        "zigzag sky { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, "
+        "alpha = [], beta = [1], gamma = [] }\n"
+    )
+
+    def test_kind_views_are_read_only(self):
+        doc = parse_ok(self.TEXT)
+        for view in (doc.spaces, doc.maps, doc.zigzags, doc.extensions, doc.gluings):
+            with pytest.raises(TypeError):
+                view["x"] = None
+        assert list(doc.maps) == ["m"] and not doc.gluings
+
+    def test_kind_views_stay_properties(self):
+        for name in ("spaces", "maps", "zigzags", "extensions", "gluings", "nodes_item"):
+            assert isinstance(vars(Document)[name], property)
+
+    def test_index_follows_items_not_order(self):
+        items = parse_ok(self.TEXT).items + (NodesItem(("p",)), NodesItem(("q",)))
+        doc = Document(items)
+        assert doc.nodes_item == NodesItem(("p",))  # the first nodes block
+        reordered = Document(items[3:] + items[2::-1])
+        assert reordered.structurally_equal(doc) and reordered != doc
+        assert reordered.zigzags == doc.zigzags
+        assert not Document(items[::-1]).structurally_equal(doc)  # other nodes block
+        assert not Document(items[1:]).structurally_equal(doc)
 
 
 class TestSerialize:

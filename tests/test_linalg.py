@@ -18,6 +18,7 @@ from zzl.linalg import (
     kernel_basis,
     parse_rational,
     rank,
+    rref,
     serialize_matrix,
     solve,
     subspace_equal,
@@ -38,6 +39,23 @@ def qmatrices(draw, max_dim=4, min_rows=0, min_cols=0):
         st.lists(small_fractions(), min_size=rows * cols, max_size=rows * cols)
     )
     return QMatrix(rows, cols, tuple(entries))
+
+
+def shaped_qmatrices(rows, cols):
+    return st.lists(
+        small_fractions(), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda entries: QMatrix(rows, cols, tuple(entries)))
+
+
+@st.composite
+def low_rank_products(draw, max_dim=5):
+    """B*C through an inner dimension of at most 2, so usually rank-deficient."""
+    rows, inner, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, 2)), draw(st.integers(0, max_dim))
+    return draw(shaped_qmatrices(rows, inner)) * draw(shaped_qmatrices(inner, cols))
+
+
+def oracle_matrices(max_dim=5):
+    return st.one_of(qmatrices(max_dim=max_dim), low_rank_products(max_dim=max_dim))
 
 
 class TestRank:
@@ -238,3 +256,83 @@ class TestSerialization:
         m = QMatrix.from_rows([[Fraction(1, 2), 0], [-1, 3]])
         assert serialize_matrix(m) == "[1/2,0;-1,3]"
         assert serialize_matrix(QMatrix.zero(0, 3)) == "[]"
+
+
+# -- differential tests against sympy's DomainMatrix ------------------------
+
+
+@pytest.fixture(scope="module")
+def sympy_qq():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_dm(m: QMatrix):
+        rows = [[sympy.QQ(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)]
+        return DomainMatrix(rows, (m.rows, m.cols), sympy.QQ)
+
+    return to_dm
+
+
+def from_dm(dm) -> QMatrix:
+    rows, cols = dm.shape
+    return QMatrix(rows, cols, tuple(
+        Fraction(int(x.numerator), int(x.denominator)) for row in dm.to_list() for x in row
+    ))
+
+
+class TestAgainstSympy:
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_matrices(max_dim=6))
+    def test_rref_and_pivots(self, sympy_qq, m):
+        reduced, den, pivots = sympy_qq(m).rref_den()
+        expected = QMatrix(m.rows, m.cols, tuple(
+            Fraction(int(x.numerator), int(x.denominator)) / Fraction(int(den.numerator), int(den.denominator))
+            for row in reduced.to_list() for x in row
+        ))
+        assert rref(m) == (expected, tuple(pivots))
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_matrices(max_dim=6))
+    def test_rank(self, sympy_qq, m):
+        assert rank(m) == sympy_qq(m).rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_matrices())
+    def test_kernel_basis(self, sympy_qq, m):
+        k = kernel_basis(m)
+        assert k.dim == m.cols - sympy_qq(m).rank()
+        assert (sympy_qq(m) * sympy_qq(k.basis)).is_zero_matrix
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_matrices(), st.data())
+    def test_solve_consistent_iff_ranks_agree(self, sympy_qq, a, data):
+        b = data.draw(st.lists(small_fractions(), min_size=a.rows, max_size=a.rows))
+        augmented = sympy_qq(QMatrix.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1))
+        x = solve(a, b)
+        assert (x is not None) == (augmented.rank() == sympy_qq(a).rank())
+        if x is not None:
+            assert from_dm(sympy_qq(a) * sympy_qq(QMatrix.column(x))) == QMatrix.column(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: shaped_qmatrices(n, n)))
+    def test_inverse(self, sympy_qq, m):
+        if sympy_qq(m).rank() < m.rows:
+            with pytest.raises(ValueError):
+                m.inverse()
+        else:
+            assert m.inverse() == from_dm(sympy_qq(m).inv())
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_matrices(), st.data())
+    def test_product(self, sympy_qq, a, data):
+        b = data.draw(st.integers(0, 5).flatmap(lambda cols: shaped_qmatrices(a.cols, cols)))
+        assert a * b == from_dm(sympy_qq(a) * sympy_qq(b))
+
+    @pytest.mark.parametrize("rows,inner,cols", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)])
+    def test_empty_shapes(self, sympy_qq, rows, inner, cols):
+        a = QMatrix.zero(rows, inner)
+        b = QMatrix.zero(inner, cols)
+        assert a * b == from_dm(sympy_qq(a) * sympy_qq(b)) == QMatrix.zero(rows, cols)
+        assert rank(a) == sympy_qq(a).rank() == 0
+        assert kernel_basis(a).dim == inner
+        assert rref(a) == (a, ())

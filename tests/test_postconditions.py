@@ -1,0 +1,113 @@
+"""Post-condition checks raise PostconditionError in every interpreter mode.
+
+Each case swaps the verifier a result is re-checked with for one that
+always reports failure, and expects the named error instead of a wrong
+result.  The same cases run again in a ``python -O`` subprocess, where
+``assert`` statements would have vanished.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zzl
+from zzl.extension import ext_isomorphism_witness, make_extension
+from zzl.linalg import PostconditionError, QMatrix
+from zzl.monodromy import jordan_nilpotent, weight_filtration
+from zzl.zigzag import ZigZag, iso_witness, std_corrected, std_ic, std_skyscraper
+
+
+def _corrected_times_two() -> ZigZag:
+    # std_corrected with beta = [2]: isomorphic to it, but not equal
+    return ZigZag("L", 1, 1, 1, 1, QMatrix.zero(1, 1), QMatrix.from_rows([[2]]), QMatrix.zero(1, 1))
+
+
+def _block_regime():
+    return make_extension(std_corrected("L", 1, 1), std_skyscraper(1), QMatrix.from_rows([[1]]))
+
+
+def _never(*_args):
+    return False
+
+
+# built before any verifier is swapped: construction checks nilpotency too
+_JORDAN_2 = jordan_nilpotent([2])
+
+
+# name -> (module, verifier attribute, failing stand-in, call that re-checks)
+CASES = {
+    "iso_witness": (
+        "zzl.zigzag", "verify_witness", _never,
+        lambda: iso_witness(std_corrected("L", 1, 1), _corrected_times_two()),
+    ),
+    "ext_witness_collapsed": (
+        "zzl.extension", "verify_ext_witness", _never,
+        lambda: ext_isomorphism_witness(
+            make_extension(std_ic("L", 1, 1), std_skyscraper(1), 1),
+            make_extension(std_ic("L", 1, 1), std_skyscraper(1), 2),
+        ),
+    ),
+    "ext_witness_block": (
+        "zzl.extension", "verify_ext_witness", _never,
+        lambda: ext_isomorphism_witness(_block_regime(), _block_regime()),
+    ),
+    "nilpotent_index": (
+        "zzl.monodromy", "nilpotency_index", lambda _m: None,
+        lambda: _JORDAN_2.index,
+    ),
+    "weight_filtration": (
+        "zzl.monodromy", "check_weight_conditions", lambda _n, _w: ["forced"],
+        lambda: weight_filtration(jordan_nilpotent([2, 1]), 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_unforced_case_passes(name):
+    assert CASES[name][3]() is not None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forced_failure_raises(name, monkeypatch):
+    module, attr, failing, call = CASES[name]
+    monkeypatch.setattr(importlib.import_module(module), attr, failing)
+    with pytest.raises(PostconditionError):
+        call()
+
+
+def run_forced_cases() -> list[str]:
+    """Force every case once; returns the names that raised PostconditionError."""
+    raised = []
+    for name, (module, attr, failing, call) in sorted(CASES.items()):
+        owner = importlib.import_module(module)
+        original = getattr(owner, attr)
+        setattr(owner, attr, failing)
+        try:
+            call()
+        except PostconditionError:
+            raised.append(name)
+        finally:
+            setattr(owner, attr, original)
+    return raised
+
+
+def test_forced_failures_raise_under_python_O():
+    here = Path(__file__).resolve().parent
+    src = Path(zzl.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    script = (
+        "import sys, test_postconditions as t\n"
+        "print(sys.flags.optimize, *t.run_forced_cases())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["1"] + sorted(CASES)
