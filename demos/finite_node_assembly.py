@@ -14,7 +14,6 @@ from zzl import (
     QMatrix,
     assemble,
     assemble_gluing,
-    global_shadow,
     make_extension,
     serialize_matrix,
     skeleton_of,
@@ -35,7 +34,7 @@ nodes = [
     NodeDatum("p3", make_extension(bulk, sky, 1)),
 ]
 datum = assemble("C_bulk", nodes)
-shadow = global_shadow(datum)
+shadow = datum.shadow
 print(f"  shadow class vector: {tuple(str(c) for c in shadow.class_vector)}")
 print(f"  shadow total dims (e-, A, B, e0): {total_zigzag(shadow).dims()}")
 

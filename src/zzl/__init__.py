@@ -77,7 +77,6 @@ from .assembly import (
     Report,
     assemble,
     assemble_gluing,
-    global_shadow,
     verify_gluing,
     verify_shadow_compat,
 )
@@ -100,7 +99,7 @@ __all__ = [
     "extension_class", "is_self_dual", "make_extension", "total_zigzag",
     "DuplicateNode", "FiniteNodeDatum", "GluingBlock", "GluingQuadruple",
     "NodeDatum", "NonRankOneQuotient", "Report", "assemble",
-    "assemble_gluing", "global_shadow", "verify_gluing", "verify_shadow_compat",
+    "assemble_gluing", "verify_gluing", "verify_shadow_compat",
     "Skeleton", "skeleton_of", "to_dot",
     "Diagnostic", "Document", "parse", "serialize",
 ]

@@ -142,11 +142,6 @@ def assemble(
     return FiniteNodeDatum(bulk_label, tuple(nodes), quotient, shadow)
 
 
-def global_shadow(datum: FiniteNodeDatum) -> ExtensionPresentation:
-    """The stored shadow; deterministic in node order."""
-    return datum.shadow
-
-
 def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
     """Rebuild the corrected finite-node extension and compare componentwise."""
     checks: list[Check] = []

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 from . import lang
 from .assembly import (
@@ -24,7 +25,6 @@ from .assembly import (
     NodeDatum,
     Report,
     assemble,
-    global_shadow,
     verify_gluing,
     verify_shadow_compat,
 )
@@ -42,8 +42,6 @@ from .linalg import (
     serialize_matrix,
 )
 from .monodromy import (
-    NotNilpotent,
-    NotUnipotent,
     NilpotentOperator,
     Pairing,
     nilpotent_log,
@@ -169,7 +167,7 @@ def _load_document(path: str) -> lang.Document | list[lang.Diagnostic]:
     return lang.parse(text)
 
 
-def _named_item(document: lang.Document, table: dict, kind: str, name: str):
+def _named_item(table: Mapping[str, object], kind: str, name: str):
     if name not in table:
         raise _UsageError(f"error: no {kind} named {name!r} in the document")
     return table[name]
@@ -178,10 +176,7 @@ def _named_item(document: lang.Document, table: dict, kind: str, name: str):
 # -- subcommand handlers -----------------------------------------------
 
 
-def _cmd_check(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
+def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
     checks: list[Check] = []
     notices: list[str] = []
     for name, item in sorted(document.zigzags.items()):
@@ -226,11 +221,8 @@ def _cmd_check(ns: argparse.Namespace) -> CommandResult:
     return CommandResult(code, _render_report(report, ns.format))
 
 
-def _cmd_dual(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    item = _named_item(document, document.zigzags, "zigzag", ns.name)
+def _cmd_dual(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    item = _named_item(document.zigzags, "zigzag", ns.name)
     dual = dualize(item.zigzag)
     if ns.format == "json":
         return CommandResult(EXIT_OK, _json_dump({ns.name: _zigzag_payload(dual)}))
@@ -238,16 +230,9 @@ def _cmd_dual(ns: argparse.Namespace) -> CommandResult:
     return CommandResult(EXIT_OK, stanza + "\n")
 
 
-def _cmd_ext_class(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    _named_item(document, document.extensions, "extension", ns.name)
-    try:
-        pres = document.build_extension(ns.name)
-        cls = extension_class(pres)
-    except ValueError as exc:
-        return CommandResult(EXIT_CHECK_FAILED, f"extension {ns.name}: {exc}\n")
+def _cmd_ext_class(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    _named_item(document.extensions, "extension", ns.name)
+    cls = extension_class(document.build_extension(ns.name))
     if ns.format == "json":
         payload = {
             "extension": ns.name,
@@ -282,16 +267,10 @@ def _assemble_from_document(document: lang.Document):
     return assemble(bulk_label, node_data, e_minus=e_minus, e_zero=e_zero)
 
 
-def _cmd_assemble(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    try:
-        datum = _assemble_from_document(document)
-    except ValueError as exc:
-        return CommandResult(EXIT_CHECK_FAILED, f"assemble: {exc}\n")
+def _cmd_assemble(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    datum = _assemble_from_document(document)
     report = verify_shadow_compat(datum)
-    shadow = global_shadow(datum)
+    shadow = datum.shadow
     if ns.format == "json":
         payload = {
             "bulk": datum.bulk_label,
@@ -317,25 +296,15 @@ def _cmd_assemble(ns: argparse.Namespace) -> CommandResult:
     return CommandResult(code, "\n".join(lines) + _render_report(report, "text"))
 
 
-def _cmd_gluing(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    _named_item(document, document.gluings, "gluing", ns.name)
+def _cmd_gluing(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    _named_item(document.gluings, "gluing", ns.name)
     report = verify_gluing(document.build_gluing(ns.name))
     code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
     return CommandResult(code, _render_report(report, ns.format))
 
 
-def _cmd_skeleton(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, "text"))
-    try:
-        datum = _assemble_from_document(document)
-    except ValueError as exc:
-        return CommandResult(EXIT_CHECK_FAILED, f"skeleton: {exc}\n")
-    sk = skeleton_of(datum)
+def _cmd_skeleton(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    sk = skeleton_of(_assemble_from_document(document))
     if ns.format == "json":
         return CommandResult(EXIT_OK, skeleton_json(sk))
     return CommandResult(EXIT_OK, to_dot(sk))
@@ -422,7 +391,7 @@ def _table2_rows() -> list[tuple[str, str, str, bool]]:
     ]
 
 
-def _cmd_tables(ns: argparse.Namespace) -> CommandResult:
+def _cmd_tables(ns: argparse.Namespace, document: None) -> CommandResult:
     t1 = _table1_rows()
     t2 = _table2_rows()
     all_ok = all(ok for *_, ok in t1) and all(ok for *_, ok in t2)
@@ -461,21 +430,14 @@ def _cmd_tables(ns: argparse.Namespace) -> CommandResult:
 
 
 def _square_map(document: lang.Document, name: str) -> QMatrix:
-    item = _named_item(document, document.maps, "map", name)
+    item = _named_item(document.maps, "map", name)
     if not item.matrix.is_square():
         raise ValueError(f"map {name!r} is not square")
     return item.matrix
 
 
-def _cmd_wfilt(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    try:
-        matrix = _square_map(document, ns.name)
-        operator = NilpotentOperator(matrix)
-    except (ValueError, NotNilpotent) as exc:
-        return CommandResult(EXIT_CHECK_FAILED, f"wfilt: {exc}\n")
+def _cmd_wfilt(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    operator = NilpotentOperator(_square_map(document, ns.name))
     filtration = weight_filtration(operator, ns.center)
     steps = [
         {
@@ -503,15 +465,8 @@ def _cmd_wfilt(ns: argparse.Namespace) -> CommandResult:
     return CommandResult(EXIT_OK, "\n".join(lines) + "\n")
 
 
-def _cmd_nlog(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    try:
-        matrix = _square_map(document, ns.name)
-        logarithm = nilpotent_log(matrix)
-    except (ValueError, NotUnipotent) as exc:
-        return CommandResult(EXIT_CHECK_FAILED, f"nlog: {exc}\n")
+def _cmd_nlog(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    logarithm = nilpotent_log(_square_map(document, ns.name))
     if ns.format == "json":
         payload = {"map": ns.name, "log": _matrix_payload(logarithm.matrix)}
         return CommandResult(EXIT_OK, _json_dump(payload))
@@ -520,22 +475,16 @@ def _cmd_nlog(ns: argparse.Namespace) -> CommandResult:
     )
 
 
-def _cmd_pl(ns: argparse.Namespace) -> CommandResult:
-    document = _load_document(ns.file)
-    if isinstance(document, list):
-        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format))
-    try:
-        alpha_item = _named_item(document, document.maps, "map", ns.alpha)
-        delta_item = _named_item(document, document.maps, "map", ns.delta)
-        gram = _square_map(document, ns.pairing)
-        if alpha_item.matrix.cols != 1 or delta_item.matrix.cols != 1:
-            raise ValueError("--alpha and --delta must name column vectors (n x 1 maps)")
-        pairing = Pairing(gram)
-        alpha = alpha_item.matrix.col(0)
-        delta = delta_item.matrix.col(0)
-        image = pl_transform(alpha, delta, pairing)
-    except ValueError as exc:
-        return CommandResult(EXIT_CHECK_FAILED, f"pl: {exc}\n")
+def _cmd_pl(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
+    alpha_item = _named_item(document.maps, "map", ns.alpha)
+    delta_item = _named_item(document.maps, "map", ns.delta)
+    gram = _square_map(document, ns.pairing)
+    if alpha_item.matrix.cols != 1 or delta_item.matrix.cols != 1:
+        raise ValueError("--alpha and --delta must name column vectors (n x 1 maps)")
+    pairing = Pairing(gram)
+    alpha = alpha_item.matrix.col(0)
+    delta = delta_item.matrix.col(0)
+    image = pl_transform(alpha, delta, pairing)
     if ns.format == "json":
         payload = {
             "alpha": [format_rational(x) for x in alpha],
@@ -556,84 +505,58 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="zzl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
-        if with_format:
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write the payload to this path")
+    def add(name: str, func, help: str, *positionals: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="parse and validate every item in a file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("dual", help="dualize a named zig-zag")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("ext-class", help="extension class of a named extension")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=_cmd_ext_class)
-
-    p = sub.add_parser("assemble", help="assemble the nodes block into the global shadow")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_assemble)
-
-    p = sub.add_parser("gluing", help="verify a named gluing quadruple")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=_cmd_gluing)
-
-    p = sub.add_parser("skeleton", help="export the combinatorial skeleton")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_skeleton)
-
-    p = sub.add_parser("tables", help="rebuild and verify the reference tables")
-    common(p)
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("wfilt", help="weight filtration of a named nilpotent map")
-    p.add_argument("file")
-    p.add_argument("name")
+    add("check", _cmd_check, "parse and validate every item in a file", "file")
+    add("dual", _cmd_dual, "dualize a named zig-zag", "file", "name")
+    add("ext-class", _cmd_ext_class, "extension class of a named extension", "file", "name")
+    add("assemble", _cmd_assemble, "assemble the nodes block into the global shadow", "file")
+    add("gluing", _cmd_gluing, "verify a named gluing quadruple", "file", "name")
+    add("skeleton", _cmd_skeleton, "export the combinatorial skeleton", "file")
+    add("tables", _cmd_tables, "rebuild and verify the reference tables")
+    p = add("wfilt", _cmd_wfilt, "weight filtration of a named nilpotent map", "file", "name")
     p.add_argument("--center", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_wfilt)
+    add("nlog", _cmd_nlog, "nilpotent logarithm of a named unipotent map", "file", "name")
+    p = add("pl", _cmd_pl, "apply the vanishing-cycle reflection formula", "file")
+    for option in ("--alpha", "--delta", "--pairing"):
+        p.add_argument(option, required=True)
 
-    p = sub.add_parser("nlog", help="nilpotent logarithm of a named unipotent map")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=_cmd_nlog)
-
-    p = sub.add_parser("pl", help="apply the vanishing-cycle reflection formula")
-    p.add_argument("file")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--pairing", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_pl)
+    # the options every subcommand shares, after its own in the usage line
+    for name, p in sub.choices.items():
+        formats = ("dot", "json") if name == "skeleton" else ("text", "json")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", default=None, help="write the payload to this path")
 
     return parser
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Execute one command; never raises for user-level failures."""
-    parser = _build_parser()
+    """Execute one command; never raises for user-level failures.
+
+    Every subcommand that takes a FILE gets it loaded and parsed here;
+    parse diagnostics are rendered in the requested format and exit 2,
+    and a document item the command cannot act on (a ValueError from
+    the engine) exits 1.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
+        document = _load_document(ns.file) if "file" in ns else None
     except _UsageError as exc:
         return CommandResult(EXIT_USAGE, str(exc) + "\n")
+    if isinstance(document, list):
+        return CommandResult(EXIT_USAGE, _render_diagnostics(document, ns.format), ns.out)
     try:
-        result = ns.func(ns)
+        result = ns.func(ns, document)
     except _UsageError as exc:
         return CommandResult(EXIT_USAGE, str(exc) + "\n")
+    except ValueError as exc:
+        subject = f"extension {ns.name}" if ns.command == "ext-class" else ns.command
+        result = CommandResult(EXIT_CHECK_FAILED, f"{subject}: {exc}\n")
     return replace(result, out=ns.out)
 
 

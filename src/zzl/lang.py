@@ -10,10 +10,13 @@ A document is a flat list of declarations:
     nodes { p1, p2 }
     gluing g { psi = 2, u = [1,0], v = [0;1] }
 
-Whitespace is insignificant, `#` starts a line comment, rationals are
-`p/q` in lowest terms, matrices are row-major `[a,b;c,d]` with `[]` for
-an empty shape.  Open labels are identifiers with an optional `[nat]`
-suffix, `0` for the zero object, or a quoted string for anything else.
+Whitespace is insignificant, `#` starts a line comment, naturals are
+ASCII digits, rationals are `p/q` in lowest terms, matrices are
+row-major `[a,b;c,d]` with `[]` for an empty shape.  Open labels are
+identifiers with an optional `[nat]` suffix, `0` for the zero object,
+or a quoted string for anything else; inside the quotes a backslash
+takes the next character literally (`\\"`, `\\\\`, or a backslash before
+a line break for a label that spans lines).
 
 Parsing never raises on bad input: it returns a resolved
 :class:`Document` on success and a list of positioned
@@ -26,11 +29,11 @@ parsed and then reported on.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .extension import ExtensionPresentation, make_extension
 from .assembly import GluingQuadruple
@@ -43,8 +46,6 @@ CODE_LEX = "lexical"
 CODE_SYNTAX = "syntax"
 CODE_NAME = "name"
 CODE_SHAPE = "shape"
-
-_ITEM_KEYWORDS = ("space", "map", "zigzag", "extension", "nodes", "gluing")
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,15 @@ class GluingItem:
 
 Item = Union[SpaceItem, MapItem, ZigZagItem, ExtensionItem, NodesItem, GluingItem]
 
-
-_NAMED_KINDS = (SpaceItem, MapItem, ZigZagItem, ExtensionItem, GluingItem)
+# declaration keyword -> item class, in canonical serialization order
+_KINDS = {
+    "space": SpaceItem,
+    "map": MapItem,
+    "zigzag": ZigZagItem,
+    "extension": ExtensionItem,
+    "nodes": NodesItem,
+    "gluing": GluingItem,
+}
 
 
 @dataclass(frozen=True)
@@ -124,17 +132,16 @@ class Document:
     _nodes: NodesItem | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index: dict[type, dict[str, Item]] = {kind: {} for kind in _NAMED_KINDS}
+        index: dict[type, dict[str, Item]] = {
+            kind: {} for kind in _KINDS.values() if kind is not NodesItem
+        }
         nodes = None
         for it in self.items:
-            if isinstance(it, NodesItem):
+            if type(it) is NodesItem:
                 if nodes is None:
                     nodes = it
-                continue
-            for kind in _NAMED_KINDS:
-                if isinstance(it, kind):
-                    index[kind][it.name] = it
-                    break
+            else:
+                index[type(it)][it.name] = it
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_nodes", nodes)
 
@@ -211,100 +218,72 @@ class Document:
 # -- tokenizer ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT | NAT | STRING | PUNCT | EOF
     text: str
     line: int
     column: int
 
 
-_PUNCT_TWO = ("->",)
-_PUNCT_ONE = "{}[](),;:=/-"
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_CONT = set(string.ascii_letters + string.digits + "_")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAT = r"[0-9]+"  # ASCII only: int() must accept every NAT token
+
+# one alternative per token kind; WS and COMMENT are skipped, and any
+# other single character is an error.  A backslash escapes the next
+# character inside a string, newline included; a string left open at a
+# newline or at the end of input keeps what it read.
+_TOKEN_RE = re.compile(
+    rf"""
+    (?P<WS>[ \t\r\f\v]+)
+  | (?P<NEWLINE>\n)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<PUNCT>->|[{{}}\[\](),;:=/-])
+  | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*\\?)(?P<close>"?))
+  | (?P<NAT>{_NAT})
+  | (?P<IDENT>{_IDENT})
+  | (?P<BAD>[\s\S])
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
 def _tokenize(text: str, diagnostics: list[Diagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    match = None
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "WS" or kind == "COMMENT":
+            continue
+        pos = match.start()
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = pos + 1
             continue
-        if ch in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i : i + 2] in _PUNCT_TWO:
-            tokens.append(_Token("PUNCT", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_ONE:
-            tokens.append(_Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            closed = False
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    closed = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                out.append(c)
-                j += 1
-            if not closed:
+        column = pos - line_start + 1
+        if kind == "STRING":
+            body = match["body"]
+            if not match["close"]:
                 diagnostics.append(
-                    Diagnostic(SEVERITY_ERROR, CODE_LEX, "unterminated string", line, col)
+                    Diagnostic(SEVERITY_ERROR, CODE_LEX, "unterminated string", line, column)
                 )
-            tokens.append(_Token("STRING", "".join(out), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        diagnostics.append(
-            Diagnostic(
-                SEVERITY_ERROR, CODE_LEX, f"unexpected character {ch!r}", line, col
+            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", body), line, column))
+            if "\n" in body:  # escaped newlines
+                line += body.count("\n")
+                line_start = pos + 2 + body.rindex("\n")
+        elif kind == "BAD":
+            diagnostics.append(
+                Diagnostic(
+                    SEVERITY_ERROR, CODE_LEX,
+                    f"unexpected character {match[0]!r}", line, column,
+                )
             )
-        )
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+        else:
+            tokens.append(_Token(kind, match[0], line, column))
+    # end of input after a trailing comment sits at the comment's start
+    end = match.start() if match and match.lastgroup == "COMMENT" else len(text)
+    tokens.append(_Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -444,17 +423,17 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "EOF":
                 return
-            if tok.kind == "IDENT" and tok.text in _ITEM_KEYWORDS:
+            if tok.kind == "IDENT" and tok.text in _KINDS:
                 return
             self.advance()
 
-    def parse_document(self) -> list[tuple[Item | None, _Token]]:
-        out: list[tuple[Item | None, _Token]] = []
+    def parse_document(self) -> list[Item]:
+        out: list[Item] = []
         while True:
             tok = self.peek()
             if tok.kind == "EOF":
                 return out
-            if tok.kind != "IDENT" or tok.text not in _ITEM_KEYWORDS:
+            if tok.kind != "IDENT" or tok.text not in _KINDS:
                 self.diagnostics.append(
                     Diagnostic(
                         SEVERITY_ERROR, CODE_SYNTAX,
@@ -466,10 +445,9 @@ class _Parser:
                 self.synchronize()
                 continue
             try:
-                out.append((self._parse_item(tok.text), tok))
+                out.append(self._parse_item(tok.text))
             except _SyntaxAbort:
                 self.synchronize()
-        return out
 
     def _parse_item(self, keyword: str) -> Item:
         start = self.advance()
@@ -621,34 +599,26 @@ def _matrix_from_rows(
 # -- resolution --------------------------------------------------------
 
 
-def _resolve(
-    raw_items: list[tuple[Item | None, _Token]], diagnostics: list[Diagnostic]
-) -> Document | None:
-    items = [it for it, _ in raw_items if it is not None]
-    spans = {id(it): tok for it, tok in raw_items if it is not None}
+def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
+    document = Document(tuple(items))
+    spaces = document._index[SpaceItem]
+    zigzags = document._index[ZigZagItem]
+    extensions = document._index[ExtensionItem]
+    diagnostics: list[Diagnostic] = []
 
     def err(item: Item, code: str, message: str) -> None:
-        tok = spans[id(item)]
-        diagnostics.append(
-            Diagnostic(SEVERITY_ERROR, code, message, tok.line, tok.column)
-        )
+        diagnostics.append(Diagnostic(SEVERITY_ERROR, code, message, *item.span))
 
-    seen: dict[tuple[type, str], Item] = {}
-    nodes_seen = False
+    seen: set[tuple[type, str]] = set()
     for it in items:
         if isinstance(it, NodesItem):
-            if nodes_seen:
+            if it is not document._nodes:
                 err(it, CODE_NAME, "multiple nodes blocks")
-            nodes_seen = True
             continue
         key = (type(it), it.name)
         if key in seen:
             err(it, CODE_NAME, f"duplicate {type(it).__name__} name {it.name!r}")
-        seen[key] = it
-
-    spaces = {it.name: it for it in items if isinstance(it, SpaceItem)}
-    zigzags = {it.name: it for it in items if isinstance(it, ZigZagItem)}
-    extensions = {it.name: it for it in items if isinstance(it, ExtensionItem)}
+        seen.add(key)
 
     for it in items:
         if isinstance(it, MapItem):
@@ -706,39 +676,29 @@ def _resolve(
                 if n not in extensions:
                     err(it, CODE_NAME, f"node {n!r} does not name an extension")
 
-    if diagnostics:
-        return None
-    return Document(tuple(items))
+    return diagnostics or document
 
 
 def parse(text: str) -> Document | list[Diagnostic]:
     """Parse source text into a resolved Document, or positioned diagnostics."""
     diagnostics: list[Diagnostic] = []
-    tokens = _tokenize(text, diagnostics)
-    parser = _Parser(tokens, diagnostics)
-    raw_items = parser.parse_document()
-    if diagnostics:
-        return diagnostics
-    document = _resolve(raw_items, diagnostics)
-    if document is None:
-        return diagnostics
-    return document
+    items = _Parser(_tokenize(text, diagnostics), diagnostics).parse_document()
+    return diagnostics or _resolve(items)
 
 
 # -- serializer --------------------------------------------------------
 
 
+_BARE_LABEL_RE = re.compile(rf"{_IDENT}(?:\[{_NAT}\])?")
+
+
 def _serialize_label(label: str) -> str:
     if label == ZERO_LABEL:
         return "0"
-    base, bracket = label, ""
-    if label.endswith("]") and "[" in label:
-        head, _, inner = label[:-1].rpartition("[")
-        if head and inner.isdigit():
-            base, bracket = head, f"[{inner}]"
-    if base and base[0] in _IDENT_START and all(c in _IDENT_CONT for c in base):
-        return base + bracket
-    escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+    if _BARE_LABEL_RE.fullmatch(label):
+        return label
+    # a backslash before each backslash, quote and newline
+    escaped = re.sub(r'([\\"\n])', r"\\\1", label)
     return f'"{escaped}"'
 
 
@@ -777,15 +737,12 @@ def _serialize_item(it: Item) -> str:
     raise AssertionError(it)
 
 
-_KIND_ORDER = (SpaceItem, MapItem, ZigZagItem, ExtensionItem, NodesItem, GluingItem)
-
-
 def serialize(document: Document) -> str:
     """Canonical text: kind-then-name order, lowest-term rationals, one
     item per line.  Node-list order inside the nodes block is semantic
     and preserved verbatim."""
     lines = []
-    for kind in _KIND_ORDER:
+    for kind in _KINDS.values():
         group = [it for it in document.items if isinstance(it, kind)]
         if kind is not NodesItem:
             group.sort(key=lambda it: it.name)

@@ -429,7 +429,3 @@ class MultiZigZag:
 
     def __iter__(self) -> Iterator[NodePart]:
         return iter(self.nodes)
-
-
-def validate_multi(mz: MultiZigZag) -> list[ExactnessIssue]:
-    return validate(mz.total())

@@ -55,7 +55,6 @@ from zzl.assembly import (
     NodeDatum,
     assemble,
     assemble_gluing,
-    global_shadow,
     verify_gluing,
     verify_shadow_compat,
 )
@@ -206,7 +205,7 @@ def test_criterion_6_shadow_compatibility():
             datum = assemble("C_bulk", nodes)
             report = verify_shadow_compat(datum)
             assert report.passed, (classes, report.failures())
-            assert global_shadow(datum).class_vector == tuple(
+            assert datum.shadow.class_vector == tuple(
                 Fraction(c) for c in classes
             )
             if r:

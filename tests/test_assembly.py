@@ -22,7 +22,6 @@ from zzl.assembly import (
     NonRankOneQuotient,
     assemble,
     assemble_gluing,
-    global_shadow,
     verify_gluing,
     verify_shadow_compat,
 )
@@ -36,8 +35,8 @@ def node(label, cls, bulk="C_bulk"):
 class TestAssemble:
     def test_single_corrected_node_matches_table_row(self):
         d = assemble("C_bulk", [node("p1", 1)])
-        assert total_zigzag(global_shadow(d)) == std_corrected("C_bulk", 1, 1)
-        assert global_shadow(d).class_vector == (Fraction(1),)
+        assert total_zigzag(d.shadow) == std_corrected("C_bulk", 1, 1)
+        assert d.shadow.class_vector == (Fraction(1),)
 
     def test_two_nodes(self):
         d = assemble("C_bulk", [node("p1", 1), node("p2", 1)])
@@ -46,7 +45,7 @@ class TestAssemble:
 
     def test_empty_node_set(self):
         d = assemble("C_bulk", [])
-        shadow = global_shadow(d)
+        shadow = d.shadow
         assert shadow.quot.a_dim == 0
         assert total_zigzag(shadow) == std_ic("C_bulk", 1, 1)
 
@@ -70,7 +69,7 @@ class TestAssemble:
         assert dp.node_labels == ("p3", "p1", "p2")
         assert dp.shadow.class_vector == (Fraction(1), Fraction(1), Fraction(0))
         # permuting the quotient summands relates the shadows
-        assert ext_isomorphic(global_shadow(d), global_shadow(dp))
+        assert ext_isomorphic(d.shadow, dp.shadow)
 
 
 class TestShadowCompat:

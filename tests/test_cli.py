@@ -43,6 +43,13 @@ class TestExitCodes:
         assert result.exit_code == EXIT_CHECK_FAILED
         assert "nilpotent" in result.payload
 
+    def test_non_ascii_digit_exits_two(self, tmp_path):
+        path = tmp_path / "digit.zzl"
+        path.write_bytes(b"space V dim \xb2\n")
+        result = run(["check", str(path)])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload.startswith("1:13: error [lexical]")
+
     def test_good_gluing(self):
         assert run(["gluing", fx("gluing.zzl"), "g1"]).exit_code == EXIT_OK
         assert run(["gluing", fx("gluing.zzl"), "g2"]).exit_code == EXIT_OK
@@ -105,6 +112,12 @@ class TestSubcommands:
         payload = json.loads(result.payload)
         assert len(payload["vertices"]) == 4
         assert len(payload["edges"]) == 6
+
+    def test_skeleton_json_renders_diagnostics_as_json(self):
+        result = run(["skeleton", fx("malformed.zzl"), "--format", "json"])
+        assert result.exit_code == EXIT_USAGE
+        payload = json.loads(result.payload)
+        assert payload["status"] == "parse-error" and payload["diagnostics"]
 
     def test_wfilt(self):
         result = run(["wfilt", fx("monodromy.zzl"), "nilp", "--center", "0"])

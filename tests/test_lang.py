@@ -167,6 +167,40 @@ class TestParse:
         assert any("respect" in c.name or "disjoint" in c.name for c in report.failures())
 
 
+class TestScanner:
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            # end of input after a trailing comment sits at the comment's start
+            ("space V dim # trailing", ["1:13: error [syntax] expected space dimension, found end of input"]),
+            ("space V dim\n   # c", ["2:4: error [syntax] expected space dimension, found end of input"]),
+            ('zigzag z { open = "abc\nspace V dim 1',
+             ["1:19: error [lexical] unterminated string", "2:1: error [syntax] unknown field 'space'"]),
+            ('zigzag z { open = "abc',
+             ["1:19: error [lexical] unterminated string",
+              "1:23: error [syntax] expected field name, found end of input"]),
+            ('zigzag z { open = "abc\\',
+             ["1:19: error [lexical] unterminated string",
+              "1:24: error [syntax] expected field name, found end of input"]),
+            ("space V dim 1 \\", ["1:15: error [lexical] unexpected character '\\\\'"]),
+        ],
+    )
+    def test_edge_positions(self, text, rendered):
+        assert [d.render() for d in parse_fails(text)] == rendered
+
+    def test_non_ascii_digit_is_a_lexical_error(self):
+        diags = parse_fails("space V dim \xb2")
+        assert (diags[0].code, diags[0].line, diags[0].column) == (CODE_LEX, 1, 13)
+        assert diags[0].message == "unexpected character '\xb2'"
+
+    def test_escaped_newline_in_label_counts_a_line(self):
+        diags = parse_fails(
+            'zigzag z { open = "a\\\nb", eminus = 0, ezero = 0, A = 0, B = 0, '
+            "alpha = [], beta = [], gamma = [] }\nspace V dim x"
+        )
+        assert [(d.line, d.column) for d in diags] == [(3, 13)]  # line 3, not 2
+
+
 class TestDocumentIndex:
     TEXT = (
         "space V dim 1\nmap m : V -> V = [1]\n"
@@ -221,12 +255,14 @@ class TestSerialize:
         assert out.index("space A") < out.index("space Z") < out.index("map m")
 
     def test_quoted_label_round_trip(self):
-        doc = parse_ok(
-            'zigzag z { open = "weird \\" name", eminus = 0, ezero = 0, A = 0, B = 0, '
-            "alpha = [], beta = [], gamma = [] }"
-        )
-        again = parse_ok(serialize(doc))
-        assert again.zigzags["z"].zigzag.open_label == 'weird " name'
+        for quoted, label in [('"weird \\" name"', 'weird " name'), ('"two\\\nlines"', "two\nlines")]:
+            doc = parse_ok(
+                f"zigzag z {{ open = {quoted}, eminus = 0, ezero = 0, A = 0, B = 0, "
+                "alpha = [], beta = [], gamma = [] }"
+            )
+            assert doc.zigzags["z"].zigzag.open_label == label
+            again = parse_ok(serialize(doc))
+            assert again.zigzags["z"].zigzag.open_label == label
 
 
 class TestFuzz:

@@ -18,7 +18,6 @@ from zzl.zigzag import (
     std_ic,
     std_skyscraper,
     validate,
-    validate_multi,
     verify_witness,
 )
 
@@ -246,7 +245,7 @@ class TestMultiZigZag:
     def test_skyscraper_sum(self):
         mz = MultiZigZag.skyscrapers(["p1", "p2"])
         assert mz.total() == std_skyscraper(2)
-        assert validate_multi(mz) == []
+        assert validate(mz.total()) == []
 
     def test_labels_distinct(self):
         with pytest.raises(ShapeMismatch):
