@@ -3,12 +3,20 @@
 The isomorphism tests in this package all reduce to the same shape of
 problem: a family of unknown matrix blocks X_1, ..., X_m subject to
 linear equations sum_t L_t * X_{i(t)} * R_t + C = 0, inside which an
-element with prescribed blocks invertible is wanted.  The solution set
-is an affine subspace; an invertible element is found by evaluating
-candidates exactly, and certified absent by exhausting a rational grid
-large enough for the degree of the block-determinant polynomial
-(a nonzero polynomial of total degree d cannot vanish on a grid with
-d+1 values per coordinate).
+element with prescribed blocks invertible is wanted.
+
+The solution set is an affine subspace p + span(h_1, ..., h_k).
+``BlockSystem.solve_affine`` reads p and the h_i off one fraction-free
+elimination of the augmented system [M | rhs] (``linalg._eliminate``).
+``find_invertible`` then scales p and the h_i once to integers over a
+common denominator, keeping each h_i as its nonzero entries only, so
+that every candidate p + sum t_i h_i is combined on integers and each of
+its square blocks is tested for full rank by integer elimination; only
+the candidate returned becomes rational matrices again.  Candidates are
+drawn at random with growing radius, and an invertible element is
+certified absent by exhausting a rational grid large enough for the
+degree of the block-determinant polynomial (a nonzero polynomial of total
+degree d cannot vanish on a grid with d+1 values per coordinate).
 """
 
 from __future__ import annotations
@@ -18,7 +26,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import QMatrix, ShapeMismatch, kernel_basis, rank, solve
+from .linalg import (
+    QMatrix,
+    ShapeMismatch,
+    _common_denominator,
+    _eliminate,
+    _int_row,
+    _scaled,
+    _solution_space,
+)
 
 
 class SearchExhausted(RuntimeError):
@@ -93,37 +109,52 @@ class BlockSystem:
         self,
     ) -> tuple[dict[str, QMatrix] | None, list[dict[str, QMatrix]]]:
         """Particular solution (None when inconsistent) and homogeneous basis."""
-        m = QMatrix.from_rows(self._rows, cols=self._total) if self._rows else QMatrix.zero(0, self._total)
-        particular_vec = solve(m, self._rhs)
-        if particular_vec is None:
+        work = [_int_row(row + [b]) for row, b in zip(self._rows, self._rhs)]
+        particular, kernel = _solution_space(work, _eliminate(work, self._total), self._total)
+        if particular is None:
             return None, []
-        ker = kernel_basis(m)
-        basis = [self._unpack(ker.basis.col(j)) for j in range(ker.dim)]
-        return self._unpack(particular_vec), basis
+        return self._unpack(particular), [self._unpack(v) for v in kernel]
 
 
-def _combine(
-    particular: dict[str, QMatrix],
-    basis: list[dict[str, QMatrix]],
-    coeffs: tuple[Fraction | int, ...],
-) -> dict[str, QMatrix]:
-    out = dict(particular)
-    for t, h in zip(coeffs, basis):
-        if t == 0:
-            continue
-        for name, blk in h.items():
-            out[name] = out[name] + t * blk
-    return out
+def _integer_family(
+    particular: dict[str, QMatrix], basis: list[dict[str, QMatrix]]
+) -> tuple[int, list[int], list[tuple[list[int], list[int]]]]:
+    """The family over one common denominator d: d*p as a flat integer list
+    (blocks in the order of ``particular``), and each d*h_i as the list of
+    its nonzero positions and the list of their entries.
+
+    Positions and entries are two lists rather than one list of pairs, for
+    the reason given at ``linalg._int_rows``.
+    """
+    flat = [list(itertools.chain.from_iterable(h[name].entries for name in particular))
+            for h in [particular, *basis]]
+    den = _common_denominator(itertools.chain.from_iterable(flat))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in flat]
+    directions = []
+    for v in scaled[1:]:
+        positions = [i for i, x in enumerate(v) if x]
+        directions.append((positions, [v[i] for i in positions]))
+    return den, scaled[0], directions
 
 
-def _all_invertible(candidate: dict[str, QMatrix], square_names: list[str]) -> bool:
-    for name in square_names:
-        blk = candidate[name]
-        if not blk.is_square():
-            raise ShapeMismatch(f"block {name} must be square to be invertible")
-        if rank(blk) != blk.rows:
-            return False
-    return True
+def _invertible_at(
+    base: list[int],
+    directions: list[tuple[list[int], list[int]]],
+    squares: list[tuple[int, int]],
+    coeffs: tuple[int, ...],
+) -> list[int] | None:
+    """base + sum t_i * direction_i when every square block (offset, n) of
+    it has rank n, else None."""
+    v = base[:]
+    for t, (positions, entries) in zip(coeffs, directions):
+        if t:
+            for i, x in zip(positions, entries):
+                v[i] += t * x
+    for off, n in squares:
+        rows = [v[off + r * n : off + (r + 1) * n] for r in range(n)]
+        if len(_eliminate(rows, n, reduce=False)) < n:
+            return None
+    return v
 
 
 def find_invertible(
@@ -146,20 +177,33 @@ def find_invertible(
     """
     if particular is None:
         return None
-    k = len(basis)
-    if _all_invertible(particular, square_names):
+    for name in square_names:
+        if not particular[name].is_square():
+            raise ShapeMismatch(f"block {name} must be square to be invertible")
+    den, base, directions = _integer_family(particular, basis)
+    sizes = [blk.rows * blk.cols for blk in particular.values()]
+    offsets = dict(zip(particular, itertools.accumulate(sizes, initial=0)))
+    squares = [(offsets[name], particular[name].rows) for name in square_names]
+    if _invertible_at(base, directions, squares, ()) is not None:
         return particular
+    k = len(basis)
     if k == 0:
         return None  # the affine space is a single point
     degree = sum(particular[name].rows for name in square_names)
+
+    def element(v: list[int]) -> dict[str, QMatrix]:
+        return {
+            name: QMatrix(blk.rows, blk.cols, tuple(_scaled(v[off : off + size], den)))
+            for (name, blk), off, size in zip(particular.items(), offsets.values(), sizes)
+        }
 
     rng = random.Random(seed)
     for radius in (1, 2, 4, 8, 16, 64, 256):
         for _ in range(40 if radius < 64 else 400):
             coeffs = tuple(rng.randint(-radius, radius) for _ in range(k))
-            cand = _combine(particular, basis, coeffs)
-            if _all_invertible(cand, square_names):
-                return cand
+            found = _invertible_at(base, directions, squares, coeffs)
+            if found is not None:
+                return element(found)
     if must_exist:
         raise SearchExhausted("invertible intertwiner expected but not found")
 
@@ -175,7 +219,7 @@ def find_invertible(
             "certification grid too large for a desk-scale exhaustive search"
         )
     for coeffs in itertools.product(grid_values, repeat=k):
-        cand = _combine(particular, basis, coeffs)
-        if _all_invertible(cand, square_names):
-            return cand
+        found = _invertible_at(base, directions, squares, coeffs)
+        if found is not None:
+            return element(found)
     return None

@@ -226,7 +226,7 @@ class _Token(NamedTuple):
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_NAT = r"[0-9]+"  # ASCII only: int() must accept every NAT token
+_NAT = r"[0-9]+"  # ASCII only: int() accepts every NAT token up to its digit limit
 
 # one alternative per token kind; WS and COMMENT are skipped, and any
 # other single character is an error.  A backslash escapes the next
@@ -336,8 +336,23 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NAT":
             self.advance()
-            return int(tok.text)
+            return self.nat_value(tok)
         raise self.error(f"expected {what}, found {self._describe(tok)}")
+
+    def nat_value(self, tok: _Token) -> int:
+        """The NAT token's value; a literal longer than CPython's limit on
+        integer-string conversion is a lexical error at the token."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.diagnostics.append(
+                Diagnostic(
+                    SEVERITY_ERROR, CODE_LEX,
+                    f"integer literal of {len(tok.text)} digits is too long",
+                    tok.line, tok.column,
+                )
+            )
+            raise _SyntaxAbort() from None
 
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
@@ -355,7 +370,7 @@ class _Parser:
         if num_tok.kind != "NAT":
             raise self.error("expected a rational literal")
         self.advance()
-        num = int(num_tok.text)
+        num = self.nat_value(num_tok)
         den = 1
         if self.at_punct("/"):
             self.advance()
@@ -363,7 +378,7 @@ class _Parser:
             if den_tok.kind != "NAT":
                 raise self.error("expected a denominator")
             self.advance()
-            den = int(den_tok.text)
+            den = self.nat_value(den_tok)
             if den == 0:
                 self.diagnostics.append(
                     Diagnostic(
@@ -410,9 +425,14 @@ class _Parser:
             label = tok.text
             if self.at_punct("["):
                 self.advance()
-                inner = self.expect_nat("bracket index")
+                index = self.peek()
+                if index.kind != "NAT":
+                    raise self.error(f"expected bracket index, found {self._describe(index)}")
+                self.advance()
                 self.expect_punct("]")
-                label = f"{label}[{inner}]"
+                # the index in decimal without leading zeros, as int() would
+                # print it, at any length
+                label = f"{label}[{index.text.lstrip('0') or '0'}]"
             return label
         raise self.error("expected an open-part label")
 
@@ -689,7 +709,9 @@ def parse(text: str) -> Document | list[Diagnostic]:
 # -- serializer --------------------------------------------------------
 
 
-_BARE_LABEL_RE = re.compile(rf"{_IDENT}(?:\[{_NAT}\])?")
+# a bracket index with a leading zero parses back without it, so such a
+# label is written quoted
+_BARE_LABEL_RE = re.compile(rf"{_IDENT}(?:\[(?:0|[1-9][0-9]*)\])?")
 
 
 def _serialize_label(label: str) -> str:

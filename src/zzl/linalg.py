@@ -8,17 +8,18 @@ map to or from the zero space, and many of the objects downstream (the
 minimal-extension zig-zag, empty coupling blocks) rely on that.
 
 No floating point is used anywhere.  Every elimination (``rref``,
-``rank``, ``solve``, ``kernel_basis``, ``image_basis`` and
-``QMatrix.inverse``) runs on one fraction-free integer kernel in the
-style of Bareiss: each row is scaled once by the LCM of its
-denominators, rows are updated as ``p*row_i - f*row_r`` and divided by
-their gcd, and entries become fractions again only in the result.  The
-pivot is always the first nonzero entry of its column, exactly as in
-rational Gauss-Jordan elimination, and the reduced row-echelon form of
-a matrix is unique, so the pivots, bases and serialized output are the
-same as those of rational elimination, byte for byte, and safe to
-freeze into golden tests.  Exactness and subspace containment are
-decided by rank, and products visit only the nonzero entries.
+``rank``, ``solve``, ``kernel_basis``, ``image_basis``,
+``QMatrix.inverse`` and ``intertwine.BlockSystem.solve_affine``) runs on
+one fraction-free integer kernel in the style of Bareiss: each row is
+scaled once by the LCM of its denominators, rows are updated as
+``p*row_i - f*row_r`` and divided by their gcd, and entries become
+fractions again only in the result.  The pivot is always the first
+nonzero entry of its column, exactly as in rational Gauss-Jordan
+elimination, and the reduced row-echelon form of a matrix is unique, so
+the pivots, bases and serialized output are the same as those of
+rational elimination, byte for byte, and safe to freeze into golden
+tests.  Exactness and subspace containment are decided by rank, and
+products visit only the nonzero entries.
 """
 
 from __future__ import annotations
@@ -418,31 +419,53 @@ def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
     rhs = as_vector(b)
     if len(rhs) != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
-    n = a.cols
     work = _int_rows(a, QMatrix(a.rows, 1, rhs))
-    pivots = _eliminate(work, n)
-    if any(row[n] for row in work[len(pivots):]):
-        return None
-    x = [_ZERO] * n
-    for row, c in zip(work, pivots):
-        x[c] = Fraction(row[n], row[c])
-    return tuple(x)
+    x, _ = _solution_space(work, _eliminate(work, a.cols), a.cols)
+    return None if x is None else tuple(x)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Basis of {x : m*x = 0}; dimension is cols - rank by rank-nullity."""
     work = _int_rows(m)
-    pivots = _eliminate(work, m.cols)
+    _, kernel = _solution_space(work, _eliminate(work, m.cols), m.cols)
+    entries = tuple(v[i] for i in range(m.cols) for v in kernel)
+    return Subspace(m.cols, QMatrix(m.cols, len(kernel), entries))
+
+
+def _solution_space(
+    work: list[list[int]], pivots: list[int], n: int
+) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
+    """A solution of M*x = b and a basis of the kernel of M, read off one
+    elimination.
+
+    ``work`` holds the rows of [M | b], M with n columns, after
+    ``_eliminate(work, n)`` returned ``pivots``; b is column n, and a
+    homogeneous system may leave it out.  The solution sets each pivot
+    unknown to its row's b entry over the pivot entry and every free
+    unknown to 0; it is None, with no basis, when a row without a pivot
+    keeps a nonzero b entry.  Basis vector q sets the q-th free unknown
+    f to 1, the other free unknowns to 0, and each pivot unknown to minus
+    its row's entry at f over the pivot entry.
+    """
+    homogeneous = not work or len(work[0]) == n
+    if not homogeneous and any(row[n] for row in work[len(pivots):]):
+        return None, []
+    x = [_ZERO] * n
+    if not homogeneous:
+        for row, c in zip(work, pivots):
+            x[c] = Fraction(row[n], row[c])
     pivot_set = set(pivots)
-    free = [f for f in range(m.cols) if f not in pivot_set]
-    k = len(free)
-    entries = [_ZERO] * (m.cols * k)
-    for q, f in enumerate(free):
-        entries[f * k + q] = _ONE
+    kernel = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * n
+        v[f] = _ONE
         for row, c in zip(work, pivots):
             if row[f]:
-                entries[c * k + q] = Fraction(-row[f], row[c])
-    return Subspace(m.cols, QMatrix(m.cols, k, tuple(entries)))
+                v[c] = Fraction(-row[f], row[c])
+        kernel.append(v)
+    return x, kernel
 
 
 def image_basis(m: QMatrix) -> Subspace:

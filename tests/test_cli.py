@@ -50,6 +50,13 @@ class TestExitCodes:
         assert result.exit_code == EXIT_USAGE
         assert result.payload.startswith("1:13: error [lexical]")
 
+    def test_overlong_integer_literal_exits_two(self, tmp_path):
+        path = tmp_path / "long.zzl"
+        path.write_text("space V dim " + "1" * 5000 + "\n")
+        result = run(["check", str(path)])
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload.startswith("1:13: error [lexical] integer literal of 5000 digits")
+
     def test_good_gluing(self):
         assert run(["gluing", fx("gluing.zzl"), "g1"]).exit_code == EXIT_OK
         assert run(["gluing", fx("gluing.zzl"), "g2"]).exit_code == EXIT_OK

@@ -193,6 +193,28 @@ class TestScanner:
         assert (diags[0].code, diags[0].line, diags[0].column) == (CODE_LEX, 1, 13)
         assert diags[0].message == "unexpected character '\xb2'"
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("space V dim " + "1" * 5000, (1, 13)),
+            ("space V dim 1\nmap m : V -> V = [-" + "2" * 5000 + "]", (2, 20)),
+            ("space V dim 1\nmap m : V -> V = [1/" + "2" * 5000 + "]", (2, 21)),
+        ],
+        ids=["dimension", "numerator", "denominator"],
+    )
+    def test_overlong_integer_literal_is_a_lexical_error(self, text, position):
+        diags = parse_fails(text)
+        assert [(d.code, d.line, d.column) for d in diags] == [(CODE_LEX, *position)]
+        assert diags[0].message == "integer literal of 5000 digits is too long"
+
+    def test_long_bracket_index_is_read_as_text(self):
+        doc = parse_ok(
+            f"zigzag z {{ open = x[00{'7' * 5000}], eminus = 0, ezero = 0, A = 0, B = 0, "
+            "alpha = [], beta = [], gamma = [] }"
+        )
+        assert doc.zigzags["z"].zigzag.open_label == f"x[{'7' * 5000}]"
+        assert parse_ok(serialize(doc)).structurally_equal(doc)
+
     def test_escaped_newline_in_label_counts_a_line(self):
         diags = parse_fails(
             'zigzag z { open = "a\\\nb", eminus = 0, ezero = 0, A = 0, B = 0, '
@@ -255,7 +277,8 @@ class TestSerialize:
         assert out.index("space A") < out.index("space Z") < out.index("map m")
 
     def test_quoted_label_round_trip(self):
-        for quoted, label in [('"weird \\" name"', 'weird " name'), ('"two\\\nlines"', "two\nlines")]:
+        for quoted, label in [('"weird \\" name"', 'weird " name'), ('"two\\\nlines"', "two\nlines"),
+                              ('"x[007]"', "x[007]")]:
             doc = parse_ok(
                 f"zigzag z {{ open = {quoted}, eminus = 0, ezero = 0, A = 0, B = 0, "
                 "alpha = [], beta = [], gamma = [] }"
