@@ -37,11 +37,10 @@ from .linalg import (
     _frac,
 )
 from .zigzag import (
-    ISO_DIM_BOUND,
     IsoWitness,
-    SizeBound,
     ZERO_LABEL,
     ZigZag,
+    _check_size,
     dualize,
     is_isomorphic,
     iso_witness,
@@ -251,20 +250,12 @@ def _complete_to_invertible(row: tuple[Fraction, ...]) -> QMatrix:
     return QMatrix.from_rows(rows, cols=n)
 
 
-def _check_ext_sizes(e: ExtensionPresentation) -> None:
-    for z in (e.sub, e.quot):
-        if max(z.dims()) > ISO_DIM_BOUND:
-            raise SizeBound(
-                f"presentation isomorphism supports dims <= {ISO_DIM_BOUND}"
-            )
-
-
 def ext_isomorphism_witness(
     e1: ExtensionPresentation, e2: ExtensionPresentation
 ) -> ExtWitness | None:
     """Verified witness of presentation isomorphism, or a certified None."""
-    _check_ext_sizes(e1)
-    _check_ext_sizes(e2)
+    for z in (e1.sub, e1.quot, e2.sub, e2.quot):
+        _check_size(z)
     if e1.sub.dims() != e2.sub.dims() or e1.sub.open_label != e2.sub.open_label:
         raise ShapeMismatch("presentations must share the sub shape")
     if e1.quot.dims() != e2.quot.dims():
@@ -315,25 +306,18 @@ def ext_isomorphism_witness(
     )
     system.add_equation(
         [(ident(s2.a_dim), "a_s", s1.alpha), (-1 * s2.alpha, "p", ident(s1.e_minus))],
-        shape=(s2.a_dim, s1.e_minus),
     )
     system.add_equation(
         [(ident(s2.b_dim), "b_s", s1.beta), (-1 * s2.beta, "a_s", ident(s1.a_dim))],
-        shape=(s2.b_dim, s1.a_dim),
     )
     system.add_equation(
         [(ident(s2.e_zero), "q", s1.gamma), (-1 * s2.gamma, "b_s", ident(s1.b_dim))],
-        shape=(s2.e_zero, s1.b_dim),
     )
     system.add_equation(
         [(ident(q2.b_dim), "b_q", q1.beta), (-1 * q2.beta, "a_q", ident(q1.a_dim))],
-        shape=(q2.b_dim, q1.a_dim),
     )
     # gamma of the total kills the h_b image
-    system.add_equation(
-        [(s2.gamma, "h_b", ident(q1.b_dim))],
-        shape=(s2.e_zero, q1.b_dim),
-    )
+    system.add_equation([(s2.gamma, "h_b", ident(q1.b_dim))])
     # upper-right block of the beta intertwine:
     #   b_s u1 + h_b beta_q1 = beta_s2 h_a + u2 a_q
     u1 = e1.u_block
@@ -345,15 +329,8 @@ def ext_isomorphism_witness(
             (-1 * s2.beta, "h_a", ident(q1.a_dim)),
             (-1 * u2, "a_q", ident(q1.a_dim)),
         ],
-        shape=(s2.b_dim, q1.a_dim),
     )
-    particular, basis = system.solve_affine()
-    try:
-        found = intertwine.find_invertible(
-            particular, basis, ["p", "a_s", "b_s", "q", "a_q", "b_q"]
-        )
-    except ValueError as exc:
-        raise SizeBound(str(exc)) from exc
+    found = intertwine.find_invertible(system, ["p", "a_s", "b_s", "q", "a_q", "b_q"])
     if found is None:
         return None
     witness = ExtWitness(
@@ -427,12 +404,19 @@ def classify_selfdual_rank_one(
     extension over the given boundary for every grid value, partitions
     by presentation isomorphism (each verdict witness-checked), filters
     by self-duality of the total, and returns the split class and the
-    unique non-split (corrected) class.
+    unique non-split (corrected) class.  Raises ValueError unless the
+    boundary is symmetric (duality swaps E^- and E^0) and the grid holds 0
+    and a nonzero value.
     """
     e_minus, e_zero = boundary
+    if e_minus != e_zero:
+        raise ValueError(f"self-dual classes need a symmetric boundary, got {boundary}")
+    classes = [_frac(g) for g in grid]
+    if 0 not in classes or not any(classes):
+        raise ValueError("the class grid needs 0 and a nonzero value")
     sub = std_ic(open_label, e_minus, e_zero)
     quot = std_skyscraper(1)
-    presentations = [(c, make_extension(sub, quot, c)) for c in (_frac(g) for g in grid)]
+    presentations = [(c, make_extension(sub, quot, c)) for c in classes]
 
     buckets: list[list[tuple[Fraction, ExtensionPresentation]]] = []
     for c, pres in presentations:
@@ -458,7 +442,8 @@ def classify_selfdual_rank_one(
     split = [r for r in self_dual if r.is_split]
     corrected = [r for r in self_dual if not r.is_split]
     if len(split) != 1 or len(corrected) != 1 or len(self_dual) != len(reps):
-        raise AssertionError(
-            f"expected exactly a split and a corrected class, got {reps}"
+        raise PostconditionError(
+            f"expected one split and one corrected self-dual class, got {len(split)} "
+            f"split, {len(corrected)} corrected and {len(reps) - len(self_dual)} not self-dual"
         )
     return [split[0], corrected[0]]

@@ -5,18 +5,21 @@ problem: a family of unknown matrix blocks X_1, ..., X_m subject to
 linear equations sum_t L_t * X_{i(t)} * R_t + C = 0, inside which an
 element with prescribed blocks invertible is wanted.
 
-The solution set is an affine subspace p + span(h_1, ..., h_k).
-``BlockSystem.solve_affine`` reads p and the h_i off one fraction-free
-elimination of the augmented system [M | rhs] (``linalg._eliminate``).
-``find_invertible`` then scales p and the h_i once to integers over a
-common denominator, keeping each h_i as its nonzero entries only, so
-that every candidate p + sum t_i h_i is combined on integers and each of
-its square blocks is tested for full rank by integer elimination; only
-the candidate returned becomes rational matrices again.  Candidates are
-drawn at random with growing radius, and an invertible element is
-certified absent by exhausting a rational grid large enough for the
-degree of the block-determinant polynomial (a nonzero polynomial of total
-degree d cannot vanish on a grid with d+1 values per coordinate).
+The solution set is an affine subspace p + span(h_1, ..., h_k) of the
+flat vector of unknowns (the blocks row-major, in the order of
+``BlockSystem.variables``).  ``BlockSystem.solve_affine`` reads p and the
+h_i off one fraction-free elimination of the augmented system [M | rhs]
+(``linalg._eliminate``) and returns them as flat vectors.
+``find_invertible`` scales p and the h_i once to integers over a common
+denominator, keeping each h_i as its nonzero entries only, so that every
+candidate p + sum t_i h_i is combined on integers and each of its square
+blocks is tested for full rank by integer elimination; only the candidate
+returned becomes rational matrix blocks.  Candidates are drawn at random
+with growing radius, and an invertible element is certified absent by
+exhausting a rational grid large enough for the degree of the
+block-determinant polynomial (a nonzero polynomial of total degree d
+cannot vanish on a grid with d+1 values per coordinate).  A grid of more
+than ``CERTIFY_CAP`` points is refused with ``SizeBound``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from fractions import Fraction
 from .linalg import (
     QMatrix,
     ShapeMismatch,
+    _ZERO,
     _common_denominator,
     _eliminate,
     _int_row,
@@ -36,9 +40,20 @@ from .linalg import (
     _solution_space,
 )
 
+#: Largest certification grid searched exhaustively.
+CERTIFY_CAP = 200_000
+
+#: Seed of the random candidate draws, fixed so that witnesses are reproducible.
+SEED = 99991
+
 
 class SearchExhausted(RuntimeError):
     """An invertible intertwiner was expected but not found; indicates a bug."""
+
+
+class SizeBound(ValueError):
+    """A dimension or a certification grid exceeds the desk-scale bound of an
+    isomorphism search."""
 
 
 @dataclass
@@ -63,19 +78,18 @@ class BlockSystem:
         self,
         terms: list[tuple[QMatrix, str, QMatrix]],
         constant: QMatrix | None = None,
-        shape: tuple[int, int] | None = None,
     ) -> None:
-        """Impose sum_t L_t * X_t * R_t + constant = 0."""
-        if shape is None:
-            if constant is not None:
-                shape = (constant.rows, constant.cols)
-            else:
-                lt, name, rt = terms[0]
-                shape = (lt.rows, rt.cols)
-        out_r, out_c = shape
-        if constant is None:
-            constant = QMatrix.zero(out_r, out_c)
-        if (constant.rows, constant.cols) != (out_r, out_c):
+        """Impose sum_t L_t * X_t * R_t + constant = 0.
+
+        The first term fixes the shape of the equation (the constant does
+        when there is no term); every other term and the constant must fit it.
+        """
+        if terms:
+            lt, _, rt = terms[0]
+            out_r, out_c = lt.rows, rt.cols
+        else:
+            out_r, out_c = constant.rows, constant.cols
+        if constant is not None and (constant.rows, constant.cols) != (out_r, out_c):
             raise ShapeMismatch("constant term of wrong shape")
         for lt, name, rt in terms:
             vr, vc = self.variables[name]
@@ -96,45 +110,20 @@ class BlockSystem:
                             if rb != 0:
                                 row[base + i * vc + j] += la * rb
                 self._rows.append(row)
-                self._rhs.append(-constant.entry(a, b))
+                self._rhs.append(_ZERO if constant is None else -constant.entry(a, b))
 
-    def _unpack(self, x: tuple[Fraction, ...]) -> dict[str, QMatrix]:
+    def _unpack(self, x: list[Fraction]) -> dict[str, QMatrix]:
         out = {}
         for name, (r, c) in self.variables.items():
             base = self._offsets[name]
             out[name] = QMatrix(r, c, tuple(x[base : base + r * c]))
         return out
 
-    def solve_affine(
-        self,
-    ) -> tuple[dict[str, QMatrix] | None, list[dict[str, QMatrix]]]:
-        """Particular solution (None when inconsistent) and homogeneous basis."""
+    def solve_affine(self) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
+        """Particular solution (None when inconsistent) and homogeneous basis,
+        each a flat vector of the unknowns."""
         work = [_int_row(row + [b]) for row, b in zip(self._rows, self._rhs)]
-        particular, kernel = _solution_space(work, _eliminate(work, self._total), self._total)
-        if particular is None:
-            return None, []
-        return self._unpack(particular), [self._unpack(v) for v in kernel]
-
-
-def _integer_family(
-    particular: dict[str, QMatrix], basis: list[dict[str, QMatrix]]
-) -> tuple[int, list[int], list[tuple[list[int], list[int]]]]:
-    """The family over one common denominator d: d*p as a flat integer list
-    (blocks in the order of ``particular``), and each d*h_i as the list of
-    its nonzero positions and the list of their entries.
-
-    Positions and entries are two lists rather than one list of pairs, for
-    the reason given at ``linalg._int_rows``.
-    """
-    flat = [list(itertools.chain.from_iterable(h[name].entries for name in particular))
-            for h in [particular, *basis]]
-    den = _common_denominator(itertools.chain.from_iterable(flat))
-    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in flat]
-    directions = []
-    for v in scaled[1:]:
-        positions = [i for i, x in enumerate(v) if x]
-        directions.append((positions, [v[i] for i in positions]))
-    return den, scaled[0], directions
+        return _solution_space(work, _eliminate(work, self._total), self._total)
 
 
 def _invertible_at(
@@ -158,52 +147,55 @@ def _invertible_at(
 
 
 def find_invertible(
-    particular: dict[str, QMatrix] | None,
-    basis: list[dict[str, QMatrix]],
-    square_names: list[str],
-    *,
-    must_exist: bool = False,
-    certify_cap: int = 200_000,
-    seed: int = 99991,
+    system: BlockSystem, square_names: list[str], *, must_exist: bool = False
 ) -> dict[str, QMatrix] | None:
-    """An element of the affine family with the named blocks invertible.
+    """An element of the system's solution family with the named blocks
+    invertible.
 
-    Returns None only when the full certification grid has been
-    exhausted, which proves no such element exists.  With must_exist the
-    caller has already decided existence by an independent invariant, so
-    the search keeps sampling until it succeeds.  Raises SearchExhausted
-    or ShapeMismatch-flavored errors on misuse, and ValueError when the
-    grid needed for certification exceeds certify_cap.
+    Returns None only when the system is inconsistent or the full
+    certification grid has been exhausted, which proves no such element
+    exists.  With must_exist the caller has already decided existence by
+    an independent invariant, so SearchExhausted is raised where the grid
+    would otherwise be searched.  Raises ShapeMismatch when a named block
+    is not square, and SizeBound when the grid needed for certification
+    exceeds CERTIFY_CAP.
     """
+    squares = []  # (offset, n) of each n x n block to be invertible
+    for name in square_names:
+        r, c = system.variables[name]
+        if r != c:
+            raise ShapeMismatch(f"block {name} must be square to be invertible")
+        squares.append((system._offsets[name], r))
+    particular, basis = system.solve_affine()
     if particular is None:
         return None
-    for name in square_names:
-        if not particular[name].is_square():
-            raise ShapeMismatch(f"block {name} must be square to be invertible")
-    den, base, directions = _integer_family(particular, basis)
-    sizes = [blk.rows * blk.cols for blk in particular.values()]
-    offsets = dict(zip(particular, itertools.accumulate(sizes, initial=0)))
-    squares = [(offsets[name], particular[name].rows) for name in square_names]
+    # d*p as a flat integer list, each d*h_i as its nonzero positions and
+    # their entries (two lists rather than one list of pairs, for the
+    # reason given at linalg._int_rows)
+    den = _common_denominator(itertools.chain(particular, *basis))
+
+    def scale(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    base = [scale(x) for x in particular]
+    directions = []
+    for h in basis:
+        positions = [i for i, x in enumerate(h) if x]
+        directions.append((positions, [scale(h[i]) for i in positions]))
     if _invertible_at(base, directions, squares, ()) is not None:
-        return particular
+        return system._unpack(particular)
     k = len(basis)
     if k == 0:
         return None  # the affine space is a single point
-    degree = sum(particular[name].rows for name in square_names)
+    degree = sum(n for _, n in squares)
 
-    def element(v: list[int]) -> dict[str, QMatrix]:
-        return {
-            name: QMatrix(blk.rows, blk.cols, tuple(_scaled(v[off : off + size], den)))
-            for (name, blk), off, size in zip(particular.items(), offsets.values(), sizes)
-        }
-
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     for radius in (1, 2, 4, 8, 16, 64, 256):
         for _ in range(40 if radius < 64 else 400):
             coeffs = tuple(rng.randint(-radius, radius) for _ in range(k))
             found = _invertible_at(base, directions, squares, coeffs)
             if found is not None:
-                return element(found)
+                return system._unpack(_scaled(found, den))
     if must_exist:
         raise SearchExhausted("invertible intertwiner expected but not found")
 
@@ -214,12 +206,10 @@ def find_invertible(
         if len(grid_values) < degree + 1:
             grid_values.append(-step)
         step += 1
-    if (degree + 1) ** k > certify_cap:
-        raise ValueError(
-            "certification grid too large for a desk-scale exhaustive search"
-        )
+    if (degree + 1) ** k > CERTIFY_CAP:
+        raise SizeBound("certification grid too large for a desk-scale exhaustive search")
     for coeffs in itertools.product(grid_values, repeat=k):
         found = _invertible_at(base, directions, squares, coeffs)
         if found is not None:
-            return element(found)
+            return system._unpack(_scaled(found, den))
     return None

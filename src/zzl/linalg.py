@@ -151,12 +151,6 @@ class QMatrix:
     def col(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def rows_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def columns(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.cols)]
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from . import intertwine
+from .intertwine import SizeBound
 from .linalg import (
     PostconditionError,
     QMatrix,
@@ -40,10 +41,6 @@ ISO_DIM_BOUND = 6
 
 class ZeroRank(ValueError):
     """A rank-one-or-more constructor was given rank zero."""
-
-
-class SizeBound(ValueError):
-    """A dimension exceeds the desk-scale bound for isomorphism search."""
 
 
 @dataclass(frozen=True)
@@ -307,15 +304,12 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
     if not strict:
         system.add_equation(
             [(ida(z2.a_dim), "a", z1.alpha), (-1 * z2.alpha, "p", ida(z1.e_minus))],
-            shape=(z2.a_dim, z1.e_minus),
         )
         system.add_equation(
             [(ida(z2.b_dim), "b", z1.beta), (-1 * z2.beta, "a", ida(z1.a_dim))],
-            shape=(z2.b_dim, z1.a_dim),
         )
         system.add_equation(
             [(ida(z2.e_zero), "q", z1.gamma), (-1 * z2.gamma, "b", ida(z1.b_dim))],
-            shape=(z2.e_zero, z1.b_dim),
         )
     else:
         system.add_equation(
@@ -324,22 +318,12 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
         )
         system.add_equation(
             [(ida(z2.b_dim), "b", z1.beta), (-1 * z2.beta, "a", ida(z1.a_dim))],
-            shape=(z2.b_dim, z1.a_dim),
         )
         system.add_equation(
             [(-1 * z2.gamma, "b", ida(z1.b_dim))],
             constant=z1.gamma,
         )
-    particular, basis = system.solve_affine()
-    try:
-        found = intertwine.find_invertible(
-            particular,
-            basis,
-            list(system.variables.keys()),
-            must_exist=not strict,
-        )
-    except ValueError as exc:
-        raise SizeBound(str(exc)) from exc
+    found = intertwine.find_invertible(system, list(system.variables), must_exist=not strict)
     if found is None:
         return None
     if strict:

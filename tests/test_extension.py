@@ -20,6 +20,7 @@ from zzl.extension import (
     verify_ext_witness,
 )
 from zzl.zigzag import (
+    SizeBound,
     ZigZag,
     direct_sum,
     dualize,
@@ -152,6 +153,11 @@ class TestExtIsomorphic:
         with pytest.raises(ShapeMismatch):
             ext_isomorphic(make_extension(IC, SKY, 0), make_extension(std_ic(LABEL, 2, 1), SKY, 0))
 
+    def test_size_bound(self):
+        e = make_extension(IC, std_skyscraper(7), [1] * 7)
+        with pytest.raises(SizeBound, match="dims <= 6"):
+            ext_isomorphism_witness(e, e)
+
 
 class TestSelfDuality:
     def test_split_and_corrected_are_self_dual(self):
@@ -195,3 +201,12 @@ class TestClassification:
         reps = classify_selfdual_rank_one((1, 1), grid=[0, 3, Fraction(-7, 2)])
         assert reps[0].grid_members == (Fraction(0),)
         assert len(reps[1].grid_members) == 2
+
+    @pytest.mark.parametrize("boundary, grid", [
+        pytest.param((1, 1), [1, 2], id="no-split-class"),
+        pytest.param((1, 1), [0], id="no-corrected-class"),
+        pytest.param((1, 2), DEFAULT_CLASS_GRID, id="asymmetric-boundary"),
+    ])
+    def test_inputs_without_both_self_dual_classes_rejected(self, boundary, grid):
+        with pytest.raises(ValueError, match="symmetric boundary|class grid"):
+            classify_selfdual_rank_one(boundary, grid=grid)

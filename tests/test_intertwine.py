@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzl import intertwine
-from zzl.intertwine import BlockSystem, SearchExhausted, find_invertible
+from zzl.intertwine import BlockSystem, SearchExhausted, SizeBound, find_invertible
 from zzl.linalg import QMatrix, ShapeMismatch
-from zzl.zigzag import SizeBound, ZigZag, iso_witness
+from zzl.zigzag import ZigZag, iso_witness
 
 I1 = QMatrix.identity(1)
 
@@ -38,6 +38,24 @@ def candidates(monkeypatch):
     return seen
 
 
+class TestAddEquation:
+    def test_first_term_fixes_the_shape(self):
+        system = BlockSystem({"x": (2, 2)})
+        ones = QMatrix.column([1, 1])
+        system.add_equation([(QMatrix.identity(2), "x", ones)])  # x * (1, 1)^T = 0: two rows
+        assert len(system.solve_affine()[1]) == 2
+        with pytest.raises(ShapeMismatch, match="term for x"):
+            system.add_equation([(QMatrix.identity(2), "x", ones),
+                                 (QMatrix.identity(2), "x", QMatrix.identity(2))])
+        with pytest.raises(ShapeMismatch, match="constant"):
+            system.add_equation([(QMatrix.identity(2), "x", ones)], constant=I1)
+
+    def test_constant_alone_fixes_the_shape(self):
+        system = BlockSystem({"x": (1, 1)})
+        system.add_equation([], constant=QMatrix.column([0, 1]))
+        assert system.solve_affine() == (None, [])
+
+
 class TestFindInvertible:
     def test_invertible_particular_is_returned_as_is(self, candidates):
         system = BlockSystem({"x": (2, 2), "y": (1, 1)})
@@ -45,42 +63,43 @@ class TestFindInvertible:
                             constant=QMatrix.from_rows([[-1, 0], [-2, -3]]))
         particular, basis = system.solve_affine()
         assert len(basis) == 1  # y is free
-        assert find_invertible(particular, basis, ["x"]) is particular
-        assert particular["x"] == QMatrix.from_rows([[1, 0], [2, 3]])
+        assert particular == [1, 0, 2, 3, 0]
+        found = find_invertible(system, ["x"])
+        assert found == {"x": QMatrix.from_rows([[1, 0], [2, 3]]), "y": QMatrix.zero(1, 1)}
         assert candidates == [()]  # the particular solution alone
 
     def test_single_singular_point_is_none(self, candidates):
         system = BlockSystem({"x": (1, 1)})
         system.add_equation([(I1, "x", I1)])
-        particular, basis = system.solve_affine()
-        assert basis == []
-        assert find_invertible(particular, basis, ["x"]) is None
+        assert system.solve_affine() == ([0], [])
+        assert find_invertible(system, ["x"]) is None
         assert candidates == [()]
 
     def test_inconsistent_system_is_none(self):
         system = BlockSystem({"x": (1, 1)})
         system.add_equation([(QMatrix.zero(1, 1), "x", I1)], constant=I1)
         assert system.solve_affine() == (None, [])
-        assert find_invertible(None, [], ["x"]) is None
+        assert find_invertible(system, ["x"]) is None
 
     def test_exhausted_grid_is_none(self, candidates):
-        particular, basis = _a_forced_to_zero().solve_affine()
-        assert len(basis) == 1
-        assert find_invertible(particular, basis, ["a", "b"]) is None
+        system = _a_forced_to_zero()
+        assert system.solve_affine() == ([0, 0], [[0, 1]])
+        assert find_invertible(system, ["a", "b"]) is None
         # the particular solution, the random draws, then the grid of degree
         # 2 in one direction: 0, 1, -1
         assert candidates[0] == ()
         assert candidates[1 + RANDOM_DRAWS:] == [(0,), (1,), (-1,)]
 
     def test_exhausted_search_raises_when_existence_was_promised(self):
-        particular, basis = _a_forced_to_zero().solve_affine()
         with pytest.raises(SearchExhausted):
-            find_invertible(particular, basis, ["a", "b"], must_exist=True)
+            find_invertible(_a_forced_to_zero(), ["a", "b"], must_exist=True)
 
-    def test_grid_above_cap_raises(self):
-        particular, basis = _a_forced_to_zero().solve_affine()
-        with pytest.raises(ValueError, match="certification grid"):
-            find_invertible(particular, basis, ["a", "b"], certify_cap=2)
+    def test_grid_above_cap_raises(self, monkeypatch):
+        # the grid of degree 2 in one direction has 3 points
+        monkeypatch.setattr(intertwine, "CERTIFY_CAP", 2)
+        with pytest.raises(SizeBound, match="certification grid") as raised:
+            find_invertible(_a_forced_to_zero(), ["a", "b"])
+        assert isinstance(raised.value, ValueError)
 
     def test_grid_above_cap_is_size_bound_through_iso_witness(self):
         # ZigZag does not check exactness.  alpha1 = 1 and alpha2 = 0 force
@@ -93,9 +112,9 @@ class TestFindInvertible:
             iso_witness(z1, z2, strict=True)
 
     def test_non_square_block_is_shape_mismatch(self):
-        particular, basis = BlockSystem({"x": (1, 2)}).solve_affine()
-        with pytest.raises(ShapeMismatch):
-            find_invertible(particular, basis, ["x"])
+        with pytest.raises(ShapeMismatch) as raised:
+            find_invertible(BlockSystem({"x": (1, 2)}), ["x"])
+        assert not isinstance(raised.value, SizeBound)
 
     def test_witness_is_combined_over_a_common_denominator(self):
         # h_1 = 2x and h_2 = 3x: the basis vector is x = 1/3, h = (2/3, 1)
@@ -105,8 +124,8 @@ class TestFindInvertible:
         system.add_equation([(QMatrix.from_rows([[Fraction(1, 2)]]), "x", I1),
                              (-1 * I1, "h", QMatrix.from_rows([[0], [Fraction(1, 6)]]))])
         particular, basis = system.solve_affine()
-        assert [h["x"] for h in basis] == [QMatrix.from_rows([[Fraction(1, 3)]])]
-        found = find_invertible(particular, basis, ["x"])
+        assert basis == [[Fraction(1, 3), Fraction(2, 3), 1]]
+        found = find_invertible(system, ["x"])
         x = found["x"].entry(0, 0)
         assert x != 0
         assert found["h"] == QMatrix.from_rows([[2 * x, 3 * x]])
@@ -150,6 +169,15 @@ def _evaluate(equations, blocks, homogeneous=False):
     return out
 
 
+def _blocks(variables, flat):
+    """The flat vector of unknowns cut into its matrix blocks."""
+    out, pos = {}, 0
+    for name, (r, c) in variables.items():
+        out[name] = QMatrix(r, c, tuple(flat[pos : pos + r * c]))
+        pos += r * c
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(block_systems())
 def test_solve_affine_against_sympy(system_data):
@@ -158,8 +186,8 @@ def test_solve_affine_against_sympy(system_data):
 
     variables, equations = system_data
     system = BlockSystem(variables)
-    for terms, constant, shape in equations:
-        system.add_equation(terms, constant, shape)
+    for terms, constant, _ in equations:
+        system.add_equation(terms, constant)
     particular, basis = system.solve_affine()
 
     # the coefficient matrix column by column, each column the image of one
@@ -186,10 +214,9 @@ def test_solve_affine_against_sympy(system_data):
     if particular is None:
         assert basis == []
         return
-    assert all(m.is_zero() for m in _evaluate(equations, particular))
+    assert all(m.is_zero() for m in _evaluate(equations, _blocks(variables, particular)))
     assert len(basis) == n - rank
     for h in basis:
-        assert all(m.is_zero() for m in _evaluate(equations, h, homogeneous=True))
+        assert all(m.is_zero() for m in _evaluate(equations, _blocks(variables, h), homogeneous=True))
     if basis:
-        flat = [[x for name in variables for x in h[name].entries] for h in basis]
-        assert dm(flat, n).rank() == len(basis)
+        assert dm(basis, n).rank() == len(basis)

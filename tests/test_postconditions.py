@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import zzl
-from zzl.extension import ext_isomorphism_witness, make_extension
+from zzl.extension import classify_selfdual_rank_one, ext_isomorphism_witness, make_extension
 from zzl.linalg import PostconditionError, QMatrix
 from zzl.monodromy import jordan_nilpotent, weight_filtration
 from zzl.zigzag import ZigZag, iso_witness, std_corrected, std_ic, std_skyscraper
@@ -54,6 +54,10 @@ CASES = {
     "ext_witness_block": (
         "zzl.extension", "verify_ext_witness", _never,
         lambda: ext_isomorphism_witness(_block_regime(), _block_regime()),
+    ),
+    "classify_selfdual": (
+        "zzl.extension", "is_self_dual", _never,
+        lambda: classify_selfdual_rank_one((1, 1), grid=[0, 1]),
     ),
     "nilpotent_index": (
         "zzl.monodromy", "nilpotency_index", lambda _m: None,
