@@ -16,10 +16,8 @@ from .linalg import (
     Subspace,
     block_assemble,
     block_diag,
-    block_extract,
     format_rational,
     image_basis,
-    is_exact_at,
     kernel_basis,
     parse_rational,
     rank,
@@ -85,8 +83,8 @@ from .lang import Diagnostic, Document, parse, serialize
 
 __all__ = [
     "AmbientMismatch", "DimensionMismatch", "PostconditionError", "QMatrix", "ShapeMismatch",
-    "Subspace", "block_assemble", "block_diag", "block_extract",
-    "format_rational", "image_basis", "is_exact_at", "kernel_basis",
+    "Subspace", "block_assemble", "block_diag",
+    "format_rational", "image_basis", "kernel_basis",
     "parse_rational", "rank", "serialize_matrix", "subspace_equal",
     "NilpotentOperator", "NotNilpotent", "NotUnipotent", "Pairing",
     "WeightFiltration", "nilpotent_log", "pl_operator", "pl_transform",

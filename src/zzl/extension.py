@@ -32,7 +32,6 @@ from .linalg import (
     block_assemble,
     hstack,
     image_basis,
-    rank,
     vstack,
     _frac,
 )
@@ -237,17 +236,10 @@ def verify_ext_witness(
 
 
 def _complete_to_invertible(row: tuple[Fraction, ...]) -> QMatrix:
-    """An invertible matrix whose first row is the given nonzero row."""
-    n = len(row)
-    rows = [list(row)]
-    for j in range(n):
-        unit = [Fraction(1 if k == j else 0) for k in range(n)]
-        candidate = rows + [unit]
-        if rank(QMatrix.from_rows(candidate, cols=n)) == len(candidate):
-            rows.append(unit)
-        if len(rows) == n:
-            break
-    return QMatrix.from_rows(rows, cols=n)
+    """An invertible matrix whose first row is the given nonzero row: the
+    row, then the unit rows independent of those before them."""
+    column = QMatrix.column(row)
+    return image_basis(hstack(column, QMatrix.identity(column.rows))).basis.transpose()
 
 
 def ext_isomorphism_witness(
@@ -369,8 +361,10 @@ def is_self_dual(e: ExtensionPresentation) -> bool:
     if not is_isomorphic(dualize(total), total):
         return False
     if not e.collapsed:
-        # in the block regime a valid total forces the trivial class,
-        # which duality preserves automatically
+        # in the block regime the class is the total's u-block, not a
+        # stored value, so a self-dual total leaves nothing else to check;
+        # the class need not be trivial (a sub with B = 1 and gamma = 0, a
+        # quotient with A = 1 and B = 0, u = [1] give an exact total of class 1)
         return True
     try:
         dual = dual_presentation(e)

@@ -47,10 +47,6 @@ CERTIFY_CAP = 200_000
 SEED = 99991
 
 
-class SearchExhausted(RuntimeError):
-    """An invertible intertwiner was expected but not found; indicates a bug."""
-
-
 class SizeBound(ValueError):
     """A dimension or a certification grid exceeds the desk-scale bound of an
     isomorphism search."""
@@ -146,19 +142,14 @@ def _invertible_at(
     return v
 
 
-def find_invertible(
-    system: BlockSystem, square_names: list[str], *, must_exist: bool = False
-) -> dict[str, QMatrix] | None:
+def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, QMatrix] | None:
     """An element of the system's solution family with the named blocks
     invertible.
 
     Returns None only when the system is inconsistent or the full
     certification grid has been exhausted, which proves no such element
-    exists.  With must_exist the caller has already decided existence by
-    an independent invariant, so SearchExhausted is raised where the grid
-    would otherwise be searched.  Raises ShapeMismatch when a named block
-    is not square, and SizeBound when the grid needed for certification
-    exceeds CERTIFY_CAP.
+    exists.  Raises ShapeMismatch when a named block is not square, and
+    SizeBound when the grid needed for certification exceeds CERTIFY_CAP.
     """
     squares = []  # (offset, n) of each n x n block to be invertible
     for name in square_names:
@@ -196,8 +187,6 @@ def find_invertible(
             found = _invertible_at(base, directions, squares, coeffs)
             if found is not None:
                 return system._unpack(_scaled(found, den))
-    if must_exist:
-        raise SearchExhausted("invertible intertwiner expected but not found")
 
     grid_values: list[int] = [0]
     step = 1

@@ -18,8 +18,12 @@ nonzero entry of its column, exactly as in rational Gauss-Jordan
 elimination, and the reduced row-echelon form of a matrix is unique, so
 the pivots, bases and serialized output are the same as those of
 rational elimination, byte for byte, and safe to freeze into golden
-tests.  Exactness and subspace containment are decided by rank, and
-products visit only the nonzero entries.
+tests.  Subspace containment is decided by rank, and products visit only
+the nonzero entries.  Every span is built as ``image_basis`` of one whole
+matrix, keeping its first independent columns: ``Subspace.spanned_by``
+of the given vectors, ``subspace_sum`` of the two stacked bases and
+``subspace_intersect`` of B1*X, X the top block of the kernel of
+[B1 | -B2].
 """
 
 from __future__ import annotations
@@ -384,12 +388,9 @@ class Subspace:
     @staticmethod
     def spanned_by(ambient_dim: int, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
         """Span of the given vectors; keeps the first independent ones."""
-        cols = [as_vector(v) for v in vectors]
-        if any(len(c) != ambient_dim for c in cols):
+        if any(len(v) != ambient_dim for v in vectors):
             raise AmbientMismatch("spanning vector of wrong length")
-        m = QMatrix.from_columns(cols, rows=ambient_dim)
-        keep = QMatrix.from_columns([cols[j] for j in _pivot_columns(m)], rows=ambient_dim)
-        return Subspace(ambient_dim, keep)
+        return image_basis(QMatrix.from_columns(vectors, rows=ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -480,28 +481,21 @@ def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
+    """The span of both bases, keeping the first independent columns."""
     if s1.ambient_dim != s2.ambient_dim:
         raise AmbientMismatch("sum of subspaces of different ambient spaces")
-    return Subspace.spanned_by(
-        s1.ambient_dim, [s1.basis.col(j) for j in range(s1.dim)] + [s2.basis.col(j) for j in range(s2.dim)]
-    )
+    return image_basis(hstack(s1.basis, s2.basis))
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection, computed from the kernel of the stacked basis matrix."""
     if s1.ambient_dim != s2.ambient_dim:
         raise AmbientMismatch("intersection of subspaces of different ambient spaces")
-    n = s1.ambient_dim
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace.zero(n)
-    # columns (x; y) with B1*x = B2*y; the intersection is B1*x.
-    stacked = hstack(s1.basis, -1 * s2.basis)
-    ker = kernel_basis(stacked)
-    vectors = []
-    for j in range(ker.dim):
-        coeffs = ker.basis.col(j)[: s1.dim]
-        vectors.append(s1.basis.apply(coeffs))
-    return Subspace.spanned_by(n, vectors)
+    # the kernel of [B1 | -B2] holds the columns (x; y) with B1*x = B2*y;
+    # the intersection is spanned by B1*X, X the top block of the kernel
+    ker = kernel_basis(hstack(s1.basis, -s2.basis)).basis
+    top = QMatrix(s1.dim, ker.cols, ker.entries[: s1.dim * ker.cols])
+    return image_basis(s1.basis * top)
 
 
 def hstack(*mats: QMatrix) -> QMatrix:
@@ -524,19 +518,6 @@ def vstack(*mats: QMatrix) -> QMatrix:
     return QMatrix(sum(m.rows for m in mats), ncols, entries)
 
 
-def is_exact_at(f: QMatrix, g: QMatrix) -> bool:
-    """Exactness at the middle of f: X -> Y, g: Y -> Z, i.e. im f = ker g.
-
-    Decided by rank: im f = ker g iff g*f = 0 (im f inside ker g) and
-    rank f + rank g = dim Y (equal dimensions, by rank-nullity).
-    """
-    if f.rows != g.cols:
-        raise DimensionMismatch(
-            f"middle dimensions disagree: f lands in Q^{f.rows}, g leaves Q^{g.cols}"
-        )
-    return rank(f) + rank(g) == f.rows and (g * f).is_zero()
-
-
 def block_assemble(
     blocks: Sequence[Sequence[QMatrix | None]],
     row_dims: Sequence[int],
@@ -545,8 +526,7 @@ def block_assemble(
     """Assemble a partitioned matrix from a grid of blocks; None means zero.
 
     Present blocks must agree exactly with the declared row/column
-    partition; reading any quadrant back with :func:`block_extract`
-    recovers the input block.
+    partition.
     """
     if len(blocks) != len(row_dims) or any(len(row) != len(col_dims) for row in blocks):
         raise ShapeMismatch("block grid does not match the declared partition")
@@ -572,24 +552,6 @@ def block_assemble(
                 start = (row_offsets[bi] + i) * total_cols + col_offsets[bj]
                 flat[start : start + blk.cols] = blk.row(i)
     return QMatrix(total_rows, total_cols, tuple(flat))
-
-
-def block_extract(
-    m: QMatrix,
-    row_dims: Sequence[int],
-    col_dims: Sequence[int],
-    i: int,
-    j: int,
-) -> QMatrix:
-    """Read block (i, j) back out of a partitioned matrix."""
-    if sum(row_dims) != m.rows or sum(col_dims) != m.cols:
-        raise ShapeMismatch("partition does not cover the matrix")
-    r0 = sum(row_dims[:i])
-    c0 = sum(col_dims[:j])
-    rows = [
-        [m.entry(r0 + a, c0 + b) for b in range(col_dims[j])] for a in range(row_dims[i])
-    ]
-    return QMatrix.from_rows(rows, cols=col_dims[j])
 
 
 def block_diag(*mats: QMatrix) -> QMatrix:

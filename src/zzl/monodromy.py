@@ -22,8 +22,10 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
+    hstack,
     image_basis,
     kernel_basis,
+    rank,
     subspace_intersect,
     subspace_sum,
 )
@@ -73,39 +75,48 @@ def pl_transform(alpha: Iterable[Scalar], delta: Iterable[Scalar], q: Pairing) -
 
 
 def pl_operator(delta: Iterable[Scalar], q: Pairing) -> QMatrix:
-    """The matrix T with T*x = pl_transform(x, delta, q) for all x."""
+    """The matrix T = I + delta (gram delta)^T, so T*x = pl_transform(x, delta, q)."""
     dv = as_vector(delta)
     if len(dv) != q.dim:
         raise DimensionMismatch("delta must match the pairing dimension")
-    columns = []
-    for j in range(q.dim):
-        e = [Fraction(0)] * q.dim
-        e[j] = Fraction(1)
-        columns.append(pl_transform(e, dv, q))
-    return QMatrix.from_columns(columns, rows=q.dim)
+    d = QMatrix.column(dv)
+    return QMatrix.identity(q.dim) + d * (q.gram * d).transpose()
+
+
+def _power_ladder(m: QMatrix) -> tuple[QMatrix, ...] | None:
+    """(I, m, ..., m^k) with m^k = 0 and k least, or None if m is not
+    nilpotent (k <= dim suffices).  The only place powers are multiplied."""
+    if not m.is_square():
+        raise DimensionMismatch("nilpotency of a non-square matrix")
+    powers = [QMatrix.identity(m.rows)]
+    while not powers[-1].is_zero():
+        if len(powers) > m.rows:
+            return None
+        powers.append(powers[-1] * m)
+    return tuple(powers)
 
 
 def nilpotency_index(m: QMatrix) -> int | None:
     """Least k with m^k = 0, or None if m is not nilpotent (k <= dim suffices)."""
-    if not m.is_square():
-        raise DimensionMismatch("nilpotency of a non-square matrix")
-    power = QMatrix.identity(m.rows)
-    for k in range(m.rows + 1):
-        if power.is_zero():
-            return k
-        power = power * m
-    return None
+    powers = _power_ladder(m)
+    return None if powers is None else len(powers) - 1
 
 
 @dataclass(frozen=True)
 class NilpotentOperator:
-    """A square matrix some power of which vanishes; verified at construction."""
+    """A square matrix some power of which vanishes; verified at construction.
+
+    ``powers`` holds (I, N, ..., N^index), the last one zero, computed once.
+    """
 
     matrix: QMatrix
+    powers: tuple[QMatrix, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if nilpotency_index(self.matrix) is None:
+        powers = _power_ladder(self.matrix)
+        if powers is None:
             raise NotNilpotent("no power <= dim of the matrix vanishes")
+        object.__setattr__(self, "powers", powers)
 
     @property
     def dim(self) -> int:
@@ -114,41 +125,25 @@ class NilpotentOperator:
     @property
     def index(self) -> int:
         """Least k with matrix^k = 0 (0 for the operator on the zero space)."""
-        k = nilpotency_index(self.matrix)
-        if k is None:
-            raise PostconditionError("no power <= dim of a verified nilpotent vanishes")
-        return k
+        return len(self.powers) - 1
 
 
 def nilpotent_log(t: QMatrix) -> NilpotentOperator:
     """log of a unipotent operator via the terminating alternating series."""
     if not t.is_square():
         raise DimensionMismatch("logarithm of a non-square matrix")
-    n = t.rows
-    u = t - QMatrix.identity(n)
-    if nilpotency_index(u) is None:
-        raise NotUnipotent("(t - I)^dim is nonzero")
-    total = QMatrix.zero(n, n)
-    power = QMatrix.identity(n)
-    for j in range(1, n + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        total = total + Fraction((-1) ** (j + 1), j) * power
-    return NilpotentOperator(total)
+    try:
+        u = NilpotentOperator(t - QMatrix.identity(t.rows))
+    except NotNilpotent:
+        raise NotUnipotent("(t - I)^dim is nonzero") from None
+    terms = (Fraction((-1) ** (j + 1), j) * p for j, p in enumerate(u.powers[1:-1], 1))
+    return NilpotentOperator(sum(terms, QMatrix.zero(t.rows, t.rows)))
 
 
 def unipotent_exp(n: NilpotentOperator) -> QMatrix:
     """exp of a nilpotent operator; the series is finite and exact."""
-    d = n.dim
-    total = QMatrix.identity(d)
-    power = QMatrix.identity(d)
-    for j in range(1, d + 1):
-        power = power * n.matrix
-        if power.is_zero():
-            break
-        total = total + Fraction(1, math.factorial(j)) * power
-    return total
+    terms = (Fraction(1, math.factorial(j)) * p for j, p in enumerate(n.powers[1:-1], 1))
+    return sum(terms, n.powers[0])
 
 
 @dataclass(frozen=True)
@@ -199,36 +194,25 @@ class WeightFiltration:
 def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     """The unique filtration with N W_w <= W_{w-2} and N^j : Gr_{k+j} ~ Gr_{k-j}.
 
-    Built from sums of (kernel of a power) intersect (image of a power);
-    for a single Jordan block this reproduces the textbook staircase, and
-    both defining conditions are re-verified on the output before it is
-    returned.
+    Step center + l is the sum over i >= max(0, -l) of
+    ker N^(i+l+1) intersect im N^i, for both signs of l; each kernel and
+    image is computed once.  For a single Jordan block this reproduces the
+    textbook staircase, and both defining conditions are re-verified on
+    the output before it is returned.
     """
-    d = n.dim
-    m = max(n.index - 1, 0)
-    powers = [QMatrix.identity(d)]
-    for _ in range(m + 1):
-        powers.append(powers[-1] * n.matrix)
+    k = n.index
+    kernels = [kernel_basis(p) for p in n.powers]  # ker N^k is everything
+    images = [image_basis(p) for p in n.powers[:-1]]  # im N^i = 0 for i >= k
 
-    def ker(j: int) -> Subspace:
-        return Subspace.full(d) if j > m else kernel_basis(powers[j])
-
-    def im(j: int) -> Subspace:
-        return Subspace.zero(d) if j > m else image_basis(powers[j])
-
-    def w_step(level: int) -> Subspace:
-        total = Subspace.zero(d)
-        for j in range(m + 1):
-            if level >= 0:
-                piece = subspace_intersect(ker(level + j + 1), im(j))
-            else:
-                piece = subspace_intersect(ker(j + 1), im(j - level))
+    def step(level: int) -> Subspace:
+        total = Subspace.zero(n.dim)
+        for i in range(max(0, -level), k):
+            piece = subspace_intersect(kernels[min(i + level + 1, k)], images[i])
             total = subspace_sum(total, piece)
         return total
 
-    steps = tuple(
-        (center + level, w_step(level)) for level in range(-m - 1, m + 1)
-    )
+    top = max(k, 1)  # the zero space still gets a zero step and a full one
+    steps = tuple((center + level, step(level)) for level in range(-top, top))
     filtration = WeightFiltration(center, steps)
     issues = check_weight_conditions(n, filtration)
     if issues:
@@ -243,12 +227,9 @@ def check_weight_conditions(n: NilpotentOperator, w: WeightFiltration) -> list[s
     lo = w.steps[0][0]
     hi = w.steps[-1][0]
     for level in range(lo, hi + 1):
-        sub = w.step(level)
         target = w.step(level - 2)
-        for j in range(sub.dim):
-            if not target.contains(n.matrix.apply(sub.basis.col(j))):
-                issues.append(f"N W_{level} not inside W_{level - 2}")
-                break
+        if rank(hstack(target.basis, n.matrix * w.step(level).basis)) != target.dim:
+            issues.append(f"N W_{level} not inside W_{level - 2}")
     for j in range(0, hi - k + 1):
         g_plus = w.graded_dim(k + j)
         g_minus = w.graded_dim(k - j)
@@ -258,12 +239,9 @@ def check_weight_conditions(n: NilpotentOperator, w: WeightFiltration) -> list[s
         # the induced map Gr_{k+j} -> Gr_{k-j} has image
         # (N^j W_{k+j} + W_{k-j-1}) / W_{k-j-1}; it is an isomorphism
         # iff that image has dimension g_{k+j} = g_{k-j}.
-        source = w.step(k + j)
         below = w.step(k - j - 1)
-        power = n.matrix ** j
-        mapped = [power.apply(source.basis.col(c)) for c in range(source.dim)]
-        big = subspace_sum(Subspace.spanned_by(w.ambient_dim, mapped), below)
-        if big.dim - below.dim != g_plus:
+        mapped = n.powers[min(j, n.index)] * w.step(k + j).basis
+        if rank(hstack(below.basis, mapped)) - below.dim != g_plus:
             issues.append(f"N^{j} is not an isomorphism Gr_{k + j} -> Gr_{k - j}")
     return issues
 

@@ -271,7 +271,8 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
     maps; strict mode pins them pointwise.  In the default mode the
     decision is made by the rank profile of forward composites (complete
     for chains of this length), and the search then only has to produce
-    a witness that is known to exist.
+    a witness that is known to exist; a certified search that finds none
+    raises PostconditionError.
     """
     _check_size(z1)
     _check_size(z2)
@@ -323,8 +324,12 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
             [(-1 * z2.gamma, "b", ida(z1.b_dim))],
             constant=z1.gamma,
         )
-    found = intertwine.find_invertible(system, list(system.variables), must_exist=not strict)
+    found = intertwine.find_invertible(system, list(system.variables))
     if found is None:
+        if not strict:
+            # the rank profiles agree, so a witness exists; a certified
+            # search that finds none is wrong
+            raise PostconditionError("certified search found no witness of an isomorphism")
         return None
     if strict:
         witness = IsoWitness(

@@ -28,6 +28,7 @@ from zzl.zigzag import (
     std_corrected,
     std_ic,
     std_skyscraper,
+    validate,
 )
 
 LABEL = "Q_U[3]"
@@ -171,6 +172,18 @@ class TestSelfDuality:
     def test_asymmetric_boundary_is_not_self_dual(self):
         e = make_extension(std_ic(LABEL, 2, 1), SKY, 1)
         assert not is_self_dual(e)
+
+    def test_block_regime_self_dual_total_with_nontrivial_class(self):
+        # neither factor is exact, yet the total is: u = [1] fills B_sub,
+        # which gamma = 0 leaves to the kernel; im beta_sub = 0, so class 1
+        zero = QMatrix.zero
+        sub = ZigZag("L", 1, 1, 0, 1, zero(0, 1), zero(1, 0), zero(1, 1))
+        quot = ZigZag("0", 0, 0, 1, 0, zero(1, 0), zero(0, 1), zero(0, 0))
+        assert validate(sub) and validate(quot)
+        e = make_extension(sub, quot, QMatrix.from_rows([[1]]))
+        assert validate(total_zigzag(e)) == []
+        assert extension_class(e).normalized == 1
+        assert is_self_dual(e)
 
     def test_dual_presentation_keeps_class(self):
         e = make_extension(IC, SKY, Fraction(1, 2))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzl import intertwine
-from zzl.intertwine import BlockSystem, SearchExhausted, SizeBound, find_invertible
+from zzl.intertwine import BlockSystem, SizeBound, find_invertible
 from zzl.linalg import QMatrix, ShapeMismatch
 from zzl.zigzag import ZigZag, iso_witness
 
@@ -89,10 +89,6 @@ class TestFindInvertible:
         # 2 in one direction: 0, 1, -1
         assert candidates[0] == ()
         assert candidates[1 + RANDOM_DRAWS:] == [(0,), (1,), (-1,)]
-
-    def test_exhausted_search_raises_when_existence_was_promised(self):
-        with pytest.raises(SearchExhausted):
-            find_invertible(_a_forced_to_zero(), ["a", "b"], must_exist=True)
 
     def test_grid_above_cap_raises(self, monkeypatch):
         # the grid of degree 2 in one direction has 3 points

@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from zzl.linalg import (
     AmbientMismatch,
-    DimensionMismatch,
     QMatrix,
     ShapeMismatch,
     Subspace,
     block_assemble,
-    block_extract,
     format_rational,
     image_basis,
-    is_exact_at,
     kernel_basis,
     parse_rational,
     rank,
@@ -25,6 +22,7 @@ from zzl.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from zzl.zigzag import ZigZag, validate
 
 
 def small_fractions():
@@ -156,26 +154,33 @@ class TestSubspaces:
         assert subspace_equal(s, s2)
 
 
+def _exact_at_middle(f, g):
+    """Exactness of f then g at their middle, read at position A of the
+    zig-zag (f, g, 0) by zigzag.validate."""
+    z = ZigZag("L", f.cols, 0, f.rows, g.rows, f, g, QMatrix.zero(0, g.rows))
+    return all(issue.position != "A" for issue in validate(z))
+
+
 class TestExactness:
     def test_zero_then_identity(self):
-        assert is_exact_at(QMatrix.zero(1, 1), QMatrix.identity(1))
+        assert _exact_at_middle(QMatrix.zero(1, 1), QMatrix.identity(1))
 
     def test_identity_then_zero_map_to_point(self):
-        assert is_exact_at(QMatrix.identity(1), QMatrix.zero(0, 1))
+        assert _exact_at_middle(QMatrix.identity(1), QMatrix.zero(0, 1))
 
     def test_zero_zero_not_exact(self):
-        assert not is_exact_at(QMatrix.zero(1, 1), QMatrix.zero(1, 1))
+        assert not _exact_at_middle(QMatrix.zero(1, 1), QMatrix.zero(1, 1))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            is_exact_at(QMatrix.zero(2, 1), QMatrix.zero(1, 1))
+        with pytest.raises(ShapeMismatch):
+            _exact_at_middle(QMatrix.zero(2, 1), QMatrix.zero(1, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(qmatrices(max_dim=3), qmatrices(max_dim=3))
     def test_exactness_implies_zero_composite(self, f, g):
         if f.rows != g.cols:
             return
-        if is_exact_at(f, g):
+        if _exact_at_middle(f, g):
             assert (g * f).is_zero()
 
 
@@ -211,10 +216,11 @@ class TestBlocks:
         if b.rows != a.rows or c.cols != a.cols or (d.rows, d.cols) != (c.rows, b.cols):
             return
         m = block_assemble([[a, b], [c, d]], row_dims, col_dims)
-        assert block_extract(m, row_dims, col_dims, 0, 0) == a
-        assert block_extract(m, row_dims, col_dims, 0, 1) == b
-        assert block_extract(m, row_dims, col_dims, 1, 0) == c
-        assert block_extract(m, row_dims, col_dims, 1, 1) == d
+        for blk, r0, c0 in ((a, 0, 0), (b, 0, a.cols), (c, a.rows, 0), (d, a.rows, a.cols)):
+            assert all(
+                m.entry(r0 + i, c0 + j) == blk.entry(i, j)
+                for i in range(blk.rows) for j in range(blk.cols)
+            )
 
 
 class TestArithmetic:

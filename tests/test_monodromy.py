@@ -187,3 +187,47 @@ def _expected_graded(block_sizes):
             weight = s - 1 - 2 * a
             graded[weight] = graded.get(weight, 0) + 1
     return graded
+
+
+# -- W(N) against the Jordan type read off sympy's ranks ---------------------
+
+
+def _sparse_nilpotent(rng, n):
+    """Strictly upper triangular with about a third of the entries above the
+    diagonal nonzero, so that many Jordan types occur, then conjugated."""
+    rows = [
+        [Fraction(rng.randint(-2, 2)) if j > i and rng.random() < 0.3 else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    g = random_invertible(rng, n)
+    return g * QMatrix.from_rows(rows, cols=n) * g.inverse()
+
+
+def _jordan_type_by_sympy(m):
+    """Block sizes of a nilpotent matrix: rank N^(s-1) - rank N^s blocks have
+    size at least s, with the ranks computed by sympy's DomainMatrix."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[sympy.QQ(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)]
+    dm = DomainMatrix(rows, (m.rows, m.cols), sympy.QQ)
+    ranks = [m.rows]
+    power = dm
+    while ranks[-1]:
+        ranks.append(power.rank())
+        power = power * dm
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    return [s for s in range(1, len(at_least)) for _ in range(at_least[s - 1] - at_least[s])]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_graded_dims_match_jordan_type_from_sympy(seed):
+    rng = random.Random(seed)
+    m = _sparse_nilpotent(rng, 1 + seed % 12)
+    sizes = _jordan_type_by_sympy(m)
+    assert sum(sizes) == m.rows
+    n = NilpotentOperator(m)
+    for center in (0, 3):
+        expected = {center + w: c for w, c in _expected_graded(sizes).items()}
+        assert weight_filtration(n, center).graded_dims() == expected

@@ -34,14 +34,15 @@ def _never(*_args):
     return False
 
 
-# built before any verifier is swapped: construction checks nilpotency too
-_JORDAN_2 = jordan_nilpotent([2])
-
-
 # name -> (module, verifier attribute, failing stand-in, call that re-checks)
 CASES = {
     "iso_witness": (
         "zzl.zigzag", "verify_witness", _never,
+        lambda: iso_witness(std_corrected("L", 1, 1), _corrected_times_two()),
+    ),
+    # the rank profiles agree, so a search that finds no witness is wrong
+    "iso_witness_search": (
+        "zzl.intertwine", "find_invertible", lambda _system, _names: None,
         lambda: iso_witness(std_corrected("L", 1, 1), _corrected_times_two()),
     ),
     "ext_witness_collapsed": (
@@ -58,10 +59,6 @@ CASES = {
     "classify_selfdual": (
         "zzl.extension", "is_self_dual", _never,
         lambda: classify_selfdual_rank_one((1, 1), grid=[0, 1]),
-    ),
-    "nilpotent_index": (
-        "zzl.monodromy", "nilpotency_index", lambda _m: None,
-        lambda: _JORDAN_2.index,
     ),
     "weight_filtration": (
         "zzl.monodromy", "check_weight_conditions", lambda _n, _w: ["forced"],
