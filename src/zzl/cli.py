@@ -14,6 +14,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -501,6 +502,7 @@ def _cmd_pl(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
 # -- argument plumbing --------------------------------------------------
 
 
+@functools.cache  # one parser per process, built at the first run
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="zzl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,12 +11,27 @@ A document is a flat list of declarations:
     gluing g { psi = 2, u = [1,0], v = [0;1] }
 
 Whitespace is insignificant, `#` starts a line comment, naturals are
-ASCII digits, rationals are `p/q` in lowest terms, matrices are
-row-major `[a,b;c,d]` with `[]` for an empty shape.  Open labels are
-identifiers with an optional `[nat]` suffix, `0` for the zero object,
-or a quoted string for anything else; inside the quotes a backslash
-takes the next character literally (`\\"`, `\\\\`, or a backslash before
-a line break for a label that spans lines).
+ASCII digits, rationals are `p` or `p/q` with an optional `-` and are
+read in lowest terms (`2/4` is 1/2), matrices are row-major `[a,b;c,d]`
+with `[]` for an empty shape.  Open labels are identifiers with an
+optional `[nat]` suffix, `0` for the zero object, or a quoted string for
+anything else; inside the quotes a backslash takes the next character
+literally (`\\"`, `\\\\`, or a backslash before a line break for a label
+that spans lines).
+
+A matrix literal that follows `=` on the same line, with blanks only
+next to its brackets and separators, is lexed as one token and read by
+splitting it at `;` and `,`; each distinct entry text is converted once
+per document.  Any other literal (a line break or comment inside, `- 3`,
+`1 / 2`, a trailing separator) and every bracket index such as `x[3]`
+is read token by token, and so is a literal whose entry does not
+convert (a zero denominator, an integer past CPython's digit limit), so
+that each diagnostic sits at the token that causes it.
+
+Untrusted input has a budget: a declared dimension above `MAX_DIM`, or
+a document whose extensions, nodes block and gluings would make
+checking build more than `MAX_IMPLIED_ENTRIES` matrix entries that the
+text does not write out, is refused with a `limit` diagnostic.
 
 Parsing never raises on bad input: it returns a resolved
 :class:`Document` on success and a list of positioned
@@ -46,6 +61,15 @@ CODE_LEX = "lexical"
 CODE_SYNTAX = "syntax"
 CODE_NAME = "name"
 CODE_SHAPE = "shape"
+CODE_LIMIT = "limit"
+
+# The input budget.  A declared dimension above MAX_DIM is refused where it
+# is written.  MAX_IMPLIED_ENTRIES bounds the matrices that checking a
+# document builds although its text does not write them out: each
+# extension's total and class-0 u-block, the total that assembles the nodes
+# block, each gluing's N = v*u.  The text pays for every other entry.
+MAX_DIM = 256
+MAX_IMPLIED_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -219,7 +243,7 @@ class Document:
 
 
 class _Token(NamedTuple):
-    kind: str  # IDENT | NAT | STRING | PUNCT | EOF
+    kind: str  # IDENT | NAT | STRING | PUNCT | MATRIX | EOF
     text: str
     line: int
     column: int
@@ -227,16 +251,24 @@ class _Token(NamedTuple):
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAT = r"[0-9]+"  # ASCII only: int() accepts every NAT token up to its digit limit
+_BLANK = r"[ \t\r\f\v]"
+_ENTRY = rf"-?{_NAT}(?:/{_NAT})?"
+# a whole matrix literal, blanks allowed only next to brackets and separators
+_MATRIX = rf"\[{_BLANK}*(?:{_ENTRY}{_BLANK}*(?:[,;]{_BLANK}*{_ENTRY}{_BLANK}*)*)?\]"
 
 # one alternative per token kind; WS and COMMENT are skipped, and any
-# other single character is an error.  A backslash escapes the next
-# character inside a string, newline included; a string left open at a
-# newline or at the end of input keeps what it read.
+# other single character is an error.  ASSIGN is `=` followed by a matrix
+# literal on the same line and gives two tokens, `=` and one MATRIX; a
+# literal it does not match (a line break or comment inside, `- 3`, a
+# trailing separator, ...) is read token by token.  A backslash escapes
+# the next character inside a string, newline included; a string left
+# open at a newline or at the end of input keeps what it read.
 _TOKEN_RE = re.compile(
     rf"""
-    (?P<WS>[ \t\r\f\v]+)
+    (?P<WS>{_BLANK}+)
   | (?P<NEWLINE>\n)
   | (?P<COMMENT>\#[^\n]*)
+  | (?P<ASSIGN>={_BLANK}*(?P<matrix>{_MATRIX}))
   | (?P<PUNCT>->|[{{}}\[\](),;:=/-])
   | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*\\?)(?P<close>"?))
   | (?P<NAT>{_NAT})
@@ -262,7 +294,12 @@ def _tokenize(text: str, diagnostics: list[Diagnostic]) -> list[_Token]:
             line_start = pos + 1
             continue
         column = pos - line_start + 1
-        if kind == "STRING":
+        if kind == "ASSIGN":
+            tokens.append(_Token("PUNCT", "=", line, column))
+            tokens.append(
+                _Token("MATRIX", match["matrix"], line, match.start("matrix") - line_start + 1)
+            )
+        elif kind == "STRING":
             body = match["body"]
             if not match["close"]:
                 diagnostics.append(
@@ -287,6 +324,18 @@ def _tokenize(text: str, diagnostics: list[Diagnostic]) -> list[_Token]:
     return tokens
 
 
+class _Rationals(dict):
+    """Entry text -> value; each distinct text is converted once, and the
+    entries that share it share one Fraction."""
+
+    def __missing__(self, text: str) -> Fraction:
+        num, _, den = text.partition("/")
+        # int() raises ValueError past its digit limit, Fraction
+        # ZeroDivisionError on a zero denominator
+        value = self[text] = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return value
+
+
 # -- parser ------------------------------------------------------------
 
 
@@ -294,11 +343,16 @@ class _SyntaxAbort(Exception):
     """Internal: abandon the current item after a diagnostic."""
 
 
+# a parsed matrix literal: rows, columns and the row-major entries; [] is 0x0
+_Literal = tuple[int, int, tuple[Fraction, ...]]
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], diagnostics: list[Diagnostic]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
+        self.rationals = _Rationals()
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -318,6 +372,8 @@ class _Parser:
 
     @staticmethod
     def _describe(tok: _Token) -> str:
+        if tok.kind == "MATRIX":
+            return "'['"  # where the literal's first token would be
         return repr(tok.text) if tok.text else "end of input"
 
     def expect_punct(self, text: str) -> _Token:
@@ -338,6 +394,20 @@ class _Parser:
             self.advance()
             return self.nat_value(tok)
         raise self.error(f"expected {what}, found {self._describe(tok)}")
+
+    def expect_dim(self, what: str) -> int:
+        tok = self.peek()
+        value = self.expect_nat(what)
+        if value > MAX_DIM:
+            self.diagnostics.append(
+                Diagnostic(
+                    SEVERITY_ERROR, CODE_LIMIT,
+                    f"{what} is above the limit of {MAX_DIM} on a declared dimension",
+                    tok.line, tok.column,
+                )
+            )
+            raise _SyntaxAbort()
+        return value
 
     def nat_value(self, tok: _Token) -> int:
         """The NAT token's value; a literal longer than CPython's limit on
@@ -391,26 +461,50 @@ class _Parser:
         value = Fraction(num, den)
         return -value if negative else value
 
-    def parse_matrix(self) -> list[list[Fraction]]:
+    def parse_matrix(self) -> _Literal:
+        tok = self.peek()
+        if tok.kind == "MATRIX":
+            body = tok.text[1:-1]
+            if not body.strip():
+                self.advance()
+                return 0, 0, ()
+            try:
+                # int() ignores the blanks next to an entry
+                entries = list(map(self.rationals.__getitem__, body.replace(";", ",").split(",")))
+            except (ValueError, ZeroDivisionError):
+                # an over-long integer or a zero denominator: read the
+                # literal token by token, which reports it at its place
+                self.tokens[self.pos : self.pos + 1] = [
+                    t._replace(line=tok.line, column=tok.column + t.column - 1)
+                    for t in _tokenize(tok.text, [])[:-1]
+                ]
+            else:
+                self.advance()
+                return self._literal([row.count(",") + 1 for row in body.split(";")], entries)
         self.expect_punct("[")
-        rows: list[list[Fraction]] = []
         if self.at_punct("]"):
             self.advance()
-            return rows
+            return 0, 0, ()
+        widths: list[int] = []
+        entries = []
         while True:
-            row = [self.parse_rational()]
+            entries.append(self.parse_rational())
+            width = 1
             while self.at_punct(","):
                 self.advance()
-                row.append(self.parse_rational())
-            rows.append(row)
-            if self.at_punct(";"):
-                self.advance()
-                continue
-            break
+                entries.append(self.parse_rational())
+                width += 1
+            widths.append(width)
+            if not self.at_punct(";"):
+                break
+            self.advance()
         self.expect_punct("]")
-        if any(len(r) != len(rows[0]) for r in rows):
+        return self._literal(widths, entries)
+
+    def _literal(self, widths: list[int], entries: list[Fraction]) -> _Literal:
+        if any(w != widths[0] for w in widths):
             raise self.error("ragged matrix rows")
-        return rows
+        return len(widths), widths[0], tuple(entries)
 
     def parse_label(self) -> str:
         tok = self.peek()
@@ -477,7 +571,7 @@ class _Parser:
             dim_kw = self.expect_ident("'dim'")
             if dim_kw.text != "dim":
                 raise self.error("expected 'dim'", dim_kw)
-            return SpaceItem(name, self.expect_nat("space dimension"), span)
+            return SpaceItem(name, self.expect_dim("space dimension"), span)
         if keyword == "map":
             name = self.expect_ident("map name").text
             self.expect_punct(":")
@@ -485,9 +579,8 @@ class _Parser:
             self.expect_punct("->")
             target = self.expect_ident("target space").text
             self.expect_punct("=")
-            rows = self.parse_matrix()
             # shape finalized during resolution against the space dims
-            matrix = _matrix_from_rows(rows, None, None)
+            matrix = _matrix(self.parse_matrix(), None, None)
             return MapItem(name, source, target, matrix, span)
         if keyword == "zigzag":
             return self._parse_zigzag(span)
@@ -536,7 +629,7 @@ class _Parser:
             if key == "open":
                 value: object = self.parse_label()
             elif key in ("eminus", "ezero", "A", "B", "psi"):
-                value = self.expect_nat(f"value of {key}")
+                value = self.expect_dim(f"value of {key}")
             else:
                 value = self.parse_matrix()
             fields[key] = (key_tok, value)
@@ -563,9 +656,9 @@ class _Parser:
         a_dim = fields["A"][1]
         b_dim = fields["B"][1]
         try:
-            alpha = _matrix_from_rows(fields["alpha"][1], a_dim, e_minus)
-            beta = _matrix_from_rows(fields["beta"][1], b_dim, a_dim)
-            gamma = _matrix_from_rows(fields["gamma"][1], e_zero, b_dim)
+            alpha = _matrix(fields["alpha"][1], a_dim, e_minus)
+            beta = _matrix(fields["beta"][1], b_dim, a_dim)
+            gamma = _matrix(fields["gamma"][1], e_zero, b_dim)
             zigzag = ZigZag(open_label, e_minus, e_zero, a_dim, b_dim, alpha, beta, gamma)
         except ValueError as exc:
             self.diagnostics.append(
@@ -582,10 +675,10 @@ class _Parser:
             raise self.error(f"gluing {name!r} is missing fields {missing}")
         psi = fields["psi"][1]
         try:
-            u = _matrix_from_rows(fields["u"][1], None, psi)
-            v = _matrix_from_rows(fields["v"][1], psi, None)
+            u = _matrix(fields["u"][1], None, psi)
+            v = _matrix(fields["v"][1], psi, None)
             expected_n = (
-                _matrix_from_rows(fields["N"][1], psi, psi) if "N" in fields else None
+                _matrix(fields["N"][1], psi, psi) if "N" in fields else None
             )
             if u.rows != v.cols:
                 raise ValueError(f"u has {u.rows} rows but v has {v.cols} columns")
@@ -597,12 +690,9 @@ class _Parser:
         return GluingItem(name, psi, u, v, expected_n, span)
 
 
-def _matrix_from_rows(
-    rows: list[list[Fraction]], want_rows: int | None, want_cols: int | None
-) -> QMatrix:
+def _matrix(literal: _Literal, want_rows: int | None, want_cols: int | None) -> QMatrix:
     """Shape-check a parsed matrix literal, coercing [] into empty shapes."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    nrows, ncols, entries = literal
     if nrows == 0:
         r = want_rows if want_rows is not None else 0
         c = want_cols if want_cols is not None else 0
@@ -613,10 +703,15 @@ def _matrix_from_rows(
         raise ValueError(f"matrix has {nrows} rows, expected {want_rows}")
     if want_cols is not None and ncols != want_cols:
         raise ValueError(f"matrix has {ncols} columns, expected {want_cols}")
-    return QMatrix.from_rows(rows)
+    return QMatrix(nrows, ncols, entries)
 
 
 # -- resolution --------------------------------------------------------
+
+
+def _zigzag_entries(e_minus: int, a_dim: int, b_dim: int, e_zero: int) -> int:
+    """Entries of alpha, beta and gamma of a zig-zag with these dimensions."""
+    return a_dim * e_minus + b_dim * a_dim + e_zero * b_dim
 
 
 def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
@@ -628,6 +723,19 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
 
     def err(item: Item, code: str, message: str) -> None:
         diagnostics.append(Diagnostic(SEVERITY_ERROR, code, message, *item.span))
+
+    implied = 0
+
+    def charge(item: Item, what: str, entries: int) -> None:
+        """Add the entries `item` implies; report the item that crosses the budget."""
+        nonlocal implied
+        implied += entries
+        if implied - entries <= MAX_IMPLIED_ENTRIES < implied:
+            err(
+                item, CODE_LIMIT,
+                f"{what}: checking the document would build {implied} implied matrix "
+                f"entries, above the limit of {MAX_IMPLIED_ENTRIES}",
+            )
 
     seen: set[tuple[type, str]] = set()
     for it in items:
@@ -670,6 +778,13 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
                 err(it, CODE_NAME, f"extension {it.name!r}: unknown zigzag {it.quot_name!r}")
             if sub is None or quot is None:
                 continue
+            s, q = sub.zigzag, quot.zigzag
+            # the class-0 u-block and the total
+            charge(
+                it, f"extension {it.name!r}",
+                s.b_dim * q.a_dim
+                + _zigzag_entries(s.e_minus, s.a_dim + q.a_dim, s.b_dim + q.b_dim, s.e_zero),
+            )
             if quot.zigzag.open_label != ZERO_LABEL:
                 err(
                     it, CODE_SHAPE,
@@ -695,6 +810,14 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
             for n in it.names:
                 if n not in extensions:
                     err(it, CODE_NAME, f"node {n!r} does not name an extension")
+            # the total over the bulk and one rank-one point object per node
+            first = extensions.get(it.names[0])
+            bulk = zigzags.get(first.sub_name) if first else None
+            e_minus, e_zero = (bulk.zigzag.e_minus, bulk.zigzag.e_zero) if bulk else (0, 0)
+            count = len(it.names)
+            charge(it, "nodes", _zigzag_entries(e_minus, count, count, e_zero))
+        elif isinstance(it, GluingItem):
+            charge(it, f"gluing {it.name!r}", it.psi_dim * it.psi_dim)  # N = v*u
 
     return diagnostics or document
 

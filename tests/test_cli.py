@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,44 @@ class TestExitCodes:
     def test_good_gluing(self):
         assert run(["gluing", fx("gluing.zzl"), "g1"]).exit_code == EXIT_OK
         assert run(["gluing", fx("gluing.zzl"), "g2"]).exit_code == EXIT_OK
+
+
+class TestInputBudget:
+    # a 226-byte file whose class-0 u-block and total would hold 2000x2000
+    # zeros: before the input budget it cost `zzl check` seconds and 139 MB
+    REPRODUCER = (
+        "zigzag S { open = C, eminus = 0, ezero = 0, A = 0, B = 2000, alpha = [], beta = [], gamma = [] }\n"
+        "zigzag Q { open = 0, eminus = 0, ezero = 0, A = 2000, B = 0, alpha = [], beta = [], gamma = [] }\n"
+        "extension P = ext(S, Q) class 0\n"
+    )
+
+    def check(self, tmp_path, text: str):
+        path = tmp_path / "budget.zzl"
+        path.write_text(text)
+        start = time.perf_counter()
+        result = run(["check", str(path)])
+        assert time.perf_counter() - start < 1.0
+        return result
+
+    def test_declared_dimensions_over_the_limit_exit_two(self, tmp_path):
+        assert len(self.REPRODUCER) == 226
+        result = self.check(tmp_path, self.REPRODUCER)
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload == (
+            "1:56: error [limit] value of B is above the limit of 256 on a declared dimension\n"
+            "2:49: error [limit] value of A is above the limit of 256 on a declared dimension\n"
+        )
+
+    def test_implied_matrices_over_the_limit_exit_two(self, tmp_path):
+        # each extension implies a 256x256 u-block and a 256x256 total beta
+        head = self.REPRODUCER.replace("2000", "256").split("extension")[0]
+        text = head + "".join(f"extension P{k} = ext(S, Q) class 0\n" for k in range(8))
+        result = self.check(tmp_path, text)
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload == (
+            "10:1: error [limit] extension 'P7': checking the document would build 1048576 "
+            "implied matrix entries, above the limit of 1000000\n"
+        )
 
 
 class TestTables:

@@ -1,5 +1,7 @@
+import itertools
 import random
 import string
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zzl import lang
 from zzl.lang import (
     CODE_LEX,
+    CODE_LIMIT,
     CODE_NAME,
     CODE_SHAPE,
     CODE_SYNTAX,
@@ -207,6 +211,17 @@ class TestScanner:
         assert [(d.code, d.line, d.column) for d in diags] == [(CODE_LEX, *position)]
         assert diags[0].message == "integer literal of 5000 digits is too long"
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_entry_over_a_lowered_digit_limit_is_a_lexical_error(self):
+        # the limit is read when the literal is converted, not when it is lexed
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            diags = parse_fails("space V dim 1\nmap m : V -> V = [1/" + "3" * 700 + "]")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert [(d.code, d.line, d.column) for d in diags] == [(CODE_LEX, 2, 21)]
+
     def test_long_bracket_index_is_read_as_text(self):
         doc = parse_ok(
             f"zigzag z {{ open = x[00{'7' * 5000}], eminus = 0, ezero = 0, A = 0, B = 0, "
@@ -221,6 +236,118 @@ class TestScanner:
             "alpha = [], beta = [], gamma = [] }\nspace V dim x"
         )
         assert [(d.line, d.column) for d in diags] == [(3, 13)]  # line 3, not 2
+
+
+def _literal(rows: list[list[tuple[int, int]]], pad) -> str:
+    """`[a,b;c,d]` of (numerator, denominator) pairs, written unreduced;
+    `pad()` gives the text put at each place where the token grammar
+    allows blanks, line breaks and comments."""
+    def entry(num: int, den: int) -> str:
+        sign = "-" + pad() if num < 0 else ""
+        return sign + str(abs(num)) + (f"{pad()}/{pad()}{den}" if den != 1 else "")
+
+    body = f"{pad()};{pad()}".join(
+        f"{pad()},{pad()}".join(entry(*e) for e in row) for row in rows
+    )
+    return f"[{pad()}{body}{pad()}]"
+
+
+PADDING = st.sampled_from(["", " ", "\t", "\n", "  # note\n", "\n\t"])
+RATIONALS = st.tuples(st.integers(-30, 30), st.integers(1, 12))
+
+
+class TestMatrixLiteral:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda c: st.lists(st.lists(RATIONALS, min_size=c, max_size=c), min_size=1, max_size=4)
+        ),
+        st.lists(PADDING, min_size=1),
+    )
+    def test_one_token_and_token_path_agree(self, rows, pads):
+        compact = _literal(rows, lambda: "")
+        cycle = itertools.cycle(pads)
+        padded = _literal(rows, lambda: next(cycle))
+        head = f"space V dim {len(rows[0])}\nspace W dim {len(rows)}\nmap m : V -> W = "
+        tokens = lang._tokenize(head + compact, [])
+        assert [t.kind for t in tokens[-2:]] == ["MATRIX", "EOF"]
+        # a line break after `[` keeps the padded literal off the one-token path
+        padded = "[\n" + padded[1:]
+        assert "MATRIX" not in [t.kind for t in lang._tokenize(head + padded, [])]
+
+        one, many = parse_ok(head + compact), parse_ok(head + padded)
+        expected = QMatrix.from_rows([[Fraction(n, d) for n, d in row] for row in rows])
+        assert one.maps["m"].matrix == many.maps["m"].matrix == expected
+        assert serialize(one) == serialize(many)
+        # a declaration after the padded literal keeps its line and column
+        text = head + padded + "\n  space X dim x"
+        diags = parse_fails(text)
+        assert [(d.line, d.column) for d in diags] == [(text.count("\n") + 1, 15)]
+
+    def test_entries_with_one_text_share_one_value(self):
+        doc = parse_ok("space V dim 3\nmap m : V -> V = [1/2,0,2/4;0,1/2,0;1,0,1/2]")
+        entries = doc.maps["m"].matrix.entries
+        assert entries[0] is entries[4] is entries[8] and entries[1] is entries[3]
+        assert entries[2] == entries[0] and entries[2] is not entries[0]  # another text
+
+    def test_work_gate_one_token_per_literal(self):
+        # corpus-style lines; the token path needs 72 and 90 tokens
+        zigzag = (
+            "zigzag z3 { open = Q_U[3], eminus = 2, ezero = 1, A = 3, B = 2, "
+            "alpha = [1,0;0,-1;2,1], beta = [1,-2,0;0,1/2,3], gamma = [0,-4] }"
+        )
+        gluing = (
+            "gluing g0 { psi = 4, u = [1,-2,0,0;0,0,1,1], v = [2,0;1,0;0,-1;0,1], "
+            "N = [2,-4,0,0;1,-2,0,0;0,0,-1,-1;0,0,1,1] }"
+        )
+        for line, count in ((zigzag, 39), (gluing, 20)):
+            tokens = lang._tokenize(line, [])
+            assert len(tokens) == count
+            assert [t.kind for t in tokens].count("MATRIX") == 3
+
+
+class TestInputBudget:
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "space V dim {}",
+            "zigzag z {{ open = x, eminus = {}, ezero = 0, A = 0, B = 0, "
+            "alpha = [], beta = [], gamma = [] }}",
+            "zigzag z {{ open = x, eminus = 0, ezero = 0, A = 0, B = {}, "
+            "alpha = [], beta = [], gamma = [] }}",
+            "gluing g {{ psi = {}, u = [], v = [] }}",
+        ],
+    )
+    def test_declared_dimension(self, template):
+        assert isinstance(parse(template.format(lang.MAX_DIM)), Document)
+        text = template.format(lang.MAX_DIM + 1)
+        diags = parse_fails(text)
+        column = text.index(str(lang.MAX_DIM + 1)) + 1
+        assert [(d.code, d.line, d.column) for d in diags] == [(CODE_LIMIT, 1, column)]
+        assert diags[0].message.endswith(f"above the limit of {lang.MAX_DIM} on a declared dimension")
+
+    def test_implied_entries_are_counted_and_reported_once(self, monkeypatch):
+        text = (
+            "zigzag S { open = x, eminus = 0, ezero = 0, A = 0, B = 2, alpha = [], beta = [], gamma = [] }\n"
+            "zigzag Q { open = 0, eminus = 0, ezero = 0, A = 3, B = 0, alpha = [], beta = [], gamma = [] }\n"
+            "zigzag ic { open = C, eminus = 1, ezero = 1, A = 0, B = 0, alpha = [], beta = [], gamma = [] }\n"
+            "zigzag sky { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, alpha = [], beta = [1], gamma = [] }\n"
+            "extension P = ext(S, Q) class 0\n"  # u-block 2x3, total beta 2x3: 12
+            "extension p1 = ext(ic, sky) class 1\n"  # total 1x1 each of alpha, beta, gamma: 3
+            "extension p2 = ext(ic, sky) class 0\n"  # 3
+            "nodes { p1, p2 }\n"  # total over the bulk: alpha 2x1, beta 2x2, gamma 1x2: 8
+            "gluing g { psi = 3, u = [], v = [] }\n"  # N = v*u: 9
+            "gluing h { psi = 1, u = [], v = [] }\n"  # 1
+        )
+        monkeypatch.setattr(lang, "MAX_IMPLIED_ENTRIES", 36)
+        assert isinstance(parse(text), Document)
+        monkeypatch.setattr(lang, "MAX_IMPLIED_ENTRIES", 26)
+        diags = parse_fails(text)
+        assert [(d.code, d.line, d.column) for d in diags] == [(CODE_LIMIT, 9, 1)]
+        assert diags[0].message == (
+            "gluing 'g': checking the document would build 35 implied matrix entries, "
+            "above the limit of 26"
+        )
 
 
 class TestDocumentIndex:
@@ -268,6 +395,8 @@ class TestSerialize:
     def test_lowest_terms(self):
         doc = parse_ok("space V dim 1\nmap m : V -> V = [-2/4]")
         assert "[-1/2]" in serialize(doc)
+        # the token path reads the same literal to the same value
+        assert parse_ok("space V dim 1\nmap m : V -> V = [- 2 / 4]").structurally_equal(doc)
 
     def test_canonical_order(self):
         doc = parse_ok(
