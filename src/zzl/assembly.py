@@ -77,7 +77,6 @@ class GluingBlock(NamedTuple):
 class NodeDatum:
     label: str
     local_extension: ExtensionPresentation
-    gluing: GluingBlock | None = None
 
     def __post_init__(self) -> None:
         if self.local_extension.quot.a_dim != 1:
@@ -85,15 +84,6 @@ class NodeDatum:
                 f"node {self.label}: quotient has rank "
                 f"{self.local_extension.quot.a_dim}, expected 1"
             )
-        if self.gluing is not None:
-            u, v = self.gluing
-            if u.rows != v.cols or u.cols != v.rows:
-                raise ShapeMismatch(
-                    f"node {self.label}: u is {u.rows}x{u.cols}, "
-                    f"v is {v.rows}x{v.cols}"
-                )
-            if nilpotency_index(v * u) is None:
-                raise NotNilpotent(f"node {self.label}: v*u is not nilpotent")
 
     @property
     def normalized_class(self) -> Fraction:
@@ -131,9 +121,6 @@ def assemble(
         raise DuplicateNode(f"node labels must be distinct, got {labels}")
     if bulk_label in labels:
         raise DuplicateNode(f"bulk label {bulk_label!r} collides with a node label")
-    for n in nodes:
-        if n.local_extension.quot.a_dim != 1:
-            raise NonRankOneQuotient(f"node {n.label}: quotient is not rank one")
     quotient = MultiZigZag.skyscrapers(labels)
     classes = tuple(n.normalized_class for n in nodes)
     shadow = ExtensionPresentation(

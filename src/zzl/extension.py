@@ -39,7 +39,9 @@ from .zigzag import (
     IsoWitness,
     ZERO_LABEL,
     ZigZag,
+    _add_intertwining,
     _check_size,
+    _intertwiner_shapes,
     dualize,
     is_isomorphic,
     iso_witness,
@@ -281,33 +283,23 @@ def ext_isomorphism_witness(
             raise PostconditionError("extension witness failed verification")
         return witness
 
-    # block regime: solve for the full upper-triangular intertwiner
+    # block regime: the sub and the quotient each carry a zig-zag
+    # intertwining (the quotient's with its zero boundary pinned), and two
+    # coupling equations tie in the corrections h_a, h_b
     s1, s2, q1, q2 = e1.sub, e2.sub, e1.quot, e2.quot
-    ident = QMatrix.identity
+    sub_names = ("p", "a_s", "b_s", "q")
+    quot_names = (None, "a_q", "b_q", None)
     system = intertwine.BlockSystem(
         {
-            "p": (s2.e_minus, s1.e_minus),
-            "a_s": (s2.a_dim, s1.a_dim),
-            "b_s": (s2.b_dim, s1.b_dim),
-            "q": (s2.e_zero, s1.e_zero),
-            "a_q": (q2.a_dim, q1.a_dim),
-            "b_q": (q2.b_dim, q1.b_dim),
+            **_intertwiner_shapes(s1, s2, sub_names),
+            **_intertwiner_shapes(q1, q2, quot_names),
             "h_a": (s2.a_dim, q1.a_dim),
             "h_b": (s2.b_dim, q1.b_dim),
         }
     )
-    system.add_equation(
-        [(ident(s2.a_dim), "a_s", s1.alpha), (-1 * s2.alpha, "p", ident(s1.e_minus))],
-    )
-    system.add_equation(
-        [(ident(s2.b_dim), "b_s", s1.beta), (-1 * s2.beta, "a_s", ident(s1.a_dim))],
-    )
-    system.add_equation(
-        [(ident(s2.e_zero), "q", s1.gamma), (-1 * s2.gamma, "b_s", ident(s1.b_dim))],
-    )
-    system.add_equation(
-        [(ident(q2.b_dim), "b_q", q1.beta), (-1 * q2.beta, "a_q", ident(q1.a_dim))],
-    )
+    _add_intertwining(system, s1, s2, sub_names)
+    _add_intertwining(system, q1, q2, quot_names)
+    ident = QMatrix.identity
     # gamma of the total kills the h_b image
     system.add_equation([(s2.gamma, "h_b", ident(q1.b_dim))])
     # upper-right block of the beta intertwine:
@@ -390,7 +382,6 @@ DEFAULT_CLASS_GRID: tuple[Fraction, ...] = (
 def classify_selfdual_rank_one(
     boundary: tuple[int, int],
     grid: Sequence[Scalar] = DEFAULT_CLASS_GRID,
-    open_label: str = "Q_U[3]",
 ) -> list[ClassRepresentative]:
     """Partition rank-one extensions over a class grid; exactly two classes.
 
@@ -408,7 +399,7 @@ def classify_selfdual_rank_one(
     classes = [_frac(g) for g in grid]
     if 0 not in classes or not any(classes):
         raise ValueError("the class grid needs 0 and a nonzero value")
-    sub = std_ic(open_label, e_minus, e_zero)
+    sub = std_ic("Q_U[3]", e_minus, e_zero)
     quot = std_skyscraper(1)
     presentations = [(c, make_extension(sub, quot, c)) for c in classes]
 

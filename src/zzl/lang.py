@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Union
 
 from .extension import ExtensionPresentation, make_extension
 from .assembly import GluingQuadruple
-from .linalg import QMatrix, format_rational, serialize_matrix
+from .linalg import QMatrix, format_rational, parse_rational, serialize_matrix
 from .zigzag import ZERO_LABEL, ZigZag
 
 SEVERITY_ERROR = "error"
@@ -202,10 +202,9 @@ class Document:
             # a scalar class over a block-regime sub is expressible only
             # when it is zero: it denotes the zero u-block
             return make_extension(sub, quot, QMatrix.zero(sub.b_dim, quot.a_dim))
-        if quot.a_dim != 1:
-            # resolution only lets class 0 through for higher-rank quotients
-            return make_extension(sub, quot, (item.class_value,) * quot.a_dim)
-        return make_extension(sub, quot, item.class_value)
+        # one class per quotient coordinate; resolution only lets class 0
+        # through for higher-rank quotients
+        return make_extension(sub, quot, (item.class_value,) * quot.a_dim)
 
     def build_gluing(self, name: str) -> GluingQuadruple:
         """Materialize a gluing declaration, reading each rank row as one node.
@@ -329,10 +328,9 @@ class _Rationals(dict):
     entries that share it share one Fraction."""
 
     def __missing__(self, text: str) -> Fraction:
-        num, _, den = text.partition("/")
         # int() raises ValueError past its digit limit, Fraction
         # ZeroDivisionError on a zero denominator
-        value = self[text] = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        value = self[text] = parse_rational(text)
         return value
 
 

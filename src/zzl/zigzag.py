@@ -264,66 +264,63 @@ def _check_size(z: ZigZag) -> None:
         )
 
 
+def _intertwiner_shapes(z1: ZigZag, z2: ZigZag, names: tuple) -> dict[str, tuple[int, int]]:
+    """The BlockSystem shape of each named map z1 -> z2 on E^-, A, B, E^0."""
+    return {n: (d2, d1) for n, d1, d2 in zip(names, z1.dims(), z2.dims()) if n}
+
+
+def _add_intertwining(
+    system: intertwine.BlockSystem, z1: ZigZag, z2: ZigZag, names: tuple
+) -> None:
+    """Impose a*alpha1 = alpha2*p, b*beta1 = beta2*a and q*gamma1 = gamma2*b
+    on the unknowns named (p, a, b, q).  A None boundary name pins that map
+    to the identity, and its term becomes the equation's constant."""
+    p, a, b, q = names
+    for out, f1, f2, into in (
+        (a, z1.alpha, z2.alpha, p),
+        (b, z1.beta, z2.beta, a),
+        (q, z1.gamma, z2.gamma, b),
+    ):
+        # out*f1 - f2*into = 0
+        terms, constant = [], None
+        if out is None:
+            constant = f1
+        else:
+            terms.append((QMatrix.identity(f2.rows), out, f1))
+        if into is None:
+            constant = -1 * f2
+        else:
+            terms.append((-1 * f2, into, QMatrix.identity(f1.cols)))
+        system.add_equation(terms, constant=constant)
+
+
 def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | None:
     """A verified isomorphism witness, or None when none exists.
 
     Default mode lets the boundary spaces move by arbitrary invertible
-    maps; strict mode pins them pointwise.  In the default mode the
-    decision is made by the rank profile of forward composites (complete
-    for chains of this length), and the search then only has to produce
-    a witness that is known to exist; a certified search that finds none
-    raises PostconditionError.
+    maps; strict mode is the same intertwining system with p and q pinned
+    to the identity.  In the default mode the decision is made by the
+    rank profile of forward composites (complete for chains of this
+    length), and the search then only has to produce a witness that is
+    known to exist; a certified search that finds none raises
+    PostconditionError.
     """
     _check_size(z1)
     _check_size(z2)
     if z1.open_label != z2.open_label:
         return None
-    if not strict:
+    if strict:
+        if z1.dims() != z2.dims():
+            return None
+        names = (None, "a", "b", None)
+    else:
         if _rank_profile(z1) != _rank_profile(z2):
             return None
         if z1 == z2:
-            return IsoWitness(
-                QMatrix.identity(z1.e_minus), QMatrix.identity(z1.a_dim),
-                QMatrix.identity(z1.b_dim), QMatrix.identity(z1.e_zero),
-            )
-        system = intertwine.BlockSystem(
-            {
-                "p": (z2.e_minus, z1.e_minus),
-                "a": (z2.a_dim, z1.a_dim),
-                "b": (z2.b_dim, z1.b_dim),
-                "q": (z2.e_zero, z1.e_zero),
-            }
-        )
-    else:
-        if z1.dims() != z2.dims():
-            return None
-        system = intertwine.BlockSystem(
-            {"a": (z2.a_dim, z1.a_dim), "b": (z2.b_dim, z1.b_dim)}
-        )
-    ida = QMatrix.identity
-    # a*alpha1 - alpha2*p = 0, b*beta1 - beta2*a = 0, q*gamma1 - gamma2*b = 0
-    if not strict:
-        system.add_equation(
-            [(ida(z2.a_dim), "a", z1.alpha), (-1 * z2.alpha, "p", ida(z1.e_minus))],
-        )
-        system.add_equation(
-            [(ida(z2.b_dim), "b", z1.beta), (-1 * z2.beta, "a", ida(z1.a_dim))],
-        )
-        system.add_equation(
-            [(ida(z2.e_zero), "q", z1.gamma), (-1 * z2.gamma, "b", ida(z1.b_dim))],
-        )
-    else:
-        system.add_equation(
-            [(ida(z2.a_dim), "a", z1.alpha)],
-            constant=-1 * z2.alpha,
-        )
-        system.add_equation(
-            [(ida(z2.b_dim), "b", z1.beta), (-1 * z2.beta, "a", ida(z1.a_dim))],
-        )
-        system.add_equation(
-            [(-1 * z2.gamma, "b", ida(z1.b_dim))],
-            constant=z1.gamma,
-        )
+            return IsoWitness(*map(QMatrix.identity, z1.dims()))
+        names = ("p", "a", "b", "q")
+    system = intertwine.BlockSystem(_intertwiner_shapes(z1, z2, names))
+    _add_intertwining(system, z1, z2, names)
     found = intertwine.find_invertible(system, list(system.variables))
     if found is None:
         if not strict:
@@ -331,13 +328,9 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
             # search that finds none is wrong
             raise PostconditionError("certified search found no witness of an isomorphism")
         return None
-    if strict:
-        witness = IsoWitness(
-            QMatrix.identity(z1.e_minus), found["a"], found["b"],
-            QMatrix.identity(z1.e_zero),
-        )
-    else:
-        witness = IsoWitness(found["p"], found["a"], found["b"], found["q"])
+    witness = IsoWitness(
+        *(found[n] if n else QMatrix.identity(d) for n, d in zip(names, z1.dims()))
+    )
     if not verify_witness(z1, z2, witness):
         raise PostconditionError("isomorphism witness failed verification")
     return witness

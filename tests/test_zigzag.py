@@ -1,14 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import random_valid_zigzag
-from zzl.linalg import QMatrix, ShapeMismatch
+from zzl.intertwine import BlockSystem
+from zzl.linalg import QMatrix, ShapeMismatch, rank
 from zzl.zigzag import (
+    IsoWitness,
     MultiZigZag,
     SizeBound,
     ZeroRank,
     ZigZag,
+    _add_intertwining,
+    _intertwiner_shapes,
     compressed_shape,
     direct_sum,
     dualize,
@@ -220,6 +227,82 @@ class TestIsomorphism:
             d = dualize(dualize(z))
             w = iso_witness(z, d)
             assert w is not None and verify_witness(z, d, w)
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    entries = draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
+    return QMatrix(rows, cols, tuple(Fraction(x) for x in entries))
+
+
+@st.composite
+def _invertibles(draw, n):
+    """A drawn n x n matrix plus the first k*I that makes it invertible; one
+    of k = 0..n works, since det(m + k*I) has at most n roots in k."""
+    m = draw(_matrices(n, n))
+    return next(
+        m + k * QMatrix.identity(n) for k in range(n + 1)
+        if rank(m + k * QMatrix.identity(n)) == n
+    )
+
+
+def _satisfies_rows(system: BlockSystem, witness: IsoWitness, names) -> bool:
+    blocks = dict(zip(names, witness))
+    x = [e for name in system.variables for e in blocks[name].entries]
+    return all(
+        sum(r * v for r, v in zip(row, x)) == rhs
+        for row, rhs in zip(system._rows, system._rhs)
+    )
+
+
+def _relations_hold(z1: ZigZag, z2: ZigZag, w: IsoWitness) -> bool:
+    return (
+        w.a * z1.alpha == z2.alpha * w.p
+        and w.b * z1.beta == z2.beta * w.a
+        and w.q * z1.gamma == z2.gamma * w.b
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.tuples(*[st.integers(0, 3)] * 4), st.booleans())
+def test_intertwining_rows_match_the_witness_relations(data, dims, pinned):
+    e_minus, a_dim, b_dim, e_zero = dims
+    z1 = ZigZag(
+        LABEL, e_minus, e_zero, a_dim, b_dim,
+        data.draw(_matrices(a_dim, e_minus)),
+        data.draw(_matrices(b_dim, a_dim)),
+        data.draw(_matrices(e_zero, b_dim)),
+    )
+    a, b = data.draw(_invertibles(a_dim)), data.draw(_invertibles(b_dim))
+    if pinned:
+        p, q = QMatrix.identity(e_minus), QMatrix.identity(e_zero)
+        names = (None, "a", "b", None)
+    else:
+        p, q = data.draw(_invertibles(e_minus)), data.draw(_invertibles(e_zero))
+        names = ("p", "a", "b", "q")
+    z2 = ZigZag(
+        LABEL, e_minus, e_zero, a_dim, b_dim,
+        a * z1.alpha * p.inverse(), b * z1.beta * a.inverse(), q * z1.gamma * b.inverse(),
+    )
+    system = BlockSystem(_intertwiner_shapes(z1, z2, names))
+    _add_intertwining(system, z1, z2, names)
+    witness = IsoWitness(p, a, b, q)
+    assert len(system._rows) == a_dim * e_minus + b_dim * a_dim + e_zero * b_dim
+    assert verify_witness(z1, z2, witness)
+    assert _satisfies_rows(system, witness, names)
+
+    # one entry of a or b changed: the rows hold exactly when the relations do
+    targets = [name for name, n in (("a", a_dim), ("b", b_dim)) if n]
+    if not targets:
+        return
+    target = data.draw(st.sampled_from(targets))
+    block = getattr(witness, target)
+    pos = data.draw(st.integers(0, len(block.entries) - 1))
+    delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    entries = list(block.entries)
+    entries[pos] += delta
+    changed = witness._replace(**{target: QMatrix(block.rows, block.cols, tuple(entries))})
+    assert _satisfies_rows(system, changed, names) == _relations_hold(z1, z2, changed)
 
 
 class TestCompressedShape:
