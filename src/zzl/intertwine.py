@@ -35,6 +35,7 @@ from .linalg import (
     _ZERO,
     _common_denominator,
     _eliminate,
+    _from_nums,
     _int_row,
     _scaled,
     _solution_space,
@@ -91,35 +92,43 @@ class BlockSystem:
             vr, vc = self.variables[name]
             if lt.rows != out_r or lt.cols != vr or rt.rows != vc or rt.cols != out_c:
                 raise ShapeMismatch(f"term for {name} does not fit the equation shape")
+        # each term's entries are read once, as fractions
+        terms_entries = [(lt.entries, name, rt.entries) for lt, name, rt in terms]
+        constant_entries = None if constant is None else constant.entries
         for a in range(out_r):
             for b in range(out_c):
                 row = [Fraction(0)] * self._total
-                for lt, name, rt in terms:
+                for lt, name, rt in terms_entries:
                     vr, vc = self.variables[name]
                     base = self._offsets[name]
                     for i in range(vr):
-                        la = lt.entry(a, i)
+                        la = lt[a * vr + i]
                         if la == 0:
                             continue
                         for j in range(vc):
-                            rb = rt.entry(j, b)
+                            rb = rt[j * out_c + b]
                             if rb != 0:
                                 row[base + i * vc + j] += la * rb
                 self._rows.append(row)
-                self._rhs.append(_ZERO if constant is None else -constant.entry(a, b))
+                self._rhs.append(_ZERO if constant is None else -constant_entries[a * out_c + b])
 
-    def _unpack(self, x: list[Fraction]) -> dict[str, QMatrix]:
+    def _unpack(self, den: int, x: list[int]) -> dict[str, QMatrix]:
+        """The blocks of the flat integer vector x over den."""
         out = {}
         for name, (r, c) in self.variables.items():
             base = self._offsets[name]
-            out[name] = QMatrix(r, c, tuple(x[base : base + r * c]))
+            out[name] = _from_nums(r, c, den, x[base : base + r * c])
         return out
 
     def solve_affine(self) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
         """Particular solution (None when inconsistent) and homogeneous basis,
         each a flat vector of the unknowns."""
         work = [_int_row(row + [b]) for row, b in zip(self._rows, self._rhs)]
-        return _solution_space(work, _eliminate(work, self._total), self._total)
+        den, particular, basis = _solution_space(work, _eliminate(work, self._total), self._total)
+        return (
+            None if particular is None else _scaled(particular, den),
+            [_scaled(h, den) for h in basis],
+        )
 
 
 def _invertible_at(
@@ -174,7 +183,7 @@ def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, Q
         positions = [i for i, x in enumerate(h) if x]
         directions.append((positions, [scale(h[i]) for i in positions]))
     if _invertible_at(base, directions, squares, ()) is not None:
-        return system._unpack(particular)
+        return system._unpack(den, base)
     k = len(basis)
     if k == 0:
         return None  # the affine space is a single point
@@ -186,7 +195,7 @@ def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, Q
             coeffs = tuple(rng.randint(-radius, radius) for _ in range(k))
             found = _invertible_at(base, directions, squares, coeffs)
             if found is not None:
-                return system._unpack(_scaled(found, den))
+                return system._unpack(den, found)
 
     grid_values: list[int] = [0]
     step = 1
@@ -200,5 +209,5 @@ def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, Q
     for coeffs in itertools.product(grid_values, repeat=k):
         found = _invertible_at(base, directions, squares, coeffs)
         if found is not None:
-            return system._unpack(_scaled(found, den))
+            return system._unpack(den, found)
     return None

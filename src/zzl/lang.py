@@ -324,8 +324,7 @@ def _tokenize(text: str, diagnostics: list[Diagnostic]) -> list[_Token]:
 
 
 class _Rationals(dict):
-    """Entry text -> value; each distinct text is converted once, and the
-    entries that share it share one Fraction."""
+    """Entry text -> value; each distinct text is converted once per document."""
 
     def __missing__(self, text: str) -> Fraction:
         # int() raises ValueError past its digit limit, Fraction

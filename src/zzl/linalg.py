@@ -1,29 +1,40 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package is built on two value types: an immutable
-row-major matrix of ``fractions.Fraction`` entries, and a subspace of an
-ambient rational vector space given by an independent column basis.  Zero
-rows and zero columns are first class: a 0xn or nx0 matrix is a genuine
-map to or from the zero space, and many of the objects downstream (the
-minimal-extension zig-zag, empty coupling blocks) rely on that.
+rational matrix, and a subspace of an ambient rational vector space given
+by an independent column basis.  Zero rows and zero columns are first
+class: a 0xn or nx0 matrix is a genuine map to or from the zero space, and
+many of the objects downstream (the minimal-extension zig-zag, empty
+coupling blocks) rely on that.
+
+A matrix is stored as its row-major integer numerators ``nums`` over one
+positive denominator ``den``, the LCM of the reduced denominators of its
+entries.  That form is canonical (``gcd(den, *nums) == 1``, and ``den`` is
+1 for an integer or zero matrix), so equality and hashing compare it
+directly.  Sums, products, transposes and stacks work on the integers and
+build their results through one trusted constructor, ``_from_nums``, which
+reduces by the gcd and checks nothing else; ``Fraction`` objects are built
+only where a caller reads entries (``entries``, ``entry``, ``row``,
+``col``, ``serialize_matrix``).  The public constructor validates its
+input and accepts ``Fraction`` and ``int`` entries.
 
 No floating point is used anywhere.  Every elimination (``rref``,
 ``rank``, ``solve``, ``kernel_basis``, ``image_basis``,
 ``QMatrix.inverse`` and ``intertwine.BlockSystem.solve_affine``) runs on
-one fraction-free integer kernel in the style of Bareiss: each row is
-scaled once by the LCM of its denominators, rows are updated as
-``p*row_i - f*row_r`` and divided by their gcd, and entries become
-fractions again only in the result.  The pivot is always the first
-nonzero entry of its column, exactly as in rational Gauss-Jordan
-elimination, and the reduced row-echelon form of a matrix is unique, so
-the pivots, bases and serialized output are the same as those of
-rational elimination, byte for byte, and safe to freeze into golden
-tests.  Subspace containment is decided by rank, and products visit only
-the nonzero entries.  Every span is built as ``image_basis`` of one whole
-matrix, keeping its first independent columns: ``Subspace.spanned_by``
-of the given vectors, ``subspace_sum`` of the two stacked bases and
-``subspace_intersect`` of B1*X, X the top block of the kernel of
-[B1 | -B2].
+one fraction-free integer kernel in the style of Bareiss: rows are taken
+from the stored numerators, updated as ``p*row_i - f*row_r`` and divided
+by their gcd, and each result is read off over one denominator, the LCM
+of the pivot entries.  The pivot is always the first nonzero entry of its
+column, exactly as in rational Gauss-Jordan elimination, and the reduced
+row-echelon form of a matrix is unique, so the pivots, bases and
+serialized output are the same as those of rational elimination, byte
+for byte, and safe to freeze into golden tests.  Subspace containment is
+decided by rank, products visit only the nonzero entries, and
+``product_is_zero`` decides a*b = 0 without building the product.  Every
+span is built as ``image_basis`` of one whole matrix, keeping its first
+independent columns: ``Subspace.spanned_by`` of the given vectors,
+``subspace_sum`` of the two stacked bases and ``subspace_intersect`` of
+B1*X, X the top block of the kernel of [B1 | -B2].
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -54,10 +66,9 @@ class PostconditionError(RuntimeError):
 Scalar = Fraction | int
 Vector = tuple[Fraction, ...]
 
-# shared constants: tuple and matrix equality compare identical objects
-# without calling Fraction.__eq__, which keeps sparse comparisons cheap
+# one shared zero: tuple equality compares identical objects without
+# calling Fraction.__eq__, which keeps sparse comparisons cheap
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -85,26 +96,58 @@ def as_vector(values: Iterable[Scalar]) -> Vector:
     return tuple(_frac(v) for v in values)
 
 
-@dataclass(frozen=True)
 class QMatrix:
-    """Immutable rational matrix; ``entries`` is row-major of length rows*cols."""
+    """Immutable rational matrix: ``rows`` x ``cols`` row-major integer
+    numerators ``nums`` over one denominator ``den``, in the canonical form
+    of the module docstring.
+
+    ``QMatrix(rows, cols, entries)`` takes the row-major entries as any
+    sequence of ``Fraction`` or ``int`` values and keeps none of it.
+    """
+
+    __slots__ = ("rows", "cols", "den", "nums")
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeMismatch(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]) -> None:
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch(f"negative shape {rows}x{cols}")
+        values = [x if isinstance(x, Fraction) else Fraction(x) for x in entries]
+        if len(values) != rows * cols:
             raise ShapeMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}"
             )
-        if not all(isinstance(e, Fraction) for e in self.entries):
-            object.__setattr__(
-                self, "entries", tuple(_frac(e) for e in self.entries)
-            )
+        den = _common_denominator(values)
+        if den == 1:
+            nums = tuple([x.numerator for x in values])
+        else:
+            nums = tuple([x.numerator * (den // x.denominator) for x in values])
+        _set(self, rows, cols, den, nums)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"QMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QMatrix is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.den == other.den
+            and self.nums == other.nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"QMatrix({self.rows}, {self.cols}, {self.entries!r})"
 
     # -- constructors -------------------------------------------------
 
@@ -119,17 +162,21 @@ class QMatrix:
             raise ShapeMismatch("ragged rows")
         if cols is not None and cols != ncols:
             raise ShapeMismatch(f"declared {cols} cols, rows have {ncols}")
-        return QMatrix(nrows, ncols, tuple(_frac(x) for row in rows_data for x in row))
+        return QMatrix(nrows, ncols, [x for row in rows_data for x in row])
 
     @staticmethod
     def zero(rows: int, cols: int) -> QMatrix:
-        return QMatrix(rows, cols, (_ZERO,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch(f"negative shape {rows}x{cols}")
+        return _from_nums(rows, cols, 1, [0] * (rows * cols))
 
     @staticmethod
     def identity(n: int) -> QMatrix:
-        return QMatrix(
-            n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
-        )
+        if n < 0:
+            raise ShapeMismatch(f"negative shape {n}x{n}")
+        nums = [0] * (n * n)
+        nums[:: n + 1] = [1] * n
+        return _from_nums(n, n, 1, nums)
 
     @staticmethod
     def column(values: Iterable[Scalar]) -> QMatrix:
@@ -144,19 +191,26 @@ class QMatrix:
             [[col[i] for col in columns] for i in range(len(columns[0]))]
         )
 
-    # -- access -------------------------------------------------------
+    # -- access: the API edge, where entries become fractions ------------
+
+    @property
+    def entries(self) -> Vector:
+        """The row-major entries as fractions, built on each read."""
+        return tuple(_scaled(self.nums, self.den))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        x = self.nums[i * self.cols + j]
+        return Fraction(x, self.den) if x else _ZERO
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        c = self.cols
+        return tuple(_scaled(self.nums[i * c : (i + 1) * c], self.den))
 
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(_scaled(self.nums[j :: self.cols], self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.nums)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -164,17 +218,25 @@ class QMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: QMatrix) -> QMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return QMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: QMatrix) -> QMatrix:
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: QMatrix, sign: int) -> QMatrix:
+        """self + sign*other, over the LCM of the two denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix addition shape mismatch")
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        if s == 1 and t == 1:
+            nums = [x + y for x, y in zip(self.nums, other.nums)]
+        else:
+            nums = [s * x + t * y for x, y in zip(self.nums, other.nums)]
+        return _from_nums(self.rows, self.cols, den, nums)
 
     def __neg__(self) -> QMatrix:
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _from_nums(self.rows, self.cols, self.den, [-x for x in self.nums])
 
     def __mul__(self, other: QMatrix | Scalar) -> QMatrix:
         if isinstance(other, QMatrix):
@@ -182,30 +244,26 @@ class QMatrix:
                 raise DimensionMismatch(
                     f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
                 )
-            # row i of the product sums a_it * (row t of other) over the
-            # nonzeros a_it of row i, reading only the nonzeros of each row
-            # t; the sums run on integers over one denominator per row of
-            # the product (that of row i times a common one of other); rows
-            # are list slices, for the reason given at _int_rows
+            # row i of the integer product sums a_it * (row t of other) over
+            # the nonzeros a_it of row i, reading only the nonzeros of each
+            # row t; the denominator is the product of the two
             k, m = self.cols, other.cols
-            a = list(self.entries)
-            den_b = _common_denominator(other.entries)
-            b = [x.numerator * (den_b // x.denominator) if x else 0 for x in other.entries]
+            a, b = list(self.nums), list(other.nums)
             b_nonzero = [[j for j in range(t * m, (t + 1) * m) if b[j]] for t in range(k)]
-            out: list[Fraction] = []
+            out: list[int] = []
             for i in range(self.rows):
-                row = a[i * k : (i + 1) * k]
-                den = _common_denominator(row)
                 acc = [0] * m
-                for t, x in enumerate(row):
+                for t, x in enumerate(a[i * k : (i + 1) * k]):
                     if x:
-                        x = x.numerator * (den // x.denominator)
                         base = t * m
                         for j in b_nonzero[t]:
                             acc[j - base] += x * b[j]
-                out += _scaled(acc, den * den_b)
-            return QMatrix(self.rows, m, tuple(out))
-        return QMatrix(self.rows, self.cols, tuple(_frac(other) * e for e in self.entries))
+                out += acc
+            return _from_nums(self.rows, m, self.den * other.den, out)
+        s = _frac(other)
+        return _from_nums(
+            self.rows, self.cols, self.den * s.denominator, [s.numerator * x for x in self.nums]
+        )
 
     def __rmul__(self, other: Scalar) -> QMatrix:
         return self * other
@@ -227,34 +285,86 @@ class QMatrix:
         return (self * QMatrix(len(v), 1, v)).entries
 
     def transpose(self) -> QMatrix:
-        return QMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        flat, c = list(self.nums), self.cols
+        return _from_nums(c, self.rows, self.den, [x for j in range(c) for x in flat[j::c]])
 
     def inverse(self) -> QMatrix:
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
         work = _int_rows(self, QMatrix.identity(n))
-        if _eliminate(work, n) != list(range(n)):
+        pivots = _eliminate(work, n)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return QMatrix(
-            n, n, tuple(x for i, row in enumerate(work) for x in _scaled(row[n:], row[i]))
-        )
+        return _from_nums(n, n, *_divided_by_pivots(work, pivots, n))
+
+
+_SET_SLOTS = tuple(QMatrix.__dict__[name].__set__ for name in QMatrix.__slots__)
+
+
+def _set(m: QMatrix, rows: int, cols: int, den: int, nums: tuple[int, ...]) -> None:
+    set_rows, set_cols, set_den, set_nums = _SET_SLOTS
+    set_rows(m, rows)
+    set_cols(m, cols)
+    set_den(m, den)
+    set_nums(m, nums)
+
+
+def _from_nums(rows: int, cols: int, den: int, nums: Sequence[int]) -> QMatrix:
+    """The trusted constructor: rows x cols numerators over ``den > 0``.
+
+    Numerators and denominator are divided by their common gcd, which makes
+    the form canonical; the shape and the entries are not checked.
+    """
+    if den != 1:
+        g = _content(nums, den)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    m = object.__new__(QMatrix)
+    _set(m, rows, cols, den, tuple(nums))
+    return m
+
+
+def product_is_zero(a: QMatrix, b: QMatrix) -> bool:
+    """True iff a*b = 0, decided on the stored numerators without building
+    the product; stops at the first nonzero entry."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    k, m = a.cols, b.cols
+    a_nums, b_nums = list(a.nums), list(b.nums)
+    columns = [b_nums[j::m] for j in range(m)]
+    for i in range(a.rows):
+        row = a_nums[i * k : (i + 1) * k]
+        if any(row):
+            for column in columns:
+                if sum(map(mul, row, column)):
+                    return False
+    return True
 
 
 def _int_rows(m: QMatrix, right: QMatrix | None = None) -> list[list[int]]:
     """The rows of m, each extended by the same row of right, as integer rows.
 
-    Rows are sliced from lists, not taken as ``QMatrix.row`` tuples: short
-    tuples freed in bulk stay on the interpreter's tuple free lists, which
-    fragments memory and raises the peak resident size of long runs.
+    Each row is a positive multiple of the rational row: the numerators
+    over the LCM of the two denominators.  Rows are sliced from lists, not
+    from the stored tuple: short tuples freed in bulk stay on the
+    interpreter's tuple free lists, which fragments memory and raises the
+    peak resident size of long runs.
     """
-    left, c = list(m.entries), m.cols
-    extra, k = (list(right.entries), right.cols) if right is not None else ([], 0)
-    return [_int_row(left[i * c : (i + 1) * c] + extra[i * k : (i + 1) * k]) for i in range(m.rows)]
+    c = m.cols
+    if right is None:
+        left = list(m.nums)
+        return [left[i * c : (i + 1) * c] for i in range(m.rows)]
+    den, k = lcm(m.den, right.den), right.cols
+    left, extra = _over(m, den), _over(right, den)
+    return [left[i * c : (i + 1) * c] + extra[i * k : (i + 1) * k] for i in range(m.rows)]
+
+
+def _over(m: QMatrix, den: int) -> list[int]:
+    """The numerators of m over ``den``, a multiple of ``m.den``."""
+    s = den // m.den
+    return list(m.nums) if s == 1 else [s * x for x in m.nums]
 
 
 def _int_row(values: Sequence[Fraction]) -> list[int]:
@@ -274,13 +384,12 @@ def _common_denominator(values: Iterable[Fraction]) -> int:
     return den
 
 
-def _content(row: list[int]) -> int:
-    """gcd of the entries, 0 for a zero row.
+def _content(row: Sequence[int], g: int = 0) -> int:
+    """gcd of g and the entries; 0 for a zero row and g = 0.
 
     A loop rather than ``gcd(*row)``, which would build an argument tuple
     per row (see _int_rows), and it stops as soon as the gcd is 1.
     """
-    g = 0
     for x in row:
         if x:
             g = gcd(g, x)
@@ -334,6 +443,27 @@ def _eliminate(rows: list[list[int]], pivot_cols: int, reduce: bool = True) -> l
     return pivots
 
 
+def _pivot_den(work: list[list[int]], pivots: list[int]) -> tuple[int, list[int]]:
+    """The LCM of the pivot entries of an elimination, and for each pivot
+    row the factor (signed) that scales it to that denominator."""
+    den = 1
+    for row, c in zip(work, pivots):
+        den = lcm(den, row[c])
+    return den, [den // row[c] for row, c in zip(work, pivots)]
+
+
+def _divided_by_pivots(
+    work: list[list[int]], pivots: list[int], start: int
+) -> tuple[int, list[int]]:
+    """Each pivot row from column ``start`` on, divided by its pivot entry,
+    as row-major numerators over one denominator."""
+    den, factors = _pivot_den(work, pivots)
+    nums: list[int] = []
+    for row, s in zip(work, factors):
+        nums += [s * x for x in row[start:]]
+    return den, nums
+
+
 def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
     """The integers divided by ``den`` as fractions in lowest terms."""
     if den == 1:
@@ -345,11 +475,9 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices."""
     work = _int_rows(m)
     pivots = _eliminate(work, m.cols)
-    entries: list[Fraction] = []
-    for row, c in zip(work, pivots):
-        entries += _scaled(row, row[c])
-    entries += [_ZERO] * ((m.rows - len(pivots)) * m.cols)
-    return QMatrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
+    den, nums = _divided_by_pivots(work, pivots, 0)
+    nums += [0] * ((m.rows - len(pivots)) * m.cols)
+    return _from_nums(m.rows, m.cols, den, nums), tuple(pivots)
 
 
 def _pivot_columns(m: QMatrix) -> list[int]:
@@ -415,23 +543,23 @@ def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
     if len(rhs) != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
     work = _int_rows(a, QMatrix(a.rows, 1, rhs))
-    x, _ = _solution_space(work, _eliminate(work, a.cols), a.cols)
-    return None if x is None else tuple(x)
+    den, x, _ = _solution_space(work, _eliminate(work, a.cols), a.cols)
+    return None if x is None else tuple(_scaled(x, den))
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Basis of {x : m*x = 0}; dimension is cols - rank by rank-nullity."""
     work = _int_rows(m)
-    _, kernel = _solution_space(work, _eliminate(work, m.cols), m.cols)
-    entries = tuple(v[i] for i in range(m.cols) for v in kernel)
-    return Subspace(m.cols, QMatrix(m.cols, len(kernel), entries))
+    den, _, kernel = _solution_space(work, _eliminate(work, m.cols), m.cols)
+    nums = [v[i] for i in range(m.cols) for v in kernel]
+    return Subspace(m.cols, _from_nums(m.cols, len(kernel), den, nums))
 
 
 def _solution_space(
     work: list[list[int]], pivots: list[int], n: int
-) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
+) -> tuple[int, list[int] | None, list[list[int]]]:
     """A solution of M*x = b and a basis of the kernel of M, read off one
-    elimination.
+    elimination, as integer vectors over one common denominator.
 
     ``work`` holds the rows of [M | b], M with n columns, after
     ``_eliminate(work, n)`` returned ``pivots``; b is column n, and a
@@ -440,33 +568,44 @@ def _solution_space(
     unknown to 0; it is None, with no basis, when a row without a pivot
     keeps a nonzero b entry.  Basis vector q sets the q-th free unknown
     f to 1, the other free unknowns to 0, and each pivot unknown to minus
-    its row's entry at f over the pivot entry.
+    its row's entry at f over the pivot entry.  Returns the denominator,
+    the solution and the basis; the denominator is the LCM of the reduced
+    denominators of all their entries.
     """
     homogeneous = not work or len(work[0]) == n
     if not homogeneous and any(row[n] for row in work[len(pivots):]):
-        return None, []
-    x = [_ZERO] * n
+        return 1, None, []
+    den, factors = _pivot_den(work, pivots)
+    x = [0] * n
     if not homogeneous:
-        for row, c in zip(work, pivots):
-            x[c] = Fraction(row[n], row[c])
+        for row, c, s in zip(work, pivots, factors):
+            x[c] = s * row[n]
     pivot_set = set(pivots)
     kernel = []
     for f in range(n):
         if f in pivot_set:
             continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for row, c in zip(work, pivots):
+        v = [0] * n
+        v[f] = den
+        for row, c, s in zip(work, pivots, factors):
             if row[f]:
-                v[c] = Fraction(-row[f], row[c])
+                v[c] = -s * row[f]
         kernel.append(v)
-    return x, kernel
+    g = _content(x, den)
+    for v in kernel:
+        g = _content(v, g)
+    if g > 1:
+        den //= g
+        x = [y // g for y in x]
+        kernel = [[y // g for y in v] for v in kernel]
+    return den, x, kernel
 
 
 def image_basis(m: QMatrix) -> Subspace:
     """Basis of the column span: the original columns at the pivot positions."""
-    basis = QMatrix.from_columns([m.col(j) for j in _pivot_columns(m)], rows=m.rows)
-    return Subspace(m.rows, basis)
+    pivots, c = _pivot_columns(m), m.cols
+    nums = [m.nums[i * c + j] for i in range(m.rows) for j in pivots]
+    return Subspace(m.rows, _from_nums(m.rows, len(pivots), m.den, nums))
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
@@ -494,7 +633,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     # the kernel of [B1 | -B2] holds the columns (x; y) with B1*x = B2*y;
     # the intersection is spanned by B1*X, X the top block of the kernel
     ker = kernel_basis(hstack(s1.basis, -s2.basis)).basis
-    top = QMatrix(s1.dim, ker.cols, ker.entries[: s1.dim * ker.cols])
+    top = _from_nums(s1.dim, ker.cols, ker.den, ker.nums[: s1.dim * ker.cols])
     return image_basis(s1.basis * top)
 
 
@@ -504,8 +643,13 @@ def hstack(*mats: QMatrix) -> QMatrix:
     nrows = mats[0].rows
     if any(m.rows != nrows for m in mats):
         raise ShapeMismatch("hstack with differing row counts")
-    rows = [[e for m in mats for e in m.row(i)] for i in range(nrows)]
-    return QMatrix.from_rows(rows, cols=sum(m.cols for m in mats))
+    den = lcm(*(m.den for m in mats))
+    parts = [(_over(m, den), m.cols) for m in mats]
+    nums: list[int] = []
+    for i in range(nrows):
+        for flat, c in parts:
+            nums += flat[i * c : (i + 1) * c]
+    return _from_nums(nrows, sum(m.cols for m in mats), den, nums)
 
 
 def vstack(*mats: QMatrix) -> QMatrix:
@@ -514,8 +658,11 @@ def vstack(*mats: QMatrix) -> QMatrix:
     ncols = mats[0].cols
     if any(m.cols != ncols for m in mats):
         raise ShapeMismatch("vstack with differing column counts")
-    entries = tuple(e for m in mats for e in m.entries)
-    return QMatrix(sum(m.rows for m in mats), ncols, entries)
+    den = lcm(*(m.den for m in mats))
+    nums: list[int] = []
+    for m in mats:
+        nums += _over(m, den)
+    return _from_nums(sum(m.rows for m in mats), ncols, den, nums)
 
 
 def block_assemble(
@@ -543,15 +690,17 @@ def block_assemble(
     total_cols = sum(col_dims)
     row_offsets = list(accumulate(row_dims, initial=0))
     col_offsets = list(accumulate(col_dims, initial=0))
-    flat = [_ZERO] * (total_rows * total_cols)
+    den = lcm(*(blk.den for row in blocks for blk in row if blk is not None))
+    flat = [0] * (total_rows * total_cols)
     for bi, row in enumerate(blocks):
         for bj, blk in enumerate(row):
             if blk is None:
                 continue
+            nums, c = _over(blk, den), blk.cols
             for i in range(blk.rows):
                 start = (row_offsets[bi] + i) * total_cols + col_offsets[bj]
-                flat[start : start + blk.cols] = blk.row(i)
-    return QMatrix(total_rows, total_cols, tuple(flat))
+                flat[start : start + c] = nums[i * c : (i + 1) * c]
+    return _from_nums(total_rows, total_cols, den, flat)
 
 
 def block_diag(*mats: QMatrix) -> QMatrix:

@@ -29,6 +29,7 @@ from .linalg import (
     ShapeMismatch,
     block_diag,
     hstack,
+    product_is_zero,
     rank,
     vstack,
 )
@@ -91,7 +92,7 @@ def validate(z: ZigZag) -> list[ExactnessIssue]:
 
     im f = ker g exactly when g*f = 0 and dim im f = dim ker g, and the
     latter is rank f = dim Y - rank g by rank-nullity; so three ranks and
-    two products decide both positions.
+    two zero tests of a product decide both positions.
     """
     issues = []
     rank_alpha, rank_beta, rank_gamma = rank(z.alpha), rank(z.beta), rank(z.gamma)
@@ -99,7 +100,7 @@ def validate(z: ZigZag) -> list[ExactnessIssue]:
         ("A", z.alpha, z.beta, ("alpha", "beta"), rank_alpha, z.a_dim - rank_beta),
         ("B", z.beta, z.gamma, ("beta", "gamma"), rank_beta, z.b_dim - rank_gamma),
     ):
-        if im_dim != ker_dim or not (g * f).is_zero():
+        if im_dim != ker_dim or not product_is_zero(g, f):
             issues.append(
                 ExactnessIssue(
                     position, im_dim, ker_dim,

@@ -284,11 +284,19 @@ class TestMatrixLiteral:
         diags = parse_fails(text)
         assert [(d.line, d.column) for d in diags] == [(text.count("\n") + 1, 15)]
 
-    def test_entries_with_one_text_share_one_value(self):
+    def test_entries_with_one_text_share_one_value(self, monkeypatch):
+        converted, convert = [], lang.parse_rational
+
+        def counting(text):
+            converted.append(text)
+            return convert(text)
+
+        monkeypatch.setattr(lang, "parse_rational", counting)
         doc = parse_ok("space V dim 3\nmap m : V -> V = [1/2,0,2/4;0,1/2,0;1,0,1/2]")
+        # nine entries, four distinct texts: each text is converted once
+        assert sorted(converted) == ["0", "1", "1/2", "2/4"]
         entries = doc.maps["m"].matrix.entries
-        assert entries[0] is entries[4] is entries[8] and entries[1] is entries[3]
-        assert entries[2] == entries[0] and entries[2] is not entries[0]  # another text
+        assert entries[0] == entries[4] == entries[8] == entries[2] == Fraction(1, 2)
 
     def test_work_gate_one_token_per_literal(self):
         # corpus-style lines; the token path needs 72 and 90 tokens

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +7,17 @@ from hypothesis import strategies as st
 
 from zzl.linalg import (
     AmbientMismatch,
+    DimensionMismatch,
     QMatrix,
     ShapeMismatch,
     Subspace,
     block_assemble,
     format_rational,
+    hstack,
     image_basis,
     kernel_basis,
     parse_rational,
+    product_is_zero,
     rank,
     rref,
     serialize_matrix,
@@ -21,6 +25,7 @@ from zzl.linalg import (
     subspace_equal,
     subspace_intersect,
     subspace_sum,
+    vstack,
 )
 from zzl.zigzag import ZigZag, validate
 
@@ -54,6 +59,16 @@ def low_rank_products(draw, max_dim=5):
 
 def oracle_matrices(max_dim=5):
     return st.one_of(qmatrices(max_dim=max_dim), low_rank_products(max_dim=max_dim))
+
+
+def is_canonical(m: QMatrix) -> bool:
+    """The stored form: numerators over the LCM of the entries' reduced
+    denominators, which leaves gcd(den, nums) == 1."""
+    return (
+        m.den == lcm(*(x.denominator for x in m.entries))
+        and gcd(m.den, *m.nums) == 1
+        and len(m.nums) == m.rows * m.cols
+    )
 
 
 class TestRank:
@@ -223,6 +238,70 @@ class TestBlocks:
             )
 
 
+class TestProductIsZero:
+    @settings(max_examples=100, deadline=None)
+    @given(qmatrices(max_dim=4, min_rows=1, min_cols=1), st.data())
+    def test_agrees_with_the_product(self, g0, data):
+        # g is g0 with each row over its own denominator; the columns of f
+        # lie in the kernel of g (the same as that of g0) unless one entry
+        # is moved
+        dens = data.draw(st.lists(st.integers(1, 7), min_size=g0.rows, max_size=g0.rows))
+        g = QMatrix.from_rows([[x / d for x in g0.row(i)] for i, d in enumerate(dens)], cols=g0.cols)
+        k = kernel_basis(g0).basis
+        f = k * data.draw(st.integers(0, 3).flatmap(lambda w: shaped_qmatrices(k.cols, w)))
+        if f.cols and data.draw(st.booleans()):
+            entries = list(f.entries)
+            entries[data.draw(st.integers(0, len(entries) - 1))] += Fraction(1, data.draw(st.integers(1, 5)))
+            f = QMatrix(f.rows, f.cols, entries)
+        assert product_is_zero(g, f) == (g * f).is_zero()
+
+    def test_empty_shapes_and_mismatch(self):
+        assert product_is_zero(QMatrix.zero(2, 0), QMatrix.zero(0, 3))
+        assert product_is_zero(QMatrix.zero(0, 2), QMatrix.identity(2))
+        assert not product_is_zero(QMatrix.identity(2), QMatrix.from_rows([[0], [Fraction(1, 3)]]))
+        with pytest.raises(DimensionMismatch):
+            product_is_zero(QMatrix.zero(1, 2), QMatrix.zero(1, 1))
+
+
+class TestStoredForm:
+    def test_entries_from_a_list_are_copied(self):
+        values = [Fraction(1), Fraction(2)]
+        m = QMatrix(1, 2, values)
+        values[0] = Fraction(5)
+        assert m == QMatrix(1, 2, (Fraction(1), Fraction(2)))
+        assert hash(m) == hash(QMatrix(1, 2, (1, 2)))
+        assert m.entries == (1, 2)
+
+    def test_immutable(self):
+        m = QMatrix.identity(2)
+        with pytest.raises(AttributeError):
+            m.rows = 3
+        with pytest.raises(AttributeError):
+            m.nums = (0, 0, 0, 0)
+        assert m == QMatrix.from_rows([[1, 0], [0, 1]])
+
+    def test_integer_and_zero_matrices_have_denominator_one(self):
+        m = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-5, 6)]])
+        assert (m.den, m.nums) == (6, (3, 2, 0, -5))
+        assert (m * 6).den == 1 and (m * 0).den == 1 and (m - m).den == 1
+        assert m * 0 == QMatrix.zero(2, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qmatrices(), qmatrices(), small_fractions().filter(bool))
+    def test_equality_and_hash_are_value_equality(self, m, other, c):
+        assert is_canonical(m)
+        same = [
+            QMatrix(m.rows, m.cols, [int(x) if x.denominator == 1 else x for x in m.entries]),
+            (m * c) * (1 / c),
+            m + m - m,
+            m.transpose().transpose(),
+            m * QMatrix.identity(m.cols),
+        ]
+        for s in same:
+            assert s == m and hash(s) == hash(m) and is_canonical(s)
+        assert (m == other) == ((m.rows, m.cols, m.entries) == (other.rows, other.cols, other.entries))
+
+
 class TestArithmetic:
     def test_zero_dim_composition(self):
         m = QMatrix.zero(2, 0) * QMatrix.zero(0, 3)
@@ -276,6 +355,7 @@ def sympy_qq():
         rows = [[sympy.QQ(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)]
         return DomainMatrix(rows, (m.rows, m.cols), sympy.QQ)
 
+    to_dm.domain = sympy.QQ
     return to_dm
 
 
@@ -326,13 +406,49 @@ class TestAgainstSympy:
             with pytest.raises(ValueError):
                 m.inverse()
         else:
-            assert m.inverse() == from_dm(sympy_qq(m).inv())
+            inverse = m.inverse()
+            assert inverse == from_dm(sympy_qq(m).inv()) and is_canonical(inverse)
 
     @settings(max_examples=60, deadline=None)
     @given(oracle_matrices(), st.data())
     def test_product(self, sympy_qq, a, data):
         b = data.draw(st.integers(0, 5).flatmap(lambda cols: shaped_qmatrices(a.cols, cols)))
-        assert a * b == from_dm(sympy_qq(a) * sympy_qq(b))
+        assert a * b == from_dm(sympy_qq(a) * sympy_qq(b)) and is_canonical(a * b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_matrices(), st.data(), small_fractions())
+    def test_sum_difference_negation_scalar_transpose(self, sympy_qq, a, data, c):
+        b = data.draw(shaped_qmatrices(a.rows, a.cols))
+        qq = sympy_qq.domain
+        cases = [
+            (a + b, sympy_qq(a) + sympy_qq(b)),
+            (a - b, sympy_qq(a) - sympy_qq(b)),
+            (-a, -sympy_qq(a)),
+            (a * c, sympy_qq(a) * qq(c.numerator, c.denominator)),
+            (c * a, sympy_qq(a) * qq(c.numerator, c.denominator)),
+            (a.transpose(), sympy_qq(a).transpose()),
+        ]
+        for ours, theirs in cases:
+            assert ours == from_dm(theirs) and is_canonical(ours)
+
+    @settings(max_examples=60, deadline=None)
+    @given(qmatrices(max_dim=3), st.data())
+    def test_stacks_and_blocks(self, sympy_qq, a, data):
+        b = data.draw(st.integers(0, 3).flatmap(lambda cols: shaped_qmatrices(a.rows, cols)))
+        c = data.draw(st.integers(0, 3).flatmap(lambda rows: shaped_qmatrices(rows, a.cols)))
+        d = data.draw(shaped_qmatrices(c.rows, b.cols))
+        da, db, dc, dd = map(sympy_qq, (a, b, c, d))
+        zero = QMatrix.zero(a.rows, b.cols)
+        cases = [
+            (hstack(a, b), da.hstack(db)),
+            (vstack(a, c), da.vstack(dc)),
+            (block_assemble([[a, b], [c, d]], [a.rows, c.rows], [a.cols, b.cols]),
+             da.hstack(db).vstack(dc.hstack(dd))),
+            (block_assemble([[a, None], [c, d]], [a.rows, c.rows], [a.cols, b.cols]),
+             da.hstack(sympy_qq(zero)).vstack(dc.hstack(dd))),
+        ]
+        for ours, theirs in cases:
+            assert ours == from_dm(theirs) and is_canonical(ours)
 
     @pytest.mark.parametrize("rows,inner,cols", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)])
     def test_empty_shapes(self, sympy_qq, rows, inner, cols):

@@ -1,12 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_valid_zigzag
+from zzl.extension import make_extension, total_zigzag
 from zzl.intertwine import BlockSystem
+from zzl.lang import parse
 from zzl.linalg import QMatrix, ShapeMismatch, rank
 from zzl.zigzag import (
     IsoWitness,
@@ -55,6 +59,30 @@ class TestValidate:
     def test_zero_label_forces_zero_boundary(self):
         with pytest.raises(ShapeMismatch):
             ZigZag("0", 1, 0, 0, 0, QMatrix.zero(0, 1), QMatrix.zero(0, 0), QMatrix.zero(0, 0))
+
+    def test_work_gate_validation_multiplies_no_matrices(self, monkeypatch):
+        # the zig-zags of the corpus-style fixtures and of the demos, their
+        # extension totals, seeded conjugated ones and one that is not
+        # exact: g*f = 0 is decided without building a product
+        fixtures = Path(__file__).parent / "fixtures"
+        zigzags = []
+        for name in ("three_nodes.zzl", "table1.zzl"):
+            doc = parse((fixtures / name).read_text())
+            zigzags += [item.zigzag for item in doc.zigzags.values()]
+            zigzags += [total_zigzag(doc.build_extension(e)) for e in doc.extensions]
+        ic, sky, corrected = std_ic(LABEL, 1, 1), std_skyscraper(1), std_corrected(LABEL, 1, 1)
+        zigzags += [ic, sky, corrected, std_ic("C_bulk", 1, 1), dualize(corrected), direct_sum(ic, sky)]
+        zigzags += [total_zigzag(make_extension(ic, sky, c)) for c in (0, 1, 5, Fraction(-1, 3))]
+        rng = random.Random(7)
+        zigzags += [random_valid_zigzag(rng, max_dim=4) for _ in range(20)]
+        broken = dataclasses.replace(corrected, alpha=QMatrix.identity(1))
+
+        def refuse(self, other):
+            raise AssertionError("QMatrix.__mul__ called during validation")
+
+        monkeypatch.setattr(QMatrix, "__mul__", refuse)
+        assert [validate(z) for z in zigzags] == [[]] * len(zigzags)
+        assert [i.position for i in validate(broken)] == ["A"]
 
 
 class TestConstructors:
