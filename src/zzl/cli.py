@@ -30,7 +30,9 @@ from .assembly import (
     verify_shadow_compat,
 )
 from .extension import (
+    ExtClass,
     extension_class,
+    extension_class_vector,
     make_extension,
     ext_isomorphic,
     is_self_dual,
@@ -126,6 +128,18 @@ def _zigzag_payload(z: ZigZag) -> dict:
     }
 
 
+def _class_fields(classes: tuple[ExtClass, ...]) -> tuple[str | list[str], str | list[str]]:
+    """The class values and their normalizations as text, one per quotient
+    coordinate; a rank-one quotient gives bare strings rather than lists."""
+    values = [format_rational(c.value) for c in classes]
+    normalized = [format_rational(c.normalized) for c in classes]
+    return (values[0], normalized[0]) if len(classes) == 1 else (values, normalized)
+
+
+def _class_text(field: str | list[str]) -> str:
+    return field if isinstance(field, str) else "[" + ", ".join(field) + "]"
+
+
 def _render_report(report: Report, fmt: str) -> str:
     if fmt == "json":
         return _json_dump(report.to_payload())
@@ -191,14 +205,14 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
             checks.append(Check(f"zigzag {name}: exactness", True, "exact at A and B"))
     for name in sorted(document.extensions):
         try:
-            pres = document.build_extension(name)
-            cls = extension_class(pres)
+            value, normalized = _class_fields(
+                extension_class_vector(document.build_extension(name))
+            )
             checks.append(
                 Check(
                     f"extension {name}: total and class",
                     True,
-                    f"class {format_rational(cls.value)} "
-                    f"(normalized {format_rational(cls.normalized)})",
+                    f"class {_class_text(value)} (normalized {_class_text(normalized)})",
                 )
             )
         except ValueError as exc:
@@ -233,20 +247,17 @@ def _cmd_dual(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
 
 def _cmd_ext_class(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
     _named_item(document.extensions, "extension", ns.name)
-    cls = extension_class(document.build_extension(ns.name))
+    classes = extension_class_vector(document.build_extension(ns.name))
+    value, normalized = _class_fields(classes)
+    split = all(c.normalized == 0 for c in classes)
     if ns.format == "json":
-        payload = {
-            "extension": ns.name,
-            "value": format_rational(cls.value),
-            "normalized": format_rational(cls.normalized),
-            "split": cls.normalized == 0,
-        }
+        payload = {"extension": ns.name, "value": value, "normalized": normalized, "split": split}
         return CommandResult(EXIT_OK, _json_dump(payload))
-    kind = "split" if cls.normalized == 0 else "non-split"
+    kind = "split" if split else "non-split"
     return CommandResult(
         EXIT_OK,
-        f"extension {ns.name}: class {format_rational(cls.value)}, "
-        f"normalized {format_rational(cls.normalized)} ({kind})\n",
+        f"extension {ns.name}: class {_class_text(value)}, "
+        f"normalized {_class_text(normalized)} ({kind})\n",
     )
 
 

@@ -12,9 +12,12 @@ would double-count the class.
 
 Isomorphism of presentations means block-upper-triangular isomorphism of
 the totals over isomorphisms of the factors, with the stored class
-transported contravariantly along the quotient factor.  Every positive
-verdict is backed by an explicit verified witness; every negative one by
-an exact invariant or an exhausted search grid.
+transported contravariantly along the quotient factor.  The only search
+is the one for the sub witness; over it the quotient blocks are built in
+closed form (collapsed regime) or read off one linear solve (block
+regime).  Every positive verdict is backed by an explicit verified
+witness; every negative one by the sub's rank profile or, in the
+collapsed regime, by the zero-ness of the class.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ from .zigzag import (
     IsoWitness,
     ZERO_LABEL,
     ZigZag,
-    _add_intertwining,
     _check_size,
-    _intertwiner_shapes,
     dualize,
     is_isomorphic,
     iso_witness,
@@ -279,51 +280,48 @@ def ext_isomorphism_witness(
             w_sub, quot_a, quot_b,
             QMatrix.zero(e2.sub.a_dim, r), QMatrix.zero(e2.sub.b_dim, e1.quot.b_dim),
         )
-        if not verify_ext_witness(e1, e2, witness):
-            raise PostconditionError("extension witness failed verification")
-        return witness
+    else:
+        witness = _block_witness(e1, e2, w_sub)
+    if witness is None or not verify_ext_witness(e1, e2, witness):
+        raise PostconditionError("isomorphic subs admit no verified extension witness")
+    return witness
 
-    # block regime: the sub and the quotient each carry a zig-zag
-    # intertwining (the quotient's with its zero boundary pinned), and two
-    # coupling equations tie in the corrections h_a, h_b
-    s1, s2, q1, q2 = e1.sub, e2.sub, e1.quot, e2.quot
-    sub_names = ("p", "a_s", "b_s", "q")
-    quot_names = (None, "a_q", "b_q", None)
-    system = intertwine.BlockSystem(
-        {
-            **_intertwiner_shapes(s1, s2, sub_names),
-            **_intertwiner_shapes(q1, q2, quot_names),
-            "h_a": (s2.a_dim, q1.a_dim),
-            "h_b": (s2.b_dim, q1.b_dim),
-        }
-    )
-    _add_intertwining(system, s1, s2, sub_names)
-    _add_intertwining(system, q1, q2, quot_names)
+
+def _block_witness(
+    e1: ExtensionPresentation, e2: ExtensionPresentation, w_sub: IsoWitness
+) -> ExtWitness | None:
+    """The block-regime witness over the sub witness, with quot_b = 1.
+
+    With the sub blocks fixed and quot_b = 1, the total intertwines when
+    the quotient A-map a_q and the corrections h_a, h_b solve
+        beta_q2 a_q = beta_q1,   gamma_s2 h_b = 0,
+        b_s u1 + h_b beta_q1 = beta_s2 h_a + u2 a_q.
+    Exact totals make this system consistent, and they make a_q
+    invertible in every solution: a_q y = 0 puts y in ker beta_q1 with
+    u1 y in im beta_s1, and exactness of the total at A then gives y = 0.
+    So the particular solution is a witness; None means the system had
+    no solution, which valid presentations rule out.
+    """
+    s2, q1, q2 = e2.sub, e1.quot, e2.quot
     ident = QMatrix.identity
-    # gamma of the total kills the h_b image
+    system = intertwine.BlockSystem(
+        {"a_q": (q2.a_dim, q1.a_dim), "h_a": (s2.a_dim, q1.a_dim), "h_b": (s2.b_dim, q1.b_dim)}
+    )
+    system.add_equation([(q2.beta, "a_q", ident(q1.a_dim))], constant=-1 * q1.beta)
     system.add_equation([(s2.gamma, "h_b", ident(q1.b_dim))])
-    # upper-right block of the beta intertwine:
-    #   b_s u1 + h_b beta_q1 = beta_s2 h_a + u2 a_q
-    u1 = e1.u_block
-    u2 = e2.u_block
     system.add_equation(
         [
-            (ident(s2.b_dim), "b_s", u1),
             (ident(s2.b_dim), "h_b", q1.beta),
             (-1 * s2.beta, "h_a", ident(q1.a_dim)),
-            (-1 * u2, "a_q", ident(q1.a_dim)),
+            (-1 * e2.u_block, "a_q", ident(q1.a_dim)),
         ],
+        constant=w_sub.b * e1.u_block,
     )
-    found = intertwine.find_invertible(system, ["p", "a_s", "b_s", "q", "a_q", "b_q"])
-    if found is None:
+    particular, _ = system.solve_affine()
+    if particular is None:
         return None
-    witness = ExtWitness(
-        IsoWitness(found["p"], found["a_s"], found["b_s"], found["q"]),
-        found["a_q"], found["b_q"], found["h_a"], found["h_b"],
-    )
-    if not verify_ext_witness(e1, e2, witness):
-        raise PostconditionError("extension witness failed verification")
-    return witness
+    found = system.blocks(particular)
+    return ExtWitness(w_sub, found["a_q"], ident(q1.b_dim), found["h_a"], found["h_b"])
 
 
 def ext_isomorphic(e1: ExtensionPresentation, e2: ExtensionPresentation) -> bool:

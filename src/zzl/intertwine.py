@@ -35,7 +35,6 @@ from .linalg import (
     _ZERO,
     _common_denominator,
     _eliminate,
-    _from_nums,
     _int_row,
     _scaled,
     _solution_space,
@@ -112,12 +111,12 @@ class BlockSystem:
                 self._rows.append(row)
                 self._rhs.append(_ZERO if constant is None else -constant_entries[a * out_c + b])
 
-    def _unpack(self, den: int, x: list[int]) -> dict[str, QMatrix]:
-        """The blocks of the flat integer vector x over den."""
+    def blocks(self, x: list[Fraction]) -> dict[str, QMatrix]:
+        """The blocks of the flat vector x, such as a solution from solve_affine."""
         out = {}
         for name, (r, c) in self.variables.items():
             base = self._offsets[name]
-            out[name] = _from_nums(r, c, den, x[base : base + r * c])
+            out[name] = QMatrix(r, c, x[base : base + r * c])
         return out
 
     def solve_affine(self) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
@@ -183,7 +182,7 @@ def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, Q
         positions = [i for i, x in enumerate(h) if x]
         directions.append((positions, [scale(h[i]) for i in positions]))
     if _invertible_at(base, directions, squares, ()) is not None:
-        return system._unpack(den, base)
+        return system.blocks(_scaled(base, den))
     k = len(basis)
     if k == 0:
         return None  # the affine space is a single point
@@ -195,7 +194,7 @@ def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, Q
             coeffs = tuple(rng.randint(-radius, radius) for _ in range(k))
             found = _invertible_at(base, directions, squares, coeffs)
             if found is not None:
-                return system._unpack(den, found)
+                return system.blocks(_scaled(found, den))
 
     grid_values: list[int] = [0]
     step = 1
@@ -209,5 +208,5 @@ def find_invertible(system: BlockSystem, square_names: list[str]) -> dict[str, Q
     for coeffs in itertools.product(grid_values, repeat=k):
         found = _invertible_at(base, directions, squares, coeffs)
         if found is not None:
-            return system._unpack(den, found)
+            return system.blocks(_scaled(found, den))
     return None

@@ -156,6 +156,29 @@ class TestGluing:
         with pytest.raises(ShapeMismatch):
             assemble_gluing(blocks, 3, [("p1", (0, 2)), ("p2", (1, 3))])
 
+    @pytest.mark.parametrize("blocks, psi_dim, ranges, error, message", [
+        (ONE_NODE_BLOCKS, 4, [("p1", (0, 2)), ("p1", (2, 4))], DuplicateNode, "distinct"),
+        (ONE_NODE_BLOCKS, 2, [("p2", (0, 2))], ShapeMismatch, "name the same nodes"),
+        (ONE_NODE_BLOCKS, 2, [("p1", (1, 3))], ShapeMismatch, r"node p1: range \(1, 3\) out of bounds"),
+        (ONE_NODE_BLOCKS, 3, [("p1", (0, 3))], ShapeMismatch, "node p1: block width 2/2, range width 3"),
+        ({"p1": GluingBlock(QMatrix.zero(1, 2), QMatrix.zero(2, 2))}, 2, [("p1", (0, 2))],
+         ShapeMismatch, "node p1: u rows must equal v cols"),
+    ])
+    def test_malformed_blocks_rejected(self, blocks, psi_dim, ranges, error, message):
+        with pytest.raises(error, match=message):
+            assemble_gluing(blocks, psi_dim, ranges)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"u": QMatrix.zero(2, 2)}, "u must be 1x2"),
+        ({"v": QMatrix.zero(2, 2)}, "v must be 2x1"),
+        ({"n": QMatrix.zero(2, 1)}, "n must be square of size psi"),
+        ({"decomposition": (("p1", (0, 1)), ("p2", (1, 2)))}, "one rank block per decomposition entry"),
+    ])
+    def test_quadruple_shapes_checked(self, change, message):
+        g = assemble_gluing(ONE_NODE_BLOCKS, 2, [("p1", (0, 2))])
+        with pytest.raises(ShapeMismatch, match=message):
+            dataclasses.replace(g, **change)
+
     def test_identity_gluing_fails_verification(self):
         g = GluingQuadruple(
             1, (("p1", (0, 1)),), (1,),

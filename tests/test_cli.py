@@ -101,6 +101,39 @@ class TestInputBudget:
         )
 
 
+class TestRankTwoQuotient:
+    # a class-0 extension over a rank-2 quotient: one class per coordinate
+    DOCUMENT = (
+        "zigzag ic { open = Q_U[3], eminus = 1, ezero = 1, A = 0, B = 0, alpha = [], beta = [], gamma = [] }\n"
+        "zigzag sky2 { open = 0, eminus = 0, ezero = 0, A = 2, B = 2, alpha = [], beta = [1,0;0,1], gamma = [] }\n"
+        "extension P = ext(ic, sky2) class 0\n"
+    )
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "sky2.zzl"
+        path.write_text(self.DOCUMENT)
+        return str(path)
+
+    def test_check_reports_one_class_per_coordinate(self, path):
+        result = run(["check", path])
+        assert result.exit_code == EXIT_OK, result.payload
+        assert "[PASS] extension P: total and class: class [0, 0] (normalized [0, 0])\n" in result.payload
+
+    def test_ext_class_text(self, path):
+        result = run(["ext-class", path, "P"])
+        assert (result.exit_code, result.payload) == (
+            EXIT_OK, "extension P: class [0, 0], normalized [0, 0] (split)\n"
+        )
+
+    def test_ext_class_json(self, path):
+        result = run(["ext-class", path, "P", "--format", "json"])
+        assert result.exit_code == EXIT_OK
+        assert json.loads(result.payload) == {
+            "extension": "P", "value": ["0", "0"], "normalized": ["0", "0"], "split": True,
+        }
+
+
 class TestTables:
     def test_all_rows_verified(self):
         result = run(["tables"])

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from generators import conjugate_block_presentation, random_block_presentation
+from zzl import intertwine
 from zzl.linalg import QMatrix, ShapeMismatch, block_assemble
 from zzl.extension import (
     DEFAULT_CLASS_GRID,
@@ -25,6 +28,7 @@ from zzl.zigzag import (
     direct_sum,
     dualize,
     is_isomorphic,
+    iso_witness,
     std_corrected,
     std_ic,
     std_skyscraper,
@@ -158,6 +162,60 @@ class TestExtIsomorphic:
         e = make_extension(IC, std_skyscraper(7), [1] * 7)
         with pytest.raises(SizeBound, match="dims <= 6"):
             ext_isomorphism_witness(e, e)
+
+
+def _conjugated_block_pairs(seeds):
+    """(e1, e2) for each seed: a random valid block presentation and a copy
+    moved by a random block-upper-triangular isomorphism."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        e1 = random_block_presentation(rng)
+        e2, moved_by = conjugate_block_presentation(rng, e1)
+        assert verify_ext_witness(e1, e2, moved_by)
+        yield e1, e2
+
+
+class TestBlockRegimeWitness:
+    def test_conjugated_copies_get_verified_witnesses(self):
+        non_exact = 0
+        for e1, e2 in _conjugated_block_pairs(range(150)):
+            non_exact += bool(validate(e1.quot))
+            w = ext_isomorphism_witness(e1, e2)
+            assert w is not None and verify_ext_witness(e1, e2, w)
+            assert w.quot_b == QMatrix.identity(e1.quot.b_dim)
+        assert non_exact >= 50  # quotients that fail exactness at A are covered
+
+    def test_block_system_is_decided_at_its_particular_solution(self, monkeypatch):
+        solved, searched, candidates = [], [], []
+        original_solve = intertwine.BlockSystem.solve_affine
+        original_find = intertwine.find_invertible
+        original_at = intertwine._invertible_at
+
+        def solve_affine(system):
+            solved.append(tuple(system.variables))
+            return original_solve(system)
+
+        def find_invertible(system, names):
+            searched.append(tuple(system.variables))
+            return original_find(system, names)
+
+        def invertible_at(*args):
+            candidates.append(args[-1])
+            return original_at(*args)
+
+        monkeypatch.setattr(intertwine.BlockSystem, "solve_affine", solve_affine)
+        monkeypatch.setattr(intertwine, "find_invertible", find_invertible)
+        monkeypatch.setattr(intertwine, "_invertible_at", invertible_at)
+        for e1, e2 in _conjugated_block_pairs(range(40)):
+            del solved[:], searched[:], candidates[:]
+            iso_witness(e1.sub, e2.sub)
+            sub_work = (list(solved), list(searched), list(candidates))
+            del solved[:], searched[:], candidates[:]
+            assert ext_isomorphism_witness(e1, e2) is not None
+            # the sub search runs as it would alone; the block system adds
+            # one solve, no search, no random draw and no grid point
+            assert solved == sub_work[0] + [("a_q", "h_a", "h_b")]
+            assert (searched, candidates) == sub_work[1:]
 
 
 class TestSelfDuality:

@@ -14,7 +14,9 @@
 
 Every witness matrix and every None is written out, matrices with
 their shapes.  The test rebuilds the inputs and replays the calls; any
-change in bytes, of an input or of a result, is a failure.
+change in bytes, of an input or of a result, is a failure.  Every stored
+positive witness is also read back and re-verified against the stored
+inputs with `verify_witness` or `verify_ext_witness`.
 
 Regenerate the fixture (only when an output change is intended) with
 
@@ -30,17 +32,20 @@ from pathlib import Path
 from generators import random_invertible, random_valid_zigzag
 from zzl.extension import (
     ExtensionPresentation,
+    ExtWitness,
     classify_selfdual_rank_one,
     ext_isomorphism_witness,
     make_extension,
+    verify_ext_witness,
 )
-from zzl.linalg import QMatrix, format_rational, serialize_matrix
+from zzl.linalg import QMatrix, format_rational, parse_rational, serialize_matrix
 from zzl.zigzag import (
     IsoWitness,
     ZigZag,
     compressed_shape,
     iso_witness,
     std_skyscraper,
+    verify_witness,
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "iso_witnesses.json"
@@ -192,6 +197,57 @@ def test_fixture_covers_both_answers():
                    if e["call"] == call and e.get("strict", e.get("regime")) == mode]
         assert any(isinstance(r, dict) for r in results), (call, mode)
         assert any(r is None for r in results), (call, mode)
+
+
+def _read_matrix(text: str) -> QMatrix:
+    """Inverse of _matrix."""
+    shape, _, body = text.partition(" ")
+    rows, cols = map(int, shape.split("x"))
+    entries = [] if body == "[]" else body[1:-1].replace(";", ",").split(",")
+    return QMatrix(rows, cols, [parse_rational(x) for x in entries])
+
+
+def _read_zigzag(d: dict) -> ZigZag:
+    e_minus, a, b, e_zero = d["dims"]
+    return ZigZag(d["label"], e_minus, e_zero, a, b,
+                  *(_read_matrix(d[k]) for k in ("alpha", "beta", "gamma")))
+
+
+def _read_iso(d: dict) -> IsoWitness:
+    return IsoWitness(*(_read_matrix(d[k]) for k in ("p", "a", "b", "q")))
+
+
+def _read_presentation(d: dict) -> ExtensionPresentation:
+    return ExtensionPresentation(
+        _read_zigzag(d["sub"]), _read_zigzag(d["quot"]),
+        None if d["u"] is None else _read_matrix(d["u"]),
+        tuple(parse_rational(c) for c in d["class"]),
+    )
+
+
+def test_stored_witnesses_verify_against_stored_inputs():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    checked = 0
+    for e in expected:
+        w = e["result"]
+        if e["call"] == "iso_witness" and w is not None:
+            z1, z2 = _read_zigzag(e["z1"]), _read_zigzag(e["z2"])
+            assert verify_witness(z1, z2, _read_iso(w)), e["seed"]
+            if e["strict"]:
+                assert _read_iso(w).p == QMatrix.identity(z1.e_minus)
+                assert _read_iso(w).q == QMatrix.identity(z1.e_zero)
+            checked += 1
+        elif e["call"] == "ext_isomorphism_witness" and w is not None:
+            witness = ExtWitness(
+                _read_iso(w["sub"]),
+                *(_read_matrix(w[k]) for k in ("quot_a", "quot_b", "h_a", "h_b")),
+            )
+            e1, e2 = _read_presentation(e["e1"]), _read_presentation(e["e2"])
+            assert verify_ext_witness(e1, e2, witness), (e["regime"], e["seed"])
+            checked += 1
+    assert checked == sum(
+        1 for e in expected if e["call"] != "classify_selfdual_rank_one" and e["result"]
+    )
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from zzl.linalg import QMatrix, ShapeMismatch, rank
 from zzl.zigzag import (
     IsoWitness,
     MultiZigZag,
+    NodePart,
     SizeBound,
     ZeroRank,
     ZigZag,
@@ -361,6 +362,21 @@ class TestMultiZigZag:
     def test_labels_distinct(self):
         with pytest.raises(ShapeMismatch):
             MultiZigZag.skyscrapers(["p1", "p1"])
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("alpha", QMatrix.zero(1, 1), "node p1: alpha of wrong shape"),
+        ("beta", QMatrix.zero(2, 1), "node p1: beta of wrong shape"),
+        ("gamma", QMatrix.zero(1, 1), "node p1: gamma of wrong shape"),
+    ])
+    def test_node_shapes_checked(self, field, bad, message):
+        part = dataclasses.replace(MultiZigZag.skyscrapers(["p1"]).nodes[0], **{field: bad})
+        with pytest.raises(ShapeMismatch, match=message):
+            MultiZigZag("0", 0, 0, (part,))
+
+    def test_zero_open_part_forces_zero_boundary(self):
+        part = NodePart("p1", 0, 0, QMatrix.zero(0, 1), QMatrix.zero(0, 0), QMatrix.zero(0, 0))
+        with pytest.raises(ShapeMismatch, match="zero open part"):
+            MultiZigZag("0", 1, 0, (part,))
 
     def test_empty_node_set(self):
         mz = MultiZigZag.skyscrapers([])
