@@ -31,6 +31,7 @@ from .assembly import (
 )
 from .extension import (
     ExtClass,
+    ExtensionPresentation,
     extension_class,
     extension_class_vector,
     make_extension,
@@ -203,11 +204,12 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
                 )
         else:
             checks.append(Check(f"zigzag {name}: exactness", True, "exact at A and B"))
+    # each extension is built once; the nodes block reuses the result
+    built: dict[str, ExtensionPresentation | ValueError] = {}
     for name in sorted(document.extensions):
         try:
-            value, normalized = _class_fields(
-                extension_class_vector(document.build_extension(name))
-            )
+            presentation = built[name] = document.build_extension(name)
+            value, normalized = _class_fields(extension_class_vector(presentation))
             checks.append(
                 Check(
                     f"extension {name}: total and class",
@@ -216,6 +218,8 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
                 )
             )
         except ValueError as exc:
+            # a presentation that built keeps its entry when only its class fails
+            built.setdefault(name, exc)
             checks.append(Check(f"extension {name}: total and class", False, str(exc)))
     for name in sorted(document.gluings):
         report = verify_gluing(document.build_gluing(name))
@@ -225,7 +229,7 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
     nodes = document.nodes_item
     if nodes is not None:
         try:
-            datum = _assemble_from_document(document)
+            datum = _assemble_from_document(document, built)
             report = verify_shadow_compat(datum)
             for check in report.checks:
                 checks.append(Check(f"nodes: {check.name}", check.passed, check.detail))
@@ -261,14 +265,21 @@ def _cmd_ext_class(ns: argparse.Namespace, document: lang.Document) -> CommandRe
     )
 
 
-def _assemble_from_document(document: lang.Document):
+def _assemble_from_document(
+    document: lang.Document,
+    built: Mapping[str, ExtensionPresentation | ValueError] | None = None,
+):
+    """Assemble the nodes block.  `built` holds every extension already
+    built, or the ValueError building it raised, which is raised again."""
     nodes_item = document.nodes_item
     if nodes_item is None:
         raise ValueError("document has no nodes block")
     node_data = []
     sub_shapes = set()
     for name in nodes_item.names:
-        pres = document.build_extension(name)
+        pres = document.build_extension(name) if built is None else built[name]
+        if isinstance(pres, ValueError):
+            raise pres
         sub_shapes.add((pres.sub.open_label, pres.sub.e_minus, pres.sub.e_zero))
         node_data.append(NodeDatum(name, pres))
     if len(sub_shapes) != 1:

@@ -290,28 +290,26 @@ def ext_isomorphism_witness(
 def _block_witness(
     e1: ExtensionPresentation, e2: ExtensionPresentation, w_sub: IsoWitness
 ) -> ExtWitness | None:
-    """The block-regime witness over the sub witness, with quot_b = 1.
+    """The block-regime witness over the sub witness, with quot_b = 1 and
+    h_b = 0.
 
-    With the sub blocks fixed and quot_b = 1, the total intertwines when
-    the quotient A-map a_q and the corrections h_a, h_b solve
-        beta_q2 a_q = beta_q1,   gamma_s2 h_b = 0,
-        b_s u1 + h_b beta_q1 = beta_s2 h_a + u2 a_q.
-    Exact totals make this system consistent, and they make a_q
-    invertible in every solution: a_q y = 0 puts y in ker beta_q1 with
-    u1 y in im beta_s1, and exactness of the total at A then gives y = 0.
-    So the particular solution is a witness; None means the system had
-    no solution, which valid presentations rule out.
+    With the sub blocks fixed, quot_b = 1 and h_b = 0, the total
+    intertwines when the quotient A-map a_q and the correction h_a solve
+        beta_q2 a_q = beta_q1,   b_s u1 = beta_s2 h_a + u2 a_q.
+    Exact totals make this system consistent: exactness of the second
+    total at B (ker gamma_s2 = im beta_s2 + u2 ker beta_q2) lets a_q absorb
+    any B correction h_b in ker gamma_s2.  They also make a_q invertible in
+    every solution: a_q y = 0 puts y in ker beta_q1 with u1 y in
+    im beta_s1, and exactness of the total at A then gives y = 0.  So the
+    particular solution is a witness; None means the system had no
+    solution, which valid presentations rule out.
     """
     s2, q1, q2 = e2.sub, e1.quot, e2.quot
     ident = QMatrix.identity
-    system = intertwine.BlockSystem(
-        {"a_q": (q2.a_dim, q1.a_dim), "h_a": (s2.a_dim, q1.a_dim), "h_b": (s2.b_dim, q1.b_dim)}
-    )
+    system = intertwine.BlockSystem({"a_q": (q2.a_dim, q1.a_dim), "h_a": (s2.a_dim, q1.a_dim)})
     system.add_equation([(q2.beta, "a_q", ident(q1.a_dim))], constant=-1 * q1.beta)
-    system.add_equation([(s2.gamma, "h_b", ident(q1.b_dim))])
     system.add_equation(
         [
-            (ident(s2.b_dim), "h_b", q1.beta),
             (-1 * s2.beta, "h_a", ident(q1.a_dim)),
             (-1 * e2.u_block, "a_q", ident(q1.a_dim)),
         ],
@@ -321,7 +319,9 @@ def _block_witness(
     if particular is None:
         return None
     found = system.blocks(particular)
-    return ExtWitness(w_sub, found["a_q"], ident(q1.b_dim), found["h_a"], found["h_b"])
+    return ExtWitness(
+        w_sub, found["a_q"], ident(q1.b_dim), found["h_a"], QMatrix.zero(s2.b_dim, q1.b_dim)
+    )
 
 
 def ext_isomorphic(e1: ExtensionPresentation, e2: ExtensionPresentation) -> bool:

@@ -19,14 +19,22 @@ anything else; inside the quotes a backslash takes the next character
 literally (`\\"`, `\\\\`, or a backslash before a line break for a label
 that spans lines).
 
+The scanner makes one regular-expression match per token, with the
+blanks, line breaks and comments before it skipped in the same match,
+and hands the parser one token at a time.  A token records its offset
+into the text; line and column are found from the offset only where a
+diagnostic or an item span needs them.
+
 A matrix literal that follows `=` on the same line, with blanks only
 next to its brackets and separators, is lexed as one token and read by
-splitting it at `;` and `,`; each distinct entry text is converted once
-per document.  Any other literal (a line break or comment inside, `- 3`,
-`1 / 2`, a trailing separator) and every bracket index such as `x[3]`
-is read token by token, and so is a literal whose entry does not
-convert (a zero denominator, an integer past CPython's digit limit), so
-that each diagnostic sits at the token that causes it.
+splitting it at `;` and `,`: each entry is read with `int()`, `p/q` as
+the pair (p, q), and the matrix is built straight from the numerators
+over the LCM of the denominators, with no `Fraction` per entry.  Any
+other literal (a line break or comment inside, `- 3`, `1 / 2`, a
+trailing separator) and every bracket index such as `x[3]` is read
+token by token, and so is a literal whose entry does not convert (a
+zero denominator, an integer past CPython's digit limit), so that each
+diagnostic sits at the token that causes it.
 
 Untrusted input has a budget: a declared dimension above `MAX_DIM`, or
 a document whose extensions, nodes block and gluings would make
@@ -45,14 +53,17 @@ parsed and then reported on.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Union
+from itertools import chain
+from typing import Iterator, Mapping, Sequence, Union
 
 from .extension import ExtensionPresentation, make_extension
 from .assembly import GluingQuadruple
-from .linalg import QMatrix, format_rational, parse_rational, serialize_matrix
+from .linalg import QMatrix, _from_nums, format_rational, serialize_matrix
 from .zigzag import ZERO_LABEL, ZigZag
 
 SEVERITY_ERROR = "error"
@@ -241,12 +252,12 @@ class Document:
 # -- tokenizer ---------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT | NAT | STRING | PUNCT | MATRIX | EOF
-    text: str
-    line: int
-    column: int
-
+# a token is a plain tuple (kind, text, offset): kind is IDENT, NAT, STRING,
+# PUNCT, MATRIX or EOF, and offset is where its first character sits in
+# the source; line and column are found from the offset (_Lines) only
+# where a diagnostic or an item span needs them.  The scanner hands the
+# parser one token at a time, so no token list is ever built.
+_Token = tuple[str, str, int]
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAT = r"[0-9]+"  # ASCII only: int() accepts every NAT token up to its digit limit
@@ -255,82 +266,104 @@ _ENTRY = rf"-?{_NAT}(?:/{_NAT})?"
 # a whole matrix literal, blanks allowed only next to brackets and separators
 _MATRIX = rf"\[{_BLANK}*(?:{_ENTRY}{_BLANK}*(?:[,;]{_BLANK}*{_ENTRY}{_BLANK}*)*)?\]"
 
-# one alternative per token kind; WS and COMMENT are skipped, and any
-# other single character is an error.  ASSIGN is `=` followed by a matrix
-# literal on the same line and gives two tokens, `=` and one MATRIX; a
-# literal it does not match (a line break or comment inside, `- 3`, a
-# trailing separator, ...) is read token by token.  A backslash escapes
-# the next character inside a string, newline included; a string left
-# open at a newline or at the end of input keeps what it read.
+# one match per token: blanks, line breaks and comments are a skipped
+# prefix, then one alternative per token kind, and any other single
+# character is an error.  ASSIGN is `=` followed by a matrix literal on the
+# same line and gives two tokens, `=` and one MATRIX; a literal it does not
+# match (a line break or comment inside, `- 3`, a trailing separator, ...)
+# is read token by token.  A backslash escapes the next character inside a
+# string, newline included; a string left open at a newline or at the end
+# of input keeps what it read.
 _TOKEN_RE = re.compile(
     rf"""
-    (?P<WS>{_BLANK}+)
-  | (?P<NEWLINE>\n)
-  | (?P<COMMENT>\#[^\n]*)
-  | (?P<ASSIGN>={_BLANK}*(?P<matrix>{_MATRIX}))
-  | (?P<PUNCT>->|[{{}}\[\](),;:=/-])
-  | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*\\?)(?P<close>"?))
-  | (?P<NAT>{_NAT})
-  | (?P<IDENT>{_IDENT})
-  | (?P<BAD>[\s\S])
+    (?:[ \t\r\f\v\n]+|\#[^\n]*)*
+    (?:
+        (?P<ASSIGN>={_BLANK}*(?P<matrix>{_MATRIX}))
+      | (?P<PUNCT>->|[{{}}\[\](),;:=/-])
+      | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*\\?)(?P<close>"?))
+      | (?P<NAT>{_NAT})
+      | (?P<IDENT>{_IDENT})
+      | (?P<EOF>\Z)
+      | (?P<BAD>[\s\S])
+    )
     """,
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
+_NEWLINE_RE = re.compile(r"\n")
 
 
-def _tokenize(text: str, diagnostics: list[Diagnostic]) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    match = None
+class _Lines:
+    """Line and column, both from 1, of an offset into a text.  The line
+    starts are found by one scan, at the first position asked for."""
+
+    __slots__ = ("text", "starts")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.starts: list[int] | None = None
+
+    def at(self, offset: int) -> tuple[int, int]:
+        if self.starts is None:
+            self.starts = [0, *[m.end() for m in _NEWLINE_RE.finditer(self.text)]]
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
+
+
+def _tokenize(
+    text: str, diagnostics: list[Diagnostic], lines: _Lines | None = None
+) -> Iterator[_Token]:
+    where = (lines or _Lines(text)).at
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "WS" or kind == "COMMENT":
-            continue
-        pos = match.start()
-        if kind == "NEWLINE":
-            line += 1
-            line_start = pos + 1
-            continue
-        column = pos - line_start + 1
         if kind == "ASSIGN":
-            tokens.append(_Token("PUNCT", "=", line, column))
-            tokens.append(
-                _Token("MATRIX", match["matrix"], line, match.start("matrix") - line_start + 1)
-            )
+            yield ("PUNCT", "=", match.start(kind))
+            yield ("MATRIX", match["matrix"], match.start("matrix"))
+        elif kind == "EOF":
+            break
         elif kind == "STRING":
-            body = match["body"]
+            pos = match.start(kind)
             if not match["close"]:
                 diagnostics.append(
-                    Diagnostic(SEVERITY_ERROR, CODE_LEX, "unterminated string", line, column)
+                    Diagnostic(SEVERITY_ERROR, CODE_LEX, "unterminated string", *where(pos))
                 )
-            tokens.append(_Token(kind, _ESCAPE_RE.sub(r"\1", body), line, column))
-            if "\n" in body:  # escaped newlines
-                line += body.count("\n")
-                line_start = pos + 2 + body.rindex("\n")
+            yield (kind, _ESCAPE_RE.sub(r"\1", match["body"]), pos)
         elif kind == "BAD":
             diagnostics.append(
                 Diagnostic(
                     SEVERITY_ERROR, CODE_LEX,
-                    f"unexpected character {match[0]!r}", line, column,
+                    f"unexpected character {match[kind]!r}", *where(match.start(kind)),
                 )
             )
         else:
-            tokens.append(_Token(kind, match[0], line, column))
+            yield (kind, match[kind], match.start(kind))
     # end of input after a trailing comment sits at the comment's start
-    end = match.start() if match and match.lastgroup == "COMMENT" else len(text)
-    tokens.append(_Token("EOF", "", line, end - line_start + 1))
-    return tokens
+    last_line = max(match.start(), text.rfind("\n", match.start()) + 1)
+    comment = text.find("#", last_line)
+    yield ("EOF", "", len(text) if comment < 0 else comment)
 
 
-class _Rationals(dict):
-    """Entry text -> value; each distinct text is converted once per document."""
+def _over_lcm(entries: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Fractions given as (numerator, positive denominator) pairs, as
+    numerators over the LCM of the denominators."""
+    den = lcm(*[d for _, d in entries])
+    return den, [n * (den // d) for n, d in entries]
 
-    def __missing__(self, text: str) -> Fraction:
-        # int() raises ValueError past its digit limit, Fraction
-        # ZeroDivisionError on a zero denominator
-        value = self[text] = parse_rational(text)
-        return value
+
+def _literal_entries(body: str) -> tuple[int, list[int]] | None:
+    """The entries of a one-token literal's body, which `_MATRIX` matched,
+    as a denominator and row-major numerators; None when an integer is past
+    CPython's digit limit or a denominator is zero."""
+    texts = body.replace(";", ",").split(",")
+    try:
+        # int() ignores the blanks next to an entry
+        if "/" not in body:
+            return 1, list(map(int, texts))
+        parts = [text.split("/") for text in texts]
+        entries = [(int(p[0]), int(p[1]) if len(p) == 2 else 1) for p in parts]
+    except ValueError:
+        return None
+    return None if any(d == 0 for _, d in entries) else _over_lcm(entries)
 
 
 # -- parser ------------------------------------------------------------
@@ -340,190 +373,173 @@ class _SyntaxAbort(Exception):
     """Internal: abandon the current item after a diagnostic."""
 
 
-# a parsed matrix literal: rows, columns and the row-major entries; [] is 0x0
-_Literal = tuple[int, int, tuple[Fraction, ...]]
+# a parsed matrix literal: rows, columns, and the row-major entries as
+# numerators over one positive denominator; [] is 0x0
+_Literal = tuple[int, int, int, Sequence[int]]
+_EMPTY: _Literal = (0, 0, 1, ())
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[Diagnostic]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, tokens: Iterator[_Token], diagnostics: list[Diagnostic], lines: _Lines):
+        self.stream = tokens
+        self.tok = next(tokens)
         self.diagnostics = diagnostics
-        self.rationals = _Rationals()
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        self.where = lines.at
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        tok = self.tok
+        if tok[0] != "EOF":
+            self.tok = next(self.stream)
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> _SyntaxAbort:
-        tok = tok or self.peek()
-        self.diagnostics.append(
-            Diagnostic(SEVERITY_ERROR, CODE_SYNTAX, message, tok.line, tok.column)
-        )
+    def diagnose(self, code: str, message: str, tok: _Token) -> _SyntaxAbort:
+        self.diagnostics.append(Diagnostic(SEVERITY_ERROR, code, message, *self.where(tok[2])))
         return _SyntaxAbort()
+
+    def error(self, message: str, tok: _Token | None = None) -> _SyntaxAbort:
+        return self.diagnose(CODE_SYNTAX, message, tok or self.tok)
 
     @staticmethod
     def _describe(tok: _Token) -> str:
-        if tok.kind == "MATRIX":
+        if tok[0] == "MATRIX":
             return "'['"  # where the literal's first token would be
-        return repr(tok.text) if tok.text else "end of input"
+        return repr(tok[1]) if tok[1] else "end of input"
+
+    # a token that expect_* accepts is never EOF, so they pull the next
+    # one without advance()'s test
 
     def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == text:
-            return self.advance()
+        tok = self.tok
+        if tok[1] == text and tok[0] == "PUNCT":
+            self.tok = next(self.stream)
+            return tok
         raise self.error(f"expected {text!r}, found {self._describe(tok)}")
 
     def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            return self.advance()
+        tok = self.tok
+        if tok[0] == "IDENT":
+            self.tok = next(self.stream)
+            return tok
         raise self.error(f"expected {what}, found {self._describe(tok)}")
 
     def expect_nat(self, what: str = "natural number") -> int:
-        tok = self.peek()
-        if tok.kind == "NAT":
-            self.advance()
+        tok = self.tok
+        if tok[0] == "NAT":
+            self.tok = next(self.stream)
             return self.nat_value(tok)
         raise self.error(f"expected {what}, found {self._describe(tok)}")
 
     def expect_dim(self, what: str) -> int:
-        tok = self.peek()
+        tok = self.tok
         value = self.expect_nat(what)
         if value > MAX_DIM:
-            self.diagnostics.append(
-                Diagnostic(
-                    SEVERITY_ERROR, CODE_LIMIT,
-                    f"{what} is above the limit of {MAX_DIM} on a declared dimension",
-                    tok.line, tok.column,
-                )
+            raise self.diagnose(
+                CODE_LIMIT, f"{what} is above the limit of {MAX_DIM} on a declared dimension", tok
             )
-            raise _SyntaxAbort()
         return value
 
     def nat_value(self, tok: _Token) -> int:
         """The NAT token's value; a literal longer than CPython's limit on
         integer-string conversion is a lexical error at the token."""
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:
-            self.diagnostics.append(
-                Diagnostic(
-                    SEVERITY_ERROR, CODE_LEX,
-                    f"integer literal of {len(tok.text)} digits is too long",
-                    tok.line, tok.column,
-                )
-            )
-            raise _SyntaxAbort() from None
+            raise self.diagnose(
+                CODE_LEX, f"integer literal of {len(tok[1])} digits is too long", tok
+            ) from None
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+        tok = self.tok
+        return tok[1] == text and tok[0] == "PUNCT"
 
     # -- leaf grammars -------------------------------------------------
 
-    def parse_rational(self) -> Fraction:
-        tok = self.peek()
-        negative = False
+    def parse_entry(self) -> tuple[int, int]:
+        """A rational literal read token by token, as a numerator and a
+        positive denominator."""
+        tok = self.tok
+        sign = 1
         if self.at_punct("-"):
             self.advance()
-            negative = True
-        num_tok = self.peek()
-        if num_tok.kind != "NAT":
+            sign = -1
+        if self.tok[0] != "NAT":
             raise self.error("expected a rational literal")
-        self.advance()
-        num = self.nat_value(num_tok)
+        num = self.nat_value(self.advance())
         den = 1
         if self.at_punct("/"):
             self.advance()
-            den_tok = self.peek()
-            if den_tok.kind != "NAT":
+            if self.tok[0] != "NAT":
                 raise self.error("expected a denominator")
-            self.advance()
-            den = self.nat_value(den_tok)
+            den = self.nat_value(self.advance())
             if den == 0:
-                self.diagnostics.append(
-                    Diagnostic(
-                        SEVERITY_ERROR, CODE_LEX,
-                        "zero denominator in rational literal",
-                        tok.line, tok.column,
-                    )
-                )
-                raise _SyntaxAbort()
-        value = Fraction(num, den)
-        return -value if negative else value
+                raise self.diagnose(CODE_LEX, "zero denominator in rational literal", tok)
+        return sign * num, den
+
+    def parse_rational(self) -> Fraction:
+        return Fraction(*self.parse_entry())
 
     def parse_matrix(self) -> _Literal:
-        tok = self.peek()
-        if tok.kind == "MATRIX":
-            body = tok.text[1:-1]
+        tok = self.tok
+        if tok[0] == "MATRIX":
+            body = tok[1][1:-1]
             if not body.strip():
                 self.advance()
-                return 0, 0, ()
-            try:
-                # int() ignores the blanks next to an entry
-                entries = list(map(self.rationals.__getitem__, body.replace(";", ",").split(",")))
-            except (ValueError, ZeroDivisionError):
-                # an over-long integer or a zero denominator: read the
-                # literal token by token, which reports it at its place
-                self.tokens[self.pos : self.pos + 1] = [
-                    t._replace(line=tok.line, column=tok.column + t.column - 1)
-                    for t in _tokenize(tok.text, [])[:-1]
-                ]
-            else:
+                return _EMPTY
+            entries = _literal_entries(body)
+            if entries is not None:
                 self.advance()
-                return self._literal([row.count(",") + 1 for row in body.split(";")], entries)
+                return self._literal([row.count(",") + 1 for row in body.split(";")], *entries)
+            # an over-long integer or a zero denominator: read the literal
+            # token by token, which reports it at its place
+            pieces = [(kind, text, tok[2] + at) for kind, text, at in _tokenize(tok[1], [])]
+            self.tok = pieces[0]
+            self.stream = chain(pieces[1:-1], self.stream)
         self.expect_punct("[")
         if self.at_punct("]"):
             self.advance()
-            return 0, 0, ()
+            return _EMPTY
         widths: list[int] = []
         entries = []
         while True:
-            entries.append(self.parse_rational())
+            entries.append(self.parse_entry())
             width = 1
             while self.at_punct(","):
                 self.advance()
-                entries.append(self.parse_rational())
+                entries.append(self.parse_entry())
                 width += 1
             widths.append(width)
             if not self.at_punct(";"):
                 break
             self.advance()
         self.expect_punct("]")
-        return self._literal(widths, entries)
+        return self._literal(widths, *_over_lcm(entries))
 
-    def _literal(self, widths: list[int], entries: list[Fraction]) -> _Literal:
+    def _literal(self, widths: list[int], den: int, nums: list[int]) -> _Literal:
         if any(w != widths[0] for w in widths):
             raise self.error("ragged matrix rows")
-        return len(widths), widths[0], tuple(entries)
+        return len(widths), widths[0], den, nums
 
     def parse_label(self) -> str:
-        tok = self.peek()
-        if tok.kind == "NAT" and tok.text == "0":
+        tok = self.tok
+        if tok[0] == "NAT" and tok[1] == "0":
             self.advance()
             return ZERO_LABEL
-        if tok.kind == "STRING":
+        if tok[0] == "STRING":
             self.advance()
-            return tok.text
-        if tok.kind == "IDENT":
+            return tok[1]
+        if tok[0] == "IDENT":
             self.advance()
-            label = tok.text
+            label = tok[1]
             if self.at_punct("["):
                 self.advance()
-                index = self.peek()
-                if index.kind != "NAT":
+                index = self.tok
+                if index[0] != "NAT":
                     raise self.error(f"expected bracket index, found {self._describe(index)}")
                 self.advance()
                 self.expect_punct("]")
                 # the index in decimal without leading zeros, as int() would
                 # print it, at any length
-                label = f"{label}[{index.text.lstrip('0') or '0'}]"
+                label = f"{label}[{index[1].lstrip('0') or '0'}]"
             return label
         raise self.error("expected an open-part label")
 
@@ -531,50 +547,44 @@ class _Parser:
 
     def synchronize(self) -> None:
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
+            tok = self.tok
+            if tok[0] == "EOF":
                 return
-            if tok.kind == "IDENT" and tok.text in _KINDS:
+            if tok[0] == "IDENT" and tok[1] in _KINDS:
                 return
             self.advance()
 
     def parse_document(self) -> list[Item]:
         out: list[Item] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
+            tok = self.tok
+            if tok[0] == "EOF":
                 return out
-            if tok.kind != "IDENT" or tok.text not in _KINDS:
-                self.diagnostics.append(
-                    Diagnostic(
-                        SEVERITY_ERROR, CODE_SYNTAX,
-                        f"expected a declaration keyword, found {tok.text!r}",
-                        tok.line, tok.column,
-                    )
-                )
+            if tok[0] != "IDENT" or tok[1] not in _KINDS:
+                self.diagnose(CODE_SYNTAX, f"expected a declaration keyword, found {tok[1]!r}", tok)
                 self.advance()
                 self.synchronize()
                 continue
             try:
-                out.append(self._parse_item(tok.text))
+                out.append(self._parse_item(tok[1]))
             except _SyntaxAbort:
                 self.synchronize()
 
     def _parse_item(self, keyword: str) -> Item:
         start = self.advance()
-        span = (start.line, start.column)
+        span = self.where(start[2])
         if keyword == "space":
-            name = self.expect_ident("space name").text
+            name = self.expect_ident("space name")[1]
             dim_kw = self.expect_ident("'dim'")
-            if dim_kw.text != "dim":
+            if dim_kw[1] != "dim":
                 raise self.error("expected 'dim'", dim_kw)
             return SpaceItem(name, self.expect_dim("space dimension"), span)
         if keyword == "map":
-            name = self.expect_ident("map name").text
+            name = self.expect_ident("map name")[1]
             self.expect_punct(":")
-            source = self.expect_ident("source space").text
+            source = self.expect_ident("source space")[1]
             self.expect_punct("->")
-            target = self.expect_ident("target space").text
+            target = self.expect_ident("target space")[1]
             self.expect_punct("=")
             # shape finalized during resolution against the space dims
             matrix = _matrix(self.parse_matrix(), None, None)
@@ -582,27 +592,27 @@ class _Parser:
         if keyword == "zigzag":
             return self._parse_zigzag(span)
         if keyword == "extension":
-            name = self.expect_ident("extension name").text
+            name = self.expect_ident("extension name")[1]
             self.expect_punct("=")
             kw = self.expect_ident("'ext'")
-            if kw.text != "ext":
+            if kw[1] != "ext":
                 raise self.error("expected 'ext'", kw)
             self.expect_punct("(")
-            sub_name = self.expect_ident("sub zig-zag name").text
+            sub_name = self.expect_ident("sub zig-zag name")[1]
             self.expect_punct(",")
-            quot_name = self.expect_ident("quotient zig-zag name").text
+            quot_name = self.expect_ident("quotient zig-zag name")[1]
             self.expect_punct(")")
             kw = self.expect_ident("'class'")
-            if kw.text != "class":
+            if kw[1] != "class":
                 raise self.error("expected 'class'", kw)
             value = self.parse_rational()
             return ExtensionItem(name, sub_name, quot_name, value, span)
         if keyword == "nodes":
             self.expect_punct("{")
-            names = [self.expect_ident("node name").text]
+            names = [self.expect_ident("node name")[1]]
             while self.at_punct(","):
                 self.advance()
-                names.append(self.expect_ident("node name").text)
+                names.append(self.expect_ident("node name")[1])
             self.expect_punct("}")
             return NodesItem(tuple(names), span)
         if keyword == "gluing":
@@ -617,7 +627,7 @@ class _Parser:
         fields: dict[str, tuple[_Token, object]] = {}
         while not self.at_punct("}"):
             key_tok = self.expect_ident("field name")
-            key = key_tok.text
+            key = key_tok[1]
             if key not in allowed:
                 raise self.error(f"unknown field {key!r}", key_tok)
             if key in fields:
@@ -636,7 +646,7 @@ class _Parser:
         return fields
 
     def _parse_zigzag(self, span: Span) -> ZigZagItem:
-        name = self.expect_ident("zig-zag name").text
+        name = self.expect_ident("zig-zag name")[1]
         fields = self._parse_fields(
             ("open", "eminus", "ezero", "A", "B", "alpha", "beta", "gamma")
         )
@@ -665,7 +675,7 @@ class _Parser:
         return ZigZagItem(name, zigzag, span)
 
     def _parse_gluing(self, span: Span) -> GluingItem:
-        name = self.expect_ident("gluing name").text
+        name = self.expect_ident("gluing name")[1]
         fields = self._parse_fields(("psi", "u", "v", "N"))
         missing = [k for k in ("psi", "u", "v") if k not in fields]
         if missing:
@@ -689,7 +699,7 @@ class _Parser:
 
 def _matrix(literal: _Literal, want_rows: int | None, want_cols: int | None) -> QMatrix:
     """Shape-check a parsed matrix literal, coercing [] into empty shapes."""
-    nrows, ncols, entries = literal
+    nrows, ncols, den, nums = literal
     if nrows == 0:
         r = want_rows if want_rows is not None else 0
         c = want_cols if want_cols is not None else 0
@@ -700,7 +710,7 @@ def _matrix(literal: _Literal, want_rows: int | None, want_cols: int | None) -> 
         raise ValueError(f"matrix has {nrows} rows, expected {want_rows}")
     if want_cols is not None and ncols != want_cols:
         raise ValueError(f"matrix has {ncols} columns, expected {want_cols}")
-    return QMatrix(nrows, ncols, entries)
+    return _from_nums(nrows, ncols, den, nums)
 
 
 # -- resolution --------------------------------------------------------
@@ -821,9 +831,13 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
 
 def parse(text: str) -> Document | list[Diagnostic]:
     """Parse source text into a resolved Document, or positioned diagnostics."""
-    diagnostics: list[Diagnostic] = []
-    items = _Parser(_tokenize(text, diagnostics), diagnostics).parse_document()
-    return diagnostics or _resolve(items)
+    # the scanner runs one token ahead of the parser; its diagnostics come
+    # first, as if the whole text had been scanned before parsing
+    lexical: list[Diagnostic] = []
+    syntax: list[Diagnostic] = []
+    lines = _Lines(text)
+    items = _Parser(_tokenize(text, lexical, lines), syntax, lines).parse_document()
+    return lexical + syntax or _resolve(items)
 
 
 # -- serializer --------------------------------------------------------

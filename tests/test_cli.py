@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from zzl.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, run
+from zzl.extension import ExtensionPresentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -166,6 +167,23 @@ class TestSubcommands:
         assert result.exit_code == EXIT_OK
         payload = json.loads(result.payload)
         assert payload["normalized"] == "1" and payload["split"] is False
+
+    def test_work_gate_check_builds_each_extension_once(self, monkeypatch):
+        # the nodes block reuses the extensions the per-extension checks built
+        built = []
+        original = ExtensionPresentation.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(ExtensionPresentation, "__post_init__", counting)
+        result = run(["check", fx("three_nodes.zzl"), "--format", "json"])
+        assert result.exit_code == EXIT_OK, result.payload
+        # one per declared extension, then the shadow that assembling the
+        # nodes block builds over all three
+        assert len(built) == 3 + 1
+        assert len(built[-1].class_vector) == 3
 
     def test_assemble(self):
         result = run(["assemble", fx("three_nodes.zzl"), "--format", "json"])

@@ -214,7 +214,7 @@ class TestBlockRegimeWitness:
             assert ext_isomorphism_witness(e1, e2) is not None
             # the sub search runs as it would alone; the block system adds
             # one solve, no search, no random draw and no grid point
-            assert solved == sub_work[0] + [("a_q", "h_a", "h_b")]
+            assert solved == sub_work[0] + [("a_q", "h_a")]
             assert (searched, candidates) == sub_work[1:]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zzl import lang
+from zzl import lang, linalg
 from zzl.lang import (
     CODE_LEX,
     CODE_LIMIT,
@@ -269,11 +269,11 @@ class TestMatrixLiteral:
         cycle = itertools.cycle(pads)
         padded = _literal(rows, lambda: next(cycle))
         head = f"space V dim {len(rows[0])}\nspace W dim {len(rows)}\nmap m : V -> W = "
-        tokens = lang._tokenize(head + compact, [])
-        assert [t.kind for t in tokens[-2:]] == ["MATRIX", "EOF"]
+        tokens = list(lang._tokenize(head + compact, []))
+        assert [kind for kind, _, _ in tokens[-2:]] == ["MATRIX", "EOF"]
         # a line break after `[` keeps the padded literal off the one-token path
         padded = "[\n" + padded[1:]
-        assert "MATRIX" not in [t.kind for t in lang._tokenize(head + padded, [])]
+        assert "MATRIX" not in [kind for kind, _, _ in lang._tokenize(head + padded, [])]
 
         one, many = parse_ok(head + compact), parse_ok(head + padded)
         expected = QMatrix.from_rows([[Fraction(n, d) for n, d in row] for row in rows])
@@ -284,19 +284,26 @@ class TestMatrixLiteral:
         diags = parse_fails(text)
         assert [(d.line, d.column) for d in diags] == [(text.count("\n") + 1, 15)]
 
-    def test_entries_with_one_text_share_one_value(self, monkeypatch):
-        converted, convert = [], lang.parse_rational
+    def test_work_gate_literals_build_no_fractions(self, monkeypatch):
+        # literals are read with int() and built from their numerators:
+        # neither the text-to-Fraction conversion nor the validating
+        # QMatrix constructor runs for them
+        def fail(*args):
+            raise AssertionError("a matrix literal was converted through Fractions")
 
-        def counting(text):
-            converted.append(text)
-            return convert(text)
-
-        monkeypatch.setattr(lang, "parse_rational", counting)
-        doc = parse_ok("space V dim 3\nmap m : V -> V = [1/2,0,2/4;0,1/2,0;1,0,1/2]")
-        # nine entries, four distinct texts: each text is converted once
-        assert sorted(converted) == ["0", "1", "1/2", "2/4"]
-        entries = doc.maps["m"].matrix.entries
-        assert entries[0] == entries[4] == entries[8] == entries[2] == Fraction(1, 2)
+        monkeypatch.setattr(QMatrix, "__init__", fail)
+        monkeypatch.setattr(linalg, "parse_rational", fail)
+        monkeypatch.setattr(lang, "parse_rational", fail, raising=False)
+        parse_ok((FIXTURES / "three_nodes.zzl").read_text())
+        doc = parse_ok(
+            "zigzag z3 { open = Q_U[3], eminus = 2, ezero = 1, A = 3, B = 2, "
+            "alpha = [1,0;0,-1;2,1], beta = [1,-2,0;0,1,3], gamma = [0,-4] }"
+        )
+        assert doc.zigzags["z3"].zigzag.beta.nums == (1, -2, 0, 0, 1, 3)
+        # p/q entries go over the LCM of the denominators, then to lowest terms
+        doc = parse_ok("space V dim 3\nmap m : V -> V = [1/2,0,2/4;0,1/6,0;1,0,-3/2]")
+        m = doc.maps["m"].matrix
+        assert (m.den, m.nums) == (6, (3, 0, 3, 0, 1, 0, 6, 0, -9))
 
     def test_work_gate_one_token_per_literal(self):
         # corpus-style lines; the token path needs 72 and 90 tokens
@@ -309,9 +316,80 @@ class TestMatrixLiteral:
             "N = [2,-4,0,0;1,-2,0,0;0,0,-1,-1;0,0,1,1] }"
         )
         for line, count in ((zigzag, 39), (gluing, 20)):
-            tokens = lang._tokenize(line, [])
+            tokens = list(lang._tokenize(line, []))
             assert len(tokens) == count
-            assert [t.kind for t in tokens].count("MATRIX") == 3
+            assert [kind for kind, _, _ in tokens].count("MATRIX") == 3
+
+
+def naive_position(text: str, pos: int) -> tuple[int, int]:
+    """Line and column of an offset, counted from the start of the text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+STRAY = "\x00\x80\xff$%@\\"
+COMMENT_TEXT = st.text(st.characters(blacklist_characters="\n", max_codepoint=0xFF), max_size=8)
+PIECES = st.one_of(
+    st.text(" \t\r\f\v", min_size=1, max_size=4),
+    st.just("\n"),
+    COMMENT_TEXT.map(lambda body: "#" + body + "\n"),
+    # a closed string with escaped characters, line breaks among them
+    st.lists(st.sampled_from(["a", " ", "\\\n", '\\"', "\\\\", "#"]), max_size=5).map(
+        lambda parts: '"' + "".join(parts) + '"'
+    ),
+    st.sampled_from(list(STRAY)).map(lambda c: ("stray", c)),
+    st.sampled_from(
+        ["space V dim 2", "space W dim 1", "map m : V -> V = [1,0;0,-1/2]", "=", "[1;", "]",
+         "{", "}", ",", "dim", "7", "zigzag"]
+    ),
+)
+
+
+class TestPositions:
+    """Tokens carry offsets; line and column are found from them on demand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(PIECES, max_size=14),
+        st.one_of(st.just(""), COMMENT_TEXT.map(lambda body: "#" + body)),
+    )
+    def test_positions_match_a_naive_count(self, pieces, tail):
+        text, strays = "", []
+        for piece in pieces:
+            if isinstance(piece, tuple):
+                strays.append(len(text))
+                piece = piece[1]
+            # a blank after a token keeps each piece its own token; the
+            # piece after a line break starts at column 1
+            text += piece if piece[-1].isspace() else piece + " "
+        text += tail  # a comment at the end, with no line break after it
+        diagnostics: list[Diagnostic] = []
+        tokens = list(lang._tokenize(text, diagnostics))
+        lines = lang._Lines(text)
+        offsets = [offset for _, _, offset in tokens]
+        assert offsets == sorted(set(offsets))
+        for kind, token_text, offset in tokens[:-1]:
+            assert lines.at(offset) == naive_position(text, offset)
+            if kind == "STRING":
+                assert text[offset] == '"'
+            else:
+                assert text.startswith(token_text, offset)
+        end = tokens[-1][2]
+        assert end == (len(text) - len(tail) if tail else len(text))
+        assert lines.at(end) == naive_position(text, end)
+        # every stray byte is reported where it stands
+        assert [(d.line, d.column) for d in diagnostics] == [
+            naive_position(text, offset) for offset in strays
+        ]
+        assert all(d.message.startswith("unexpected character") for d in diagnostics)
+        result = parse(text)
+        if isinstance(result, Document):
+            keywords = [o for kind, t, o in tokens if kind == "IDENT" and t in ("space", "map")]
+            assert [it.span for it in result.items] == [naive_position(text, o) for o in keywords]
+        else:
+            # the lexical diagnostics first, then each one at a token
+            assert result[: len(strays)] == diagnostics
+            token_positions = {naive_position(text, offset) for offset in offsets}
+            assert all((d.line, d.column) in token_positions for d in result[len(strays) :])
 
 
 class TestInputBudget:
