@@ -8,7 +8,9 @@ When the sub's B space is zero (the double-point collapse) that block is
 empty, the assembled zig-zag is literally blind to the class, and the
 class is carried as an explicit stored scalar per quotient coordinate.
 The two regimes never mix: storing a scalar next to a nonzero block
-would double-count the class.
+would double-count the class.  A presentation checks these rules, and
+assembles and validates its total, once at construction; everything
+after reads the stored total.
 
 Isomorphism of presentations means block-upper-triangular isomorphism of
 the totals over isomorphisms of the factors, with the stored class
@@ -17,12 +19,14 @@ is the one for the sub witness; over it the quotient blocks are built in
 closed form (collapsed regime) or read off one linear solve (block
 regime).  Every positive verdict is backed by an explicit verified
 witness; every negative one by the sub's rank profile or, in the
-collapsed regime, by the zero-ness of the class.
+collapsed regime, by the zero-ness of the class.  That zero-ness is the
+normal form the rank-one classification partitions its grid by: each
+member is witnessed once against the first member of its part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -85,85 +89,49 @@ class ExtensionPresentation:
     quot: ZigZag
     u_block: QMatrix | None
     class_vector: tuple[Fraction, ...]
+    # the assembled total, built and validated once at construction
+    total: ZigZag = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.quot.open_label != ZERO_LABEL:
+        """The only check of the label, regime and shape rules; the regime
+        is checked before the class length, so a scalar class over a
+        block-regime sub is a RegimeMismatch whatever its length."""
+        s, q, u = self.sub, self.quot, self.u_block
+        if q.open_label != ZERO_LABEL:
             raise ShapeMismatch("quotient must be point-supported (zero open part)")
-        if len(self.class_vector) != self.quot.a_dim:
+        if self.collapsed and u is not None:
+            raise RegimeMismatch(
+                "collapsed regime (B_sub = 0): the class is a stored scalar, not a u-block"
+            )
+        if not self.collapsed and u is None:
+            raise RegimeMismatch("block regime (B_sub > 0): the class must be a u-block")
+        if len(self.class_vector) != q.a_dim:
             raise ShapeMismatch(
                 f"class vector has length {len(self.class_vector)}, "
-                f"quotient A has dimension {self.quot.a_dim}"
+                f"quotient A has dimension {q.a_dim}"
             )
-        if self.sub.b_dim == 0:
-            if self.u_block is not None:
-                raise RegimeMismatch(
-                    "collapsed regime (B_sub = 0): the class is a stored scalar, "
-                    "not a u-block"
-                )
-        else:
-            if self.u_block is None:
-                raise RegimeMismatch(
-                    "block regime (B_sub > 0): the class must be a u-block"
-                )
-            if (self.u_block.rows, self.u_block.cols) != (self.sub.b_dim, self.quot.a_dim):
-                raise ShapeMismatch(
-                    f"u-block must be {self.sub.b_dim}x{self.quot.a_dim}"
-                )
-            if any(c != 0 for c in self.class_vector):
-                raise RegimeMismatch(
-                    "block regime: the stored scalar class must be zero"
-                )
-        issues = validate(total_zigzag(self))
+        if u is None:
+            u = QMatrix.zero(s.b_dim, q.a_dim)
+        elif (u.rows, u.cols) != (s.b_dim, q.a_dim):
+            raise ShapeMismatch(f"u-block must be {s.b_dim}x{q.a_dim}")
+        elif any(self.class_vector):
+            raise RegimeMismatch("block regime: the stored scalar class must be zero")
+        total = _total(s, q, u)
+        issues = validate(total)
         if issues:
             raise InvalidTotal(
                 "assembled total violates exactness: "
                 + "; ".join(i.message for i in issues)
             )
+        object.__setattr__(self, "total", total)
 
     @property
     def collapsed(self) -> bool:
         return self.sub.b_dim == 0
 
-    @property
-    def class_scalar(self) -> Fraction:
-        if self.quot.a_dim != 1:
-            raise ValueError("class_scalar is defined for rank-one quotients only")
-        return self.class_vector[0] if self.collapsed else Fraction(0)
 
-
-def make_extension(
-    sub: ZigZag,
-    quot: ZigZag,
-    class_data: QMatrix | Scalar | Sequence[Scalar],
-) -> ExtensionPresentation:
-    """Build a presentation from a scalar class (collapsed) or a u-block."""
-    if quot.open_label != ZERO_LABEL:
-        raise ShapeMismatch("quotient must be point-supported (zero open part)")
-    if isinstance(class_data, QMatrix):
-        if sub.b_dim == 0:
-            raise RegimeMismatch(
-                "u-block given but B_sub = 0; supply the class as a scalar"
-            )
-        return ExtensionPresentation(sub, quot, class_data, (Fraction(0),) * quot.a_dim)
-    if sub.b_dim > 0:
-        raise RegimeMismatch(
-            "scalar class given but B_sub > 0; supply the class as a u-block"
-        )
-    if isinstance(class_data, (int, Fraction)):
-        if quot.a_dim != 1:
-            raise ShapeMismatch(
-                f"scalar class for a rank-{quot.a_dim} quotient; pass a vector"
-            )
-        vector = (_frac(class_data),)
-    else:
-        vector = tuple(_frac(c) for c in class_data)
-    return ExtensionPresentation(sub, quot, None, vector)
-
-
-def total_zigzag(e: ExtensionPresentation) -> ZigZag:
-    """Assemble the compressed total: block-diagonal except for u in beta."""
-    s, q = e.sub, e.quot
-    u = e.u_block if e.u_block is not None else QMatrix.zero(s.b_dim, q.a_dim)
+def _total(s: ZigZag, q: ZigZag, u: QMatrix) -> ZigZag:
+    """The compressed total: block-diagonal except for u in beta."""
     beta = block_assemble(
         [[s.beta, u], [None, q.beta]], [s.b_dim, q.b_dim], [s.a_dim, q.a_dim]
     )
@@ -173,6 +141,26 @@ def total_zigzag(e: ExtensionPresentation) -> ZigZag:
         s.open_label, s.e_minus, s.e_zero,
         s.a_dim + q.a_dim, s.b_dim + q.b_dim, alpha, beta, gamma,
     )
+
+
+def make_extension(
+    sub: ZigZag,
+    quot: ZigZag,
+    class_data: QMatrix | Scalar | Sequence[Scalar],
+) -> ExtensionPresentation:
+    """Build a presentation from a u-block (block regime), a scalar class
+    (collapsed regime, rank-one quotient) or one class per quotient
+    coordinate (collapsed regime); the presentation checks the rules."""
+    if isinstance(class_data, QMatrix):
+        return ExtensionPresentation(sub, quot, class_data, (Fraction(0),) * quot.a_dim)
+    if isinstance(class_data, (int, Fraction)):
+        class_data = (class_data,)
+    return ExtensionPresentation(sub, quot, None, tuple(_frac(c) for c in class_data))
+
+
+def total_zigzag(e: ExtensionPresentation) -> ZigZag:
+    """The compressed total, assembled once when the presentation was built."""
+    return e.total
 
 
 def extension_class(e: ExtensionPresentation) -> ExtClass:
@@ -227,7 +215,7 @@ def verify_ext_witness(
     e1: ExtensionPresentation, e2: ExtensionPresentation, w: ExtWitness
 ) -> bool:
     """Exact check: totals intertwine and the stored class is transported."""
-    if not verify_witness(total_zigzag(e1), total_zigzag(e2), w.total_witness(e1, e2)):
+    if not verify_witness(e1.total, e2.total, w.total_witness(e1, e2)):
         return False
     if e1.collapsed != e2.collapsed:
         return False
@@ -347,20 +335,21 @@ def dual_presentation(e: ExtensionPresentation) -> ExtensionPresentation:
 
 def is_self_dual(e: ExtensionPresentation) -> bool:
     """Total fixed by duality, and the stored class preserved by the witness."""
-    total = total_zigzag(e)
-    if not is_isomorphic(dualize(total), total):
-        return False
-    if not e.collapsed:
-        # in the block regime the class is the total's u-block, not a
-        # stored value, so a self-dual total leaves nothing else to check;
-        # the class need not be trivial (a sub with B = 1 and gamma = 0, a
-        # quotient with A = 1 and B = 0, u = [1] give an exact total of class 1)
-        return True
-    try:
-        dual = dual_presentation(e)
-        return ext_isomorphic(dual, e)
-    except (ShapeMismatch, RegimeMismatch, InvalidTotal):
-        return False
+    if e.collapsed:
+        # one check: the verified witness intertwines the dual presentation's
+        # total with this total, and here that total is dualize(e.total).  A
+        # sub with A > 0 has no dual presentation, and its total is not
+        # self-dual either: exactness at B bounds the total's B by the
+        # quotient's A, which is less than the total's A
+        try:
+            return ext_isomorphic(dual_presentation(e), e)
+        except (ShapeMismatch, RegimeMismatch, InvalidTotal):
+            return False
+    # in the block regime the class is the total's u-block, not a stored
+    # value, so a self-dual total leaves nothing else to check; the class
+    # need not be trivial (a sub with B = 1 and gamma = 0, a quotient with
+    # A = 1 and B = 0, u = [1] give an exact total of class 1)
+    return is_isomorphic(dualize(e.total), e.total)
 
 
 class ClassRepresentative(NamedTuple):
@@ -381,15 +370,17 @@ def classify_selfdual_rank_one(
     boundary: tuple[int, int],
     grid: Sequence[Scalar] = DEFAULT_CLASS_GRID,
 ) -> list[ClassRepresentative]:
-    """Partition rank-one extensions over a class grid; exactly two classes.
+    """The two rank-one extension classes over a class grid: split, then
+    corrected.
 
     Builds the extension of the rank-one point object by the minimal
-    extension over the given boundary for every grid value, partitions
-    by presentation isomorphism (each verdict witness-checked), filters
-    by self-duality of the total, and returns the split class and the
-    unique non-split (corrected) class.  Raises ValueError unless the
-    boundary is symmetric (duality swaps E^- and E^0) and the grid holds 0
-    and a nonzero value.
+    extension over the given boundary for every grid value and partitions
+    the grid by the zero-ness of the class, the normal form that decides
+    presentation isomorphism here.  Each member is witnessed against the
+    first member of its part (a member without a verified witness raises
+    PostconditionError), and both representatives must be self-dual.
+    Raises ValueError unless the boundary is symmetric (duality swaps E^-
+    and E^0) and the grid holds 0 and a nonzero value.
     """
     e_minus, e_zero = boundary
     if e_minus != e_zero:
@@ -399,34 +390,26 @@ def classify_selfdual_rank_one(
         raise ValueError("the class grid needs 0 and a nonzero value")
     sub = std_ic("Q_U[3]", e_minus, e_zero)
     quot = std_skyscraper(1)
-    presentations = [(c, make_extension(sub, quot, c)) for c in classes]
-
-    buckets: list[list[tuple[Fraction, ExtensionPresentation]]] = []
-    for c, pres in presentations:
-        for bucket in buckets:
-            if ext_isomorphic(pres, bucket[0][1]):
-                bucket.append((c, pres))
-                break
-        else:
-            buckets.append([(c, pres)])
-
     reps = []
-    for bucket in buckets:
-        c0, rep = bucket[0]
+    for members in ([c for c in classes if c == 0], [c for c in classes if c != 0]):
+        rep = make_extension(sub, quot, members[0])
+        for c in members[1:]:
+            if ext_isomorphism_witness(make_extension(sub, quot, c), rep) is None:
+                raise PostconditionError(
+                    f"class {c} has no witness to class {members[0]} of the same zero-ness"
+                )
+        ext_class = extension_class(rep)
         reps.append(
             ClassRepresentative(
-                extension_class(rep), rep,
-                is_split=extension_class(rep).normalized == 0,
+                ext_class, rep,
+                is_split=ext_class.normalized == 0,
                 is_self_dual=is_self_dual(rep),
-                grid_members=tuple(c for c, _ in bucket),
+                grid_members=tuple(members),
             )
         )
-    self_dual = [r for r in reps if r.is_self_dual]
-    split = [r for r in self_dual if r.is_split]
-    corrected = [r for r in self_dual if not r.is_split]
-    if len(split) != 1 or len(corrected) != 1 or len(self_dual) != len(reps):
+    found = [(r.is_split, r.is_self_dual) for r in reps]
+    if found != [(True, True), (False, True)]:
         raise PostconditionError(
-            f"expected one split and one corrected self-dual class, got {len(split)} "
-            f"split, {len(corrected)} corrected and {len(reps) - len(self_dual)} not self-dual"
+            f"expected a split and a corrected self-dual class, got (split, self-dual) = {found}"
         )
-    return [split[0], corrected[0]]
+    return reps

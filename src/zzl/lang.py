@@ -403,7 +403,7 @@ class _Parser:
     def _describe(tok: _Token) -> str:
         if tok[0] == "MATRIX":
             return "'['"  # where the literal's first token would be
-        return repr(tok[1]) if tok[1] else "end of input"
+        return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
     # a token that expect_* accepts is never EOF, so they pull the next
     # one without advance()'s test

@@ -507,11 +507,11 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, QMatrix.zero(ambient_dim, 0))
+        return _from_basis(QMatrix.zero(ambient_dim, 0))
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, QMatrix.identity(ambient_dim))
+        return _from_basis(QMatrix.identity(ambient_dim))
 
     @staticmethod
     def spanned_by(ambient_dim: int, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
@@ -537,6 +537,16 @@ class Subspace:
         return rank(hstack(self.basis, other.basis)) == self.dim
 
 
+def _from_basis(basis: QMatrix) -> Subspace:
+    """The trusted constructor: the span in Q^basis.rows of columns that
+    are independent by construction (pivot columns, a kernel basis with a
+    unit entry at each free column); nothing is re-checked."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "ambient_dim", basis.rows)
+    object.__setattr__(s, "basis", basis)
+    return s
+
+
 def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
     """One solution x of a*x = b, or None when inconsistent."""
     rhs = as_vector(b)
@@ -552,7 +562,7 @@ def kernel_basis(m: QMatrix) -> Subspace:
     work = _int_rows(m)
     den, _, kernel = _solution_space(work, _eliminate(work, m.cols), m.cols)
     nums = [v[i] for i in range(m.cols) for v in kernel]
-    return Subspace(m.cols, _from_nums(m.cols, len(kernel), den, nums))
+    return _from_basis(_from_nums(m.cols, len(kernel), den, nums))
 
 
 def _solution_space(
@@ -605,7 +615,7 @@ def image_basis(m: QMatrix) -> Subspace:
     """Basis of the column span: the original columns at the pivot positions."""
     pivots, c = _pivot_columns(m), m.cols
     nums = [m.nums[i * c + j] for i in range(m.rows) for j in pivots]
-    return Subspace(m.rows, _from_nums(m.rows, len(pivots), m.den, nums))
+    return _from_basis(_from_nums(m.rows, len(pivots), m.den, nums))
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:

@@ -27,7 +27,6 @@ from .linalg import (
     kernel_basis,
     rank,
     subspace_intersect,
-    subspace_sum,
 )
 
 
@@ -195,8 +194,9 @@ def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     """The unique filtration with N W_w <= W_{w-2} and N^j : Gr_{k+j} ~ Gr_{k-j}.
 
     Step center + l is the sum over i >= max(0, -l) of
-    ker N^(i+l+1) intersect im N^i, for both signs of l; each kernel and
-    image is computed once.  For a single Jordan block this reproduces the
+    ker N^(i+l+1) intersect im N^i, for both signs of l, spanned by one
+    ``image_basis`` of all the pieces side by side; each kernel and image
+    is computed once.  For a single Jordan block this reproduces the
     textbook staircase, and both defining conditions are re-verified on
     the output before it is returned.
     """
@@ -205,11 +205,12 @@ def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     images = [image_basis(p) for p in n.powers[:-1]]  # im N^i = 0 for i >= k
 
     def step(level: int) -> Subspace:
-        total = Subspace.zero(n.dim)
-        for i in range(max(0, -level), k):
-            piece = subspace_intersect(kernels[min(i + level + 1, k)], images[i])
-            total = subspace_sum(total, piece)
-        return total
+        pieces = (
+            subspace_intersect(kernels[min(i + level + 1, k)], images[i]).basis
+            for i in range(max(0, -level), k)
+        )
+        # the empty first block keeps the stack defined when there is no piece
+        return image_basis(hstack(QMatrix.zero(n.dim, 0), *pieces))
 
     top = max(k, 1)  # the zero space still gets a zero step and a full one
     steps = tuple((center + level, step(level)) for level in range(-top, top))

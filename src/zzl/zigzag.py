@@ -300,7 +300,8 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
 
     Default mode lets the boundary spaces move by arbitrary invertible
     maps; strict mode is the same intertwining system with p and q pinned
-    to the identity.  In the default mode the decision is made by the
+    to the identity.  In the default mode equal zig-zags get the identity
+    witness at once; otherwise the decision is made by the
     rank profile of forward composites (complete for chains of this
     length), and the search then only has to produce a witness that is
     known to exist; a certified search that finds none raises
@@ -315,10 +316,10 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
             return None
         names = (None, "a", "b", None)
     else:
-        if _rank_profile(z1) != _rank_profile(z2):
-            return None
         if z1 == z2:
             return IsoWitness(*map(QMatrix.identity, z1.dims()))
+        if _rank_profile(z1) != _rank_profile(z2):
+            return None
         names = ("p", "a", "b", "q")
     system = intertwine.BlockSystem(_intertwiner_shapes(z1, z2, names))
     _add_intertwining(system, z1, z2, names)

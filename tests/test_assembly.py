@@ -107,6 +107,19 @@ class TestShadowCompat:
         assert not verify_shadow_compat(bad).passed
 
 
+    def test_shadow_outside_the_collapsed_regime(self):
+        d = assemble("C", [node("p", 1, bulk="C")])
+        block = make_extension(std_corrected("C", 1, 1), std_skyscraper(1), QMatrix.from_rows([[1]]))
+        report = verify_shadow_compat(dataclasses.replace(d, shadow=block))
+        assert [(c.name, c.passed, c.detail) for c in report.failures()] == [
+            ("bulk shadow is the minimal-extension zig-zag", False,
+             "sub has point dims (1, 1), label 'C'"),
+            ("node p: shadow class", False, "normalized class 1 (corrected); stored 0"),
+            ("shadow is in the collapsed regime", False,
+             "expected a stored scalar class vector over an IC-type sub"),
+        ]
+
+
 ONE_NODE_BLOCKS = {"p1": GluingBlock(QMatrix.from_rows([[1, 0]]), QMatrix.from_columns([[0, 1]]))}
 
 

@@ -316,3 +316,99 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == "" and captured.err.count("\n") == 1
+
+
+_IC = "zigzag ic { open = C, eminus = 1, ezero = 1, A = 0, B = 0, alpha = [], beta = [], gamma = [] }\n"
+_SKY = "zigzag sky { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, alpha = [], beta = [1], gamma = [] }\n"
+# beta*alpha = 1: not exact at A or B, and neither is any total over it
+_INEXACT = "zigzag s { open = C, eminus = 1, ezero = 1, A = 1, B = 1, alpha = [1], beta = [1], gamma = [1] }\n"
+_INEXACT_TOTAL = (
+    "assembled total violates exactness: at A: im(alpha) has dim 1, ker(beta) has dim 0; "
+    "at B: im(beta) has dim 2, ker(gamma) has dim 1"
+)
+_INEXACT_SUB = (
+    "[FAIL] zigzag s: exactness at A: at A: im(alpha) has dim 1, ker(beta) has dim 0\n"
+    "[FAIL] zigzag s: exactness at B: at B: im(beta) has dim 1, ker(gamma) has dim 0\n"
+)
+_EXACT = "exactness: exact at A and B\n"
+
+# (document, exit code, every byte of the text report) for branches of
+# `zzl check` that no fixture reaches
+PINNED_CHECKS = {
+    "extension-over-inexact-sub": (
+        _INEXACT + _SKY + "extension P = ext(s, sky) class 0\n",
+        EXIT_CHECK_FAILED,
+        _INEXACT_SUB + "[PASS] zigzag sky: " + _EXACT
+        + f"[FAIL] extension P: total and class: {_INEXACT_TOTAL}\nstatus: fail\n",
+    ),
+    "nodes-naming-a-failed-extension": (
+        _INEXACT + _SKY + _IC
+        + "extension P = ext(s, sky) class 0\nextension Q = ext(ic, sky) class 1\nnodes { Q, P }\n",
+        EXIT_CHECK_FAILED,
+        "[PASS] zigzag ic: " + _EXACT + _INEXACT_SUB + "[PASS] zigzag sky: " + _EXACT
+        + f"[FAIL] extension P: total and class: {_INEXACT_TOTAL}\n"
+        "[PASS] extension Q: total and class: class 1 (normalized 1)\n"
+        f"[FAIL] nodes: assembly: {_INEXACT_TOTAL}\nstatus: fail\n",
+    ),
+    "nodes-over-two-bulk-labels": (
+        _IC + _IC.replace("ic", "id").replace("C", "D") + _SKY
+        + "extension P = ext(ic, sky) class 1\nextension Q = ext(id, sky) class 0\nnodes { P, Q }\n",
+        EXIT_CHECK_FAILED,
+        "[PASS] zigzag ic: " + _EXACT + "[PASS] zigzag id: " + _EXACT + "[PASS] zigzag sky: " + _EXACT
+        + "[PASS] extension P: total and class: class 1 (normalized 1)\n"
+        "[PASS] extension Q: total and class: class 0 (normalized 0)\n"
+        "[FAIL] nodes: assembly: local extensions disagree on the bulk part: "
+        "[('C', 1, 1), ('D', 1, 1)]\nstatus: fail\n",
+    ),
+    "gluing-with-a-zero-u-row": (
+        "gluing g { psi = 2, u = [1,0;0,0], v = [0,0;1,0] }\n",
+        EXIT_OK,
+        "[PASS] gluing g: decomposition ranges disjoint and in bounds: psi = 2, ranges [(0, 2), (0, 0)]\n"
+        "[PASS] gluing g: u and v respect the node decomposition: all block supports inside their ranges\n"
+        "[PASS] gluing g: n equals v*u entrywise: equal\n"
+        "[PASS] gluing g: n is nilpotent: n^2 = 0\n"
+        "[PASS] gluing g: node block_1: rank-one block (ODP): rank block has dimension 1\n"
+        "[PASS] gluing g: node block_2: rank-one block (ODP): rank block has dimension 1\n"
+        "notice: gluing g: filtration compatibilities (Hodge, weight, V): not checked\n"
+        "status: pass\n",
+    ),
+    "duplicate-field": (
+        "zigzag z { open = C, open = C }\n", EXIT_USAGE,
+        "1:22: error [syntax] duplicate field 'open'\n",
+    ),
+    "gluing-missing-fields": (
+        "gluing g { psi = 2 }\n", EXIT_USAGE,
+        "2:1: error [syntax] gluing 'g' is missing fields ['u', 'v']\n",
+    ),
+    "gluing-u-rows-against-v-columns": (
+        "gluing g { psi = 2, u = [1,0], v = [0,0;1,0] }\n", EXIT_USAGE,
+        "1:1: error [shape] u has 1 rows but v has 2 columns\n",
+    ),
+    "two-nodes-blocks": (
+        _IC + _SKY + "extension P = ext(ic, sky) class 1\nnodes { P }\nnodes { P }\n", EXIT_USAGE,
+        "5:1: error [name] multiple nodes blocks\n",
+    ),
+    "nonzero-class-over-a-rank-two-quotient": (
+        _IC + "zigzag sky2 { open = 0, eminus = 0, ezero = 0, A = 2, B = 2, alpha = [], "
+        "beta = [1,0;0,1], gamma = [] }\nextension P = ext(ic, sky2) class 1\n",
+        EXIT_USAGE,
+        "3:1: error [shape] extension 'P': scalar class over a rank-2 quotient\n",
+    ),
+    "duplicate-node-names": (
+        _IC + _SKY + "extension P = ext(ic, sky) class 1\nnodes { P, P }\n", EXIT_USAGE,
+        "4:1: error [name] duplicate node names ['P']\n",
+    ),
+    "empty-quoted-field-name": (
+        'zigzag z { "" = 1 }\n', EXIT_USAGE,
+        "1:12: error [syntax] expected field name, found ''\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+def test_pinned_check_output(name, tmp_path):
+    text, code, payload = PINNED_CHECKS[name]
+    path = tmp_path / "doc.zzl"
+    path.write_text(text)
+    result = run(["check", str(path)])
+    assert (result.exit_code, result.payload) == (code, payload)

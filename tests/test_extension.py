@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from generators import conjugate_block_presentation, random_block_presentation
-from zzl import intertwine
-from zzl.linalg import QMatrix, ShapeMismatch, block_assemble
+from zzl import extension, intertwine
+from zzl.linalg import PostconditionError, QMatrix, ShapeMismatch, block_assemble, rank
 from zzl.extension import (
     DEFAULT_CLASS_GRID,
     ExtClass,
+    ExtensionPresentation,
     InvalidTotal,
     RegimeMismatch,
     classify_selfdual_rank_one,
@@ -23,6 +26,7 @@ from zzl.extension import (
     verify_ext_witness,
 )
 from zzl.zigzag import (
+    ISO_DIM_BOUND,
     SizeBound,
     ZigZag,
     direct_sum,
@@ -81,6 +85,45 @@ class TestMakeExtension:
     def test_class_vector_for_multi_summand_quotient(self):
         e = make_extension(IC, std_skyscraper(3), [1, 0, 1])
         assert [c.normalized for c in extension_class_vector(e)] == [1, 0, 1]
+
+
+def _quotient(rank_: int, label: str) -> ZigZag:
+    if label == "0":
+        return std_skyscraper(rank_)
+    zero = QMatrix.zero
+    return ZigZag(label, 0, 0, rank_, rank_, zero(rank_, 0), QMatrix.identity(rank_), zero(0, rank_))
+
+
+def _expected_outcome(b_sub: int, label: str, kind: str, length_ok: bool):
+    """The exception type of make_extension: the label rule decides first,
+    then the regime, then the shapes."""
+    if label != "0":
+        return ShapeMismatch
+    if (kind == "qmatrix") != (b_sub > 0):
+        return RegimeMismatch
+    return None if length_ok else ShapeMismatch
+
+
+@pytest.mark.parametrize("b_sub", [0, 1])
+@pytest.mark.parametrize("rank_", [1, 2])
+@pytest.mark.parametrize("label", ["0", "L"])
+@pytest.mark.parametrize("kind", ["qmatrix", "wide-qmatrix", "scalar", "vector", "long-vector"])
+def test_make_extension_raises_as_before(b_sub, rank_, label, kind):
+    sub = IC if b_sub == 0 else std_corrected(LABEL, 1, 1)
+    class_data, length_ok = {
+        "qmatrix": (QMatrix.zero(b_sub, rank_), True),
+        "wide-qmatrix": (QMatrix.zero(b_sub, rank_ + 1), b_sub == 0),
+        "scalar": (1, rank_ == 1),
+        "vector": ((1,) * rank_, True),
+        "long-vector": ((1,) * (rank_ + 1), False),
+    }[kind]
+    expected = _expected_outcome(b_sub, label, kind.split("-")[-1], length_ok)
+    if expected is None:
+        assert make_extension(sub, _quotient(rank_, label), class_data).quot.a_dim == rank_
+    else:
+        with pytest.raises(expected) as info:
+            make_extension(sub, _quotient(rank_, label), class_data)
+        assert type(info.value) is expected
 
 
 class TestTotalZigzag:
@@ -249,6 +292,42 @@ class TestSelfDuality:
         assert d.class_vector == e.class_vector
         assert ext_isomorphic(d, e)
 
+    def test_collapsed_sub_with_a_above_the_bound_is_not_self_dual(self):
+        # a collapsed sub with A > 0 has no dual presentation and its total
+        # is not self-dual, also when the total is above the size bound
+        zero = QMatrix.zero
+        sub = ZigZag(LABEL, 1, 1, 1, 0, QMatrix.identity(1), zero(0, 1), zero(1, 0))
+        for rank_ in (1, ISO_DIM_BOUND):
+            e = make_extension(sub, std_skyscraper(rank_), [1] * rank_)
+            assert max(total_zigzag(e).dims()) == rank_ + 1
+            assert not is_self_dual(e)
+        small = make_extension(sub, SKY, 1)
+        assert not is_isomorphic(dualize(total_zigzag(small)), total_zigzag(small))
+
+
+@st.composite
+def _collapsed_presentations(draw):
+    """Collapsed presentations that have a dual presentation: the sub has
+    A = B = 0, so the total is exact exactly when the quotient's beta is
+    invertible."""
+    e_minus, e_zero, r = (draw(st.integers(0, 3)) for _ in range(3))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=r * r, max_size=r * r))
+    beta = QMatrix(r, r, entries)
+    assume(rank(beta) == r)
+    zero = QMatrix.zero
+    quot = ZigZag("0", 0, 0, r, r, zero(r, 0), beta, zero(0, r))
+    classes = draw(st.lists(st.fractions(max_denominator=3), min_size=r, max_size=r))
+    sub = std_ic(draw(st.sampled_from([LABEL, "C"])), e_minus, e_zero)
+    return make_extension(sub, quot, classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_collapsed_presentations())
+def test_dual_presentation_total_is_the_dual_total(e):
+    # why is_self_dual makes one check in the collapsed regime: the witness
+    # of ext_isomorphic(dual, e) intertwines this total with e's total
+    assert total_zigzag(dual_presentation(e)) == dualize(total_zigzag(e))
+
 
 class TestClassification:
     def test_grid_partition(self):
@@ -281,3 +360,47 @@ class TestClassification:
     def test_inputs_without_both_self_dual_classes_rejected(self, boundary, grid):
         with pytest.raises(ValueError, match="symmetric boundary|class grid"):
             classify_selfdual_rank_one(boundary, grid=grid)
+
+
+class TestClassificationWork:
+    """Deterministic work counts of one classify call on the default grid."""
+
+    def test_one_witness_per_member(self, monkeypatch):
+        calls = []
+        original = extension.ext_isomorphism_witness
+
+        def counting(e1, e2):
+            calls.append((e1.class_vector, e2.class_vector))
+            return original(e1, e2)
+
+        monkeypatch.setattr(extension, "ext_isomorphism_witness", counting)
+        classify_selfdual_rank_one((1, 1))
+        # the split part has one member; five nonzero members are witnessed
+        # against the first nonzero one; each representative's
+        # self-duality check is one more call
+        assert len(calls) == 7
+        assert calls[1:6] == [((c,), (Fraction(1),)) for c in DEFAULT_CLASS_GRID[2:]]
+
+    def test_one_total_per_presentation(self, monkeypatch):
+        totals, presentations = [], []
+        original_total = extension._total
+        original_init = ExtensionPresentation.__post_init__
+
+        def total(*args):
+            totals.append(args)
+            return original_total(*args)
+
+        def post_init(self):
+            presentations.append(self)
+            original_init(self)
+
+        monkeypatch.setattr(extension, "_total", total)
+        monkeypatch.setattr(ExtensionPresentation, "__post_init__", post_init)
+        classify_selfdual_rank_one((1, 1))
+        # seven grid members and the dual of each representative
+        assert len(presentations) == len(totals) == 9
+
+    def test_a_member_without_a_witness_is_a_postcondition_failure(self, monkeypatch):
+        monkeypatch.setattr(extension, "ext_isomorphism_witness", lambda e1, e2: None)
+        with pytest.raises(PostconditionError, match="no witness to class 1"):
+            classify_selfdual_rank_one((1, 1))

@@ -94,7 +94,7 @@ class TestParse:
             "extension P = ext(ic, sky) class -2/4"
         )
         pres = doc.build_extension("P")
-        assert pres.class_scalar == Fraction(-1, 2)
+        assert pres.class_vector == (Fraction(-1, 2),)
         assert total_zigzag(pres) == std_corrected("Q_U[3]", 1, 1)
 
     def test_nonzero_class_needs_collapsed_sub(self):

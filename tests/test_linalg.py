@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zzl import linalg
 from zzl.linalg import (
     AmbientMismatch,
     DimensionMismatch,
@@ -113,6 +114,21 @@ class TestKernelImage:
         s = image_basis(QMatrix.from_rows([[1], [2]]))
         assert s.dim == 1 and s.contains([1, 2])
 
+    @pytest.mark.parametrize("basis", [kernel_basis, image_basis])
+    def test_work_gate_one_elimination(self, basis, monkeypatch):
+        # the pivot columns and the kernel basis are independent by
+        # construction, so the result is not eliminated a second time
+        calls = []
+        original = linalg._eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        s = basis(QMatrix.from_rows([[1, 2, 3], [2, 4, 7]]))
+        assert len(calls) == 1 and s.dim in (1, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(qmatrices())
     def test_kernel_vectors_annihilated(self, m):
@@ -140,6 +156,13 @@ class TestSubspaces:
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             subspace_equal(Subspace.zero(2), Subspace.zero(3))
+
+    def test_direct_construction_checks_independence(self):
+        with pytest.raises(ShapeMismatch, match="dependent"):
+            Subspace(2, QMatrix.from_rows([[1, 2], [2, 4]]))
+        with pytest.raises(ShapeMismatch, match="ambient"):
+            Subspace(3, QMatrix.identity(2))
+        assert Subspace(2, QMatrix.identity(2)) == Subspace.full(2)
 
     def test_sum_and_intersection(self):
         s1 = Subspace.spanned_by(3, [[1, 0, 0], [0, 1, 0]])

@@ -2,14 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import random_invertible, random_nilpotent_upper, random_skew_pairing_gram
-from zzl.linalg import DimensionMismatch, QMatrix, subspace_equal
+from zzl.linalg import (
+    DimensionMismatch,
+    QMatrix,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    subspace_equal,
+    subspace_intersect,
+    subspace_sum,
+)
 from zzl.monodromy import (
     NilpotentOperator,
     NotNilpotent,
     NotUnipotent,
     Pairing,
+    WeightFiltration,
     check_weight_conditions,
     conjugate,
     jordan_nilpotent,
@@ -166,6 +178,63 @@ class TestWeightFiltration:
     def test_centered_off_zero(self):
         w = weight_filtration(jordan_nilpotent([2]), 5)
         assert w.graded_dims() == {4: 1, 6: 1}
+
+
+def _span(*vectors):
+    return Subspace.spanned_by(2, vectors)
+
+
+class TestWeightConditionMessages:
+    """Each message of check_weight_conditions, from a filtration that
+    violates it."""
+
+    def test_n_does_not_lower_the_weight_by_two(self):
+        # W_0 = <e2> and N e2 = e1, outside W_-2 = 0; the graded dims are
+        # then lopsided as well
+        w = WeightFiltration(0, ((-1, _span()), (0, _span((0, 1))), (1, _span((1, 0), (0, 1)))))
+        assert check_weight_conditions(jordan_nilpotent([2]), w) == [
+            "N W_0 not inside W_-2",
+            "N W_1 not inside W_-1",
+            "graded dims at 1 and -1 differ",
+        ]
+
+    def test_n_is_not_an_isomorphism_on_graded_pieces(self):
+        # Gr_1 and Gr_-1 are both lines, but N = 0 maps one to zero
+        steps = ((-2, _span()), (-1, _span((1, 0))), (0, _span((1, 0))), (1, _span((1, 0), (0, 1))))
+        w = WeightFiltration(0, steps)
+        assert check_weight_conditions(NilpotentOperator(QMatrix.zero(2, 2)), w) == [
+            "N^1 is not an isomorphism Gr_1 -> Gr_-1"
+        ]
+
+
+def _folded_steps(n, center):
+    """The steps as a pairwise fold of subspace sums over the pieces
+    ker N^(i+l+1) intersect im N^i, the reference for the one-span build."""
+    k = n.index
+    kernels = [kernel_basis(p) for p in n.powers]
+    images = [image_basis(p) for p in n.powers[:-1]]
+
+    def step(level):
+        total = Subspace.zero(n.dim)
+        for i in range(max(0, -level), k):
+            piece = subspace_intersect(kernels[min(i + level + 1, k)], images[i])
+            total = subspace_sum(total, piece)
+        return total
+
+    top = max(k, 1)
+    return tuple((center + level, step(level)) for level in range(-top, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.integers(-2, 2),
+)
+def test_each_step_is_the_fold_of_its_pieces(blocks, seed, center):
+    n = conjugate(jordan_nilpotent(blocks), random_invertible(random.Random(seed), sum(blocks)))
+    # equal as stored: the same basis columns, byte for byte
+    assert weight_filtration(n, center).steps == _folded_steps(n, center)
 
 
 def _partitions_by_total(n_max):

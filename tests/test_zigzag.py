@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_valid_zigzag
+from zzl import zigzag
 from zzl.extension import make_extension, total_zigzag
 from zzl.intertwine import BlockSystem
 from zzl.lang import parse
@@ -177,6 +178,18 @@ class TestIsomorphism:
         w = iso_witness(z, z)
         assert w is not None
         assert w.a == QMatrix.identity(1)
+
+    def test_equal_zigzags_need_no_rank_profile(self, monkeypatch):
+        profiles = []
+        original = zigzag._rank_profile
+        monkeypatch.setattr(zigzag, "_rank_profile", lambda z: profiles.append(z) or original(z))
+        z = std_corrected(LABEL, 1, 1)
+        assert iso_witness(z, z) == IsoWitness(*map(QMatrix.identity, z.dims()))
+        assert profiles == []
+        assert iso_witness(z, z, strict=True) == IsoWitness(*map(QMatrix.identity, z.dims()))
+
+    def test_strict_mode_with_different_dims(self):
+        assert iso_witness(std_ic(LABEL, 1, 1), std_ic(LABEL, 2, 1), strict=True) is None
 
     def test_corrected_matches_split_sum(self):
         # the compressed zig-zag cannot see the class datum
