@@ -1,6 +1,7 @@
-"""Finite-node assembly: per-node local data combined over one bulk label
-into the global corrected extension shadow, and divisor-gluing quadruples
-with their v*u = N verification.
+"""Finite-node assembly: per-node local data combined over the bulk they
+share (label and boundary read off the nodes) into the global corrected
+extension shadow, and divisor-gluing quadruples, each node's blocks stacked
+between zero blocks, with their v*u = N verification.
 
 The verification entry points return reports instead of raising, so that
 deliberately corrupted data (negative controls, mutation suites) can be
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .extension import ExtensionPresentation, extension_class
-from .linalg import QMatrix, ShapeMismatch
+from .linalg import QMatrix, ShapeMismatch, hstack, vstack
 from .monodromy import NotNilpotent, nilpotency_index
 from .zigzag import MultiZigZag, std_ic
 
@@ -89,6 +90,12 @@ class NodeDatum:
     def normalized_class(self) -> Fraction:
         return extension_class(self.local_extension).normalized
 
+    @property
+    def bulk(self) -> tuple[str, int, int]:
+        """The bulk part of the local extension: (label, e_minus, e_zero)."""
+        sub = self.local_extension.sub
+        return (sub.open_label, sub.e_minus, sub.e_zero)
+
 
 @dataclass(frozen=True)
 class FiniteNodeDatum:
@@ -104,18 +111,21 @@ class FiniteNodeDatum:
         return tuple(n.label for n in self.nodes)
 
 
-def assemble(
-    bulk_label: str,
-    nodes: Sequence[NodeDatum],
-    e_minus: int = 1,
-    e_zero: int = 1,
-) -> FiniteNodeDatum:
+def assemble(bulk_label: str, nodes: Sequence[NodeDatum]) -> FiniteNodeDatum:
     """Combine local node data into the corrected finite-node shadow.
 
-    The shadow quotient is the direct sum of one rank-one point object
-    per node, in node order; the shadow class vector is the per-node
-    normalized class.
+    The nodes must share one bulk part, over ``bulk_label``; the shadow
+    sub is the minimal extension over it (over the boundary (1, 1) when
+    there are no nodes).  The shadow quotient is the direct sum of one
+    rank-one point object per node, in node order; the shadow class
+    vector is the per-node normalized class.
     """
+    bulks = sorted({n.bulk for n in nodes})
+    if len(bulks) > 1:
+        raise ValueError(f"local extensions disagree on the bulk part: {bulks}")
+    label, e_minus, e_zero = bulks[0] if bulks else (bulk_label, 1, 1)
+    if label != bulk_label:
+        raise ValueError(f"nodes are over the bulk {label!r}, not {bulk_label!r}")
     labels = [n.label for n in nodes]
     if len(set(labels)) != len(labels):
         raise DuplicateNode(f"node labels must be distinct, got {labels}")
@@ -138,14 +148,14 @@ def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
         Check("node labels distinct", distinct, f"labels: {list(labels)}")
     )
     sub = datum.shadow.sub
-    is_ic = sub.a_dim == 0 and sub.b_dim == 0 and sub.open_label == datum.bulk_label
-    checks.append(
-        Check(
-            "bulk shadow is the minimal-extension zig-zag",
-            is_ic,
-            f"sub has point dims ({sub.a_dim}, {sub.b_dim}), label {sub.open_label!r}",
-        )
+    strays = [n.label for n in datum.nodes if n.bulk != (sub.open_label, sub.e_minus, sub.e_zero)]
+    is_ic = (
+        sub.a_dim == 0 and sub.b_dim == 0 and sub.open_label == datum.bulk_label and not strays
     )
+    detail = f"sub has point dims ({sub.a_dim}, {sub.b_dim}), label {sub.open_label!r}"
+    if strays:
+        detail += f"; nodes over another bulk part: {strays}"
+    checks.append(Check("bulk shadow is the minimal-extension zig-zag", is_ic, detail))
     count_ok = (
         len(datum.shadow_quotient.nodes) == len(datum.nodes)
         and datum.shadow_quotient.labels == labels
@@ -224,15 +234,27 @@ class GluingQuadruple:
         if len(self.m2_dims) != len(self.decomposition):
             raise ShapeMismatch("one rank block per decomposition entry")
 
-    @property
-    def node_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.decomposition)
-
     def inert_coords(self) -> tuple[int, ...]:
         covered = set()
         for _, (start, stop) in self.decomposition:
             covered.update(range(start, stop))
         return tuple(sorted(set(range(self.psi_dim)) - covered))
+
+
+def _range_issue(
+    decomposition: Sequence[tuple[str, tuple[int, int]]], psi_dim: int
+) -> str | None:
+    """A message naming the first node whose psi range is out of bounds or
+    overlaps an earlier one; None when the ranges are disjoint and in bounds."""
+    seen: set[int] = set()
+    for label, (start, stop) in decomposition:
+        if not (0 <= start <= stop <= psi_dim):
+            return f"node {label}: range ({start}, {stop}) out of bounds"
+        span = set(range(start, stop))
+        if span & seen:
+            return f"node {label}: range overlaps another node"
+        seen |= span
+    return None
 
 
 def assemble_gluing(
@@ -242,24 +264,20 @@ def assemble_gluing(
 ) -> GluingQuadruple:
     """Place per-node blocks into global u, v and derive n = v*u.
 
-    Every placement is block-respecting by construction, so the derived
-    n is block-diagonal with the per-node v_k*u_k blocks.
+    Node k's u_k is stacked between zero blocks into the rows of its rank
+    block and v_k into its columns, both over its psi range, so the
+    derived n is block-diagonal with the per-node v_k*u_k blocks.
     """
-    ranges = list(decomposition)
+    ranges = tuple((label, (start, stop)) for label, (start, stop) in decomposition)
     labels = [label for label, _ in ranges]
     if len(set(labels)) != len(labels):
         raise DuplicateNode(f"node labels must be distinct, got {labels}")
     if set(blocks) != set(labels):
         raise ShapeMismatch("blocks and decomposition must name the same nodes")
-    seen: set[int] = set()
-    for label, (start, stop) in ranges:
-        if not (0 <= start <= stop <= psi_dim):
-            raise ShapeMismatch(f"node {label}: range ({start}, {stop}) out of bounds")
-        span = set(range(start, stop))
-        if span & seen:
-            raise ShapeMismatch(f"node {label}: range overlaps another node")
-        seen |= span
-    m2_dims = []
+    issue = _range_issue(ranges, psi_dim)
+    if issue is not None:
+        raise ShapeMismatch(issue)
+    u_rows, v_cols = [QMatrix.zero(0, psi_dim)], [QMatrix.zero(psi_dim, 0)]
     for label, (start, stop) in ranges:
         u_k, v_k = blocks[label]
         width = stop - start
@@ -271,26 +289,12 @@ def assemble_gluing(
             raise ShapeMismatch(f"node {label}: u rows must equal v cols")
         if nilpotency_index(v_k * u_k) is None:
             raise NotNilpotent(f"node {label}: v*u is not nilpotent")
-        m2_dims.append(u_k.rows)
-
-    m2_total = sum(m2_dims)
-    u_rows = [[Fraction(0)] * psi_dim for _ in range(m2_total)]
-    v_rows = [[Fraction(0)] * m2_total for _ in range(psi_dim)]
-    row_offset = 0
-    for (label, (start, stop)), r_k in zip(ranges, m2_dims):
-        u_k, v_k = blocks[label]
-        for i in range(r_k):
-            for j in range(stop - start):
-                u_rows[row_offset + i][start + j] = u_k.entry(i, j)
-        for i in range(stop - start):
-            for j in range(r_k):
-                v_rows[start + i][row_offset + j] = v_k.entry(i, j)
-        row_offset += r_k
-    u = QMatrix.from_rows(u_rows, cols=psi_dim)
-    v = QMatrix.from_rows(v_rows, cols=m2_total)
-    return GluingQuadruple(
-        psi_dim, tuple((l, (a, b)) for l, (a, b) in ranges), tuple(m2_dims), u, v, v * u
-    )
+        r_k = u_k.rows
+        u_rows.append(hstack(QMatrix.zero(r_k, start), u_k, QMatrix.zero(r_k, psi_dim - stop)))
+        v_cols.append(vstack(QMatrix.zero(start, r_k), v_k, QMatrix.zero(psi_dim - stop, r_k)))
+    u, v = vstack(*u_rows), hstack(*v_cols)
+    m2_dims = tuple(blocks[label].u.rows for label in labels)
+    return GluingQuadruple(psi_dim, ranges, m2_dims, u, v, v * u)
 
 
 def verify_gluing(g: GluingQuadruple) -> Report:
@@ -299,42 +303,31 @@ def verify_gluing(g: GluingQuadruple) -> Report:
     Filtration compatibilities are out of scope here and are always
     reported as not checked.
     """
-    checks: list[Check] = []
-
-    covered: set[int] = set()
-    ranges_ok = True
-    for label, (start, stop) in g.decomposition:
-        span = set(range(start, stop))
-        if not (0 <= start <= stop <= g.psi_dim) or span & covered:
-            ranges_ok = False
-        covered |= span
-    checks.append(
+    checks: list[Check] = [
         Check(
             "decomposition ranges disjoint and in bounds",
-            ranges_ok,
+            _range_issue(g.decomposition, g.psi_dim) is None,
             f"psi = {g.psi_dim}, ranges {[r for _, r in g.decomposition]}",
         )
-    )
+    ]
 
-    support_ok = True
+    # the last offender in scan order: per node, its u rows, then its v columns
+    psi, m2_total = g.psi_dim, g.v.cols
+    u_rows = [g.u.nums[i * psi : (i + 1) * psi] for i in range(m2_total)]
+    v_cols = [g.v.nums[j::m2_total] for j in range(m2_total)]
     offender = ""
     row_offset = 0
     for (label, (start, stop)), r_k in zip(g.decomposition, g.m2_dims):
-        for i in range(row_offset, row_offset + r_k):
-            for j in range(g.psi_dim):
-                if not (start <= j < stop) and g.u.entry(i, j):
-                    support_ok = False
-                    offender = f"u row for node {label} touches psi coordinate {j}"
-        for j in range(row_offset, row_offset + r_k):
-            for i in range(g.psi_dim):
-                if not (start <= i < stop) and g.v.entry(i, j):
-                    support_ok = False
-                    offender = f"v column for node {label} touches psi coordinate {i}"
+        for kind, vectors in (("u row", u_rows), ("v column", v_cols)):
+            for vector in vectors[row_offset : row_offset + r_k]:
+                for k, x in enumerate(vector):
+                    if x and not start <= k < stop:
+                        offender = f"{kind} for node {label} touches psi coordinate {k}"
         row_offset += r_k
     checks.append(
         Check(
             "u and v respect the node decomposition",
-            support_ok,
+            not offender,
             offender or "all block supports inside their ranges",
         )
     )

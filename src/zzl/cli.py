@@ -275,19 +275,12 @@ def _assemble_from_document(
     if nodes_item is None:
         raise ValueError("document has no nodes block")
     node_data = []
-    sub_shapes = set()
     for name in nodes_item.names:
         pres = document.build_extension(name) if built is None else built[name]
         if isinstance(pres, ValueError):
             raise pres
-        sub_shapes.add((pres.sub.open_label, pres.sub.e_minus, pres.sub.e_zero))
         node_data.append(NodeDatum(name, pres))
-    if len(sub_shapes) != 1:
-        raise ValueError(
-            f"local extensions disagree on the bulk part: {sorted(sub_shapes)}"
-        )
-    bulk_label, e_minus, e_zero = next(iter(sub_shapes))
-    return assemble(bulk_label, node_data, e_minus=e_minus, e_zero=e_zero)
+    return assemble(node_data[0].bulk[0], node_data)
 
 
 def _cmd_assemble(ns: argparse.Namespace, document: lang.Document) -> CommandResult:

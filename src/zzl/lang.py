@@ -225,14 +225,12 @@ class Document:
         verify_gluing to report.
         """
         item = self.gluings[name]
+        psi, u_nums, v_nums = item.psi_dim, item.u.nums, item.v.nums
         decomposition = []
         for k in range(item.u.rows):
-            support = [j for j in range(item.psi_dim) if item.u.entry(k, j) != 0]
-            support += [i for i in range(item.psi_dim) if item.v.entry(i, k) != 0]
-            if support:
-                rng = (min(support), max(support) + 1)
-            else:
-                rng = (0, 0)
+            support = [j for j, x in enumerate(u_nums[k * psi : (k + 1) * psi]) if x]
+            support += [i for i, x in enumerate(v_nums[k :: item.v.cols]) if x]
+            rng = (min(support), max(support) + 1) if support else (0, 0)
             decomposition.append((f"block_{k + 1}", rng))
         return GluingQuadruple(
             item.psi_dim,

@@ -32,9 +32,10 @@ class NodeAnnotation(NamedTuple):
 
 @dataclass(frozen=True)
 class Skeleton:
+    """The star at ``bulk_vertex`` with one annotated vertex per node; the
+    node vertices and the Phi/Psi edge pairs are read off the annotations."""
+
     bulk_vertex: str
-    node_vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
     annotations: tuple[NodeAnnotation, ...]
 
     def __post_init__(self) -> None:
@@ -42,32 +43,33 @@ class Skeleton:
             raise ValueError("node vertices must be distinct")
         if self.bulk_vertex in self.node_vertices:
             raise ValueError("bulk vertex collides with a node vertex")
-        expected = []
-        for label in self.node_vertices:
-            expected.append(Edge(label, self.bulk_vertex, "Phi"))
-            expected.append(Edge(self.bulk_vertex, label, "Psi"))
-        if list(self.edges) != expected:
-            raise ValueError("each node needs exactly a Phi edge in and a Psi edge out")
-        if tuple(a.label for a in self.annotations) != self.node_vertices:
-            raise ValueError("annotations must cover every node, in order")
+
+    @property
+    def node_vertices(self) -> tuple[str, ...]:
+        return tuple(a.label for a in self.annotations)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Per node in order: its Phi edge into the bulk, its Psi edge out."""
+        bulk = self.bulk_vertex
+        return tuple(
+            edge
+            for label in self.node_vertices
+            for edge in (Edge(label, bulk, "Phi"), Edge(bulk, label, "Psi"))
+        )
 
 
 def skeleton_of(datum: FiniteNodeDatum) -> Skeleton:
     """Star graph centered at the bulk, in node order, with class annotations."""
-    labels = datum.node_labels
-    edges: list[Edge] = []
-    annotations: list[NodeAnnotation] = []
-    for k, node in enumerate(datum.nodes):
-        edges.append(Edge(node.label, datum.bulk_label, "Phi"))
-        edges.append(Edge(datum.bulk_label, node.label, "Psi"))
-        annotations.append(
+    return Skeleton(
+        datum.bulk_label,
+        tuple(
             NodeAnnotation(
-                node.label,
-                datum.shadow.class_vector[k],
-                datum.shadow_quotient.nodes[k].a_dim,
+                node.label, datum.shadow.class_vector[k], datum.shadow_quotient.nodes[k].a_dim
             )
-        )
-    return Skeleton(datum.bulk_label, labels, tuple(edges), tuple(annotations))
+            for k, node in enumerate(datum.nodes)
+        ),
+    )
 
 
 _DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -91,12 +93,11 @@ def to_dot(k: Skeleton) -> str:
             f'class="{format_rational(ann.normalized_class)}", '
             f'rank="{ann.quotient_rank}"];'
         )
-    for index, label in enumerate(k.node_vertices, start=1):
+    for index, edge in enumerate(k.edges):
+        # two edges per node: the label carries the node's 1-based position
         lines.append(
-            f'  {_dot_id(label)} -> {_dot_id(k.bulk_vertex)} [label="Phi_{index}"];'
-        )
-        lines.append(
-            f'  {_dot_id(k.bulk_vertex)} -> {_dot_id(label)} [label="Psi_{index}"];'
+            f'  {_dot_id(edge.source)} -> {_dot_id(edge.target)} '
+            f'[label="{edge.tag}_{index // 2 + 1}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -111,10 +111,6 @@ def validate(z: ZigZag) -> list[ExactnessIssue]:
     return issues
 
 
-def is_valid(z: ZigZag) -> bool:
-    return not validate(z)
-
-
 # -- standard objects ------------------------------------------------
 
 
@@ -305,10 +301,9 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
     rank profile of forward composites (complete for chains of this
     length), and the search then only has to produce a witness that is
     known to exist; a certified search that finds none raises
-    PostconditionError.
+    PostconditionError.  Only the search is bounded: SizeBound is raised
+    just before it when a dimension exceeds ISO_DIM_BOUND.
     """
-    _check_size(z1)
-    _check_size(z2)
     if z1.open_label != z2.open_label:
         return None
     if strict:
@@ -321,6 +316,8 @@ def iso_witness(z1: ZigZag, z2: ZigZag, strict: bool = False) -> IsoWitness | No
         if _rank_profile(z1) != _rank_profile(z2):
             return None
         names = ("p", "a", "b", "q")
+    _check_size(z1)
+    _check_size(z2)
     system = intertwine.BlockSystem(_intertwiner_shapes(z1, z2, names))
     _add_intertwining(system, z1, z2, names)
     found = intertwine.find_invertible(system, list(system.variables))

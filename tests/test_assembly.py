@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zzl.lang import parse
 from zzl.linalg import QMatrix, ShapeMismatch
 from zzl.monodromy import NotNilpotent
 from zzl.extension import (
@@ -54,8 +57,31 @@ class TestAssemble:
             assemble("C_bulk", [node("p1", 1), node("p1", 0)])
 
     def test_bulk_collision_rejected(self):
-        with pytest.raises(DuplicateNode):
-            assemble("p1", [node("p1", 1)])
+        with pytest.raises(DuplicateNode, match="collides"):
+            assemble("p1", [node("p1", 1, bulk="p1")])
+
+    def test_nodes_over_two_bulks_rejected(self):
+        nodes = [
+            NodeDatum("p1", make_extension(std_ic("C", 2, 3), std_skyscraper(1), 1)),
+            NodeDatum("p2", make_extension(std_ic("D", 1, 1), std_skyscraper(1), 1)),
+        ]
+        message = r"disagree on the bulk part: \[\('C', 2, 3\), \('D', 1, 1\)\]"
+        with pytest.raises(ValueError, match=message):
+            assemble("X", nodes)
+        # one label, two boundaries
+        other = NodeDatum("p2", make_extension(std_ic("C", 2, 1), std_skyscraper(1), 0))
+        with pytest.raises(ValueError, match="disagree on the bulk part"):
+            assemble("C", [node("p1", 1, bulk="C"), other])
+
+    def test_nodes_over_another_bulk_rejected(self):
+        with pytest.raises(ValueError, match="nodes are over the bulk 'C', not 'X'"):
+            assemble("X", [node("p1", 1, bulk="C"), node("p2", 0, bulk="C")])
+
+    def test_boundary_comes_from_the_nodes(self):
+        nodes = [NodeDatum("p1", make_extension(std_ic("C", 2, 3), std_skyscraper(1), 1))]
+        d = assemble("C", nodes)
+        assert d.shadow.sub == std_ic("C", 2, 3)
+        assert verify_shadow_compat(d).passed
 
     def test_non_rank_one_rejected(self):
         with pytest.raises(NonRankOneQuotient):
@@ -106,6 +132,31 @@ class TestShadowCompat:
         bad = dataclasses.replace(d, shadow=bad_shadow)
         assert not verify_shadow_compat(bad).passed
 
+
+    @pytest.mark.parametrize(
+        "sub", [std_ic("D", 1, 1), std_ic("C_bulk", 2, 1), std_ic("C_bulk", 1, 0)]
+    )
+    def test_shadow_sub_other_than_the_nodes_bulk_fails(self, sub):
+        d = assemble("C_bulk", [node("p1", 1), node("p2", 0)])
+        bad = dataclasses.replace(d, shadow=dataclasses.replace(d.shadow, sub=sub))
+        failures = verify_shadow_compat(bad).failures()
+        assert [c.name for c in failures] == ["bulk shadow is the minimal-extension zig-zag"]
+        assert "nodes over another bulk part: ['p1', 'p2']" in failures[0].detail
+
+    def test_node_over_another_bulk_fails(self):
+        d = assemble("C_bulk", [node("p1", 1), node("p2", 0)])
+        bad = dataclasses.replace(d, nodes=(d.nodes[0], node("p2", 0, bulk="D")))
+        failures = verify_shadow_compat(bad).failures()
+        assert [(c.name, c.detail) for c in failures] == [(
+            "bulk shadow is the minimal-extension zig-zag",
+            "sub has point dims (0, 0), label 'C_bulk'; nodes over another bulk part: ['p2']",
+        )]
+
+    def test_passing_bulk_detail_unchanged(self):
+        d = assemble("C_bulk", [node("p1", 1)])
+        check = verify_shadow_compat(d).checks[1]
+        assert check == ("bulk shadow is the minimal-extension zig-zag", True,
+                         "sub has point dims (0, 0), label 'C_bulk'")
 
     def test_shadow_outside_the_collapsed_regime(self):
         d = assemble("C", [node("p", 1, bulk="C")])
@@ -288,3 +339,150 @@ class TestMutationSuite:
             total += 1
             assert not verify_gluing(mutant).passed
         assert total >= 50
+
+
+# -- stacking placement against the dense placement ----------------------
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _gluings(draw):
+    """Blocks, psi and a decomposition whose ranges come out of order, with
+    inert gaps between them and zero-width ranges.  Each u_k reads a set of
+    coordinates its v_k never writes, so u_k*v_k = 0 and v_k*u_k is
+    nilpotent."""
+    widths = draw(st.lists(st.integers(0, 3), max_size=4))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(widths) + 1, max_size=len(widths) + 1))
+    ranges, position = [], gaps[0]
+    for k, width in enumerate(widths):
+        ranges.append((f"p{k}", (position, position + width)))
+        position += width + gaps[k + 1]
+    blocks = {}
+    for label, (start, stop) in ranges:
+        width, r = stop - start, draw(st.integers(0, 2))
+        reads = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        u = [draw(_RATIONALS) if reads[j] else 0 for _ in range(r) for j in range(width)]
+        v = [0 if reads[i] else draw(_RATIONALS) for i in range(width) for _ in range(r)]
+        blocks[label] = GluingBlock(QMatrix(r, width, u), QMatrix(width, r, v))
+    return blocks, position, draw(st.permutations(ranges))
+
+
+def _dense_placement(blocks, psi_dim, ranges):
+    """The global u and v written entry by entry into dense grids."""
+    m2_total = sum(blocks[label].u.rows for label, _ in ranges)
+    u_rows = [[Fraction(0)] * psi_dim for _ in range(m2_total)]
+    v_rows = [[Fraction(0)] * m2_total for _ in range(psi_dim)]
+    row_offset = 0
+    for label, (start, stop) in ranges:
+        u_k, v_k = blocks[label]
+        for i in range(u_k.rows):
+            for j in range(stop - start):
+                u_rows[row_offset + i][start + j] = u_k.entry(i, j)
+                v_rows[start + j][row_offset + i] = v_k.entry(j, i)
+        row_offset += u_k.rows
+    return QMatrix.from_rows(u_rows, cols=psi_dim), QMatrix.from_rows(v_rows, cols=m2_total)
+
+
+def _dense_support_detail(g):
+    """The support detail of a scan over every coordinate: per node, its u
+    rows, then its v columns; the last offender found is named."""
+    offender = ""
+    row_offset = 0
+    for (label, (start, stop)), r_k in zip(g.decomposition, g.m2_dims):
+        for i in range(row_offset, row_offset + r_k):
+            for j in range(g.psi_dim):
+                if not (start <= j < stop) and g.u.entry(i, j):
+                    offender = f"u row for node {label} touches psi coordinate {j}"
+        for j in range(row_offset, row_offset + r_k):
+            for i in range(g.psi_dim):
+                if not (start <= i < stop) and g.v.entry(i, j):
+                    offender = f"v column for node {label} touches psi coordinate {i}"
+        row_offset += r_k
+    return offender or "all block supports inside their ranges"
+
+
+def _support_detail(g):
+    name = "u and v respect the node decomposition"
+    (check,) = [c for c in verify_gluing(g).checks if c.name == name]
+    return check.detail
+
+
+class TestStackedPlacement:
+    @settings(max_examples=80, deadline=None)
+    @given(_gluings())
+    def test_stacking_equals_the_dense_placement(self, gluing):
+        blocks, psi_dim, ranges = gluing
+        g = assemble_gluing(blocks, psi_dim, ranges)
+        assert (g.u, g.v) == _dense_placement(blocks, psi_dim, ranges)
+        assert g.m2_dims == tuple(blocks[label].u.rows for label, _ in ranges)
+        assert g.n == g.v * g.u
+        # only the rank-one (ODP) checks may fail: blocks here have rank 0, 1 or 2
+        assert all("rank-one" in c.name for c in verify_gluing(g).failures())
+
+    @settings(max_examples=25, deadline=None)
+    @given(_gluings())
+    def test_support_detail_of_single_entry_mutants(self, gluing):
+        g = assemble_gluing(*gluing)
+        for field in ("u", "v"):
+            m = getattr(g, field)
+            for k in range(m.rows * m.cols):
+                entries = list(m.entries)
+                entries[k] += 1
+                mutant = dataclasses.replace(g, **{field: QMatrix(m.rows, m.cols, entries)})
+                assert _support_detail(mutant) == _dense_support_detail(mutant)
+
+    def test_support_detail_names_the_last_offender(self):
+        g = assemble_gluing(ONE_NODE_BLOCKS, 4, [("p1", (1, 3))])
+        bad = dataclasses.replace(
+            g, u=QMatrix.from_rows([[1, 1, 0, 1]]), v=QMatrix.from_columns([[0, 0, 1, 1]])
+        )
+        assert _support_detail(bad) == "v column for node p1 touches psi coordinate 3"
+        assert _dense_support_detail(bad) == _support_detail(bad)
+
+    def test_range_messages_shared_by_constructor_and_report(self):
+        blocks = {
+            "p1": GluingBlock(QMatrix.zero(1, 2), QMatrix.zero(2, 1)),
+            "p2": GluingBlock(QMatrix.zero(1, 2), QMatrix.zero(2, 1)),
+        }
+        with pytest.raises(ShapeMismatch, match="node p2: range overlaps another node"):
+            assemble_gluing(blocks, 3, [("p1", (0, 2)), ("p2", (1, 3))])
+        g = assemble_gluing(blocks, 4, [("p1", (0, 2)), ("p2", (2, 4))])
+        for ranges in ((("p1", (0, 2)), ("p2", (1, 3))), (("p1", (0, 2)), ("p2", (3, 5)))):
+            check = verify_gluing(dataclasses.replace(g, decomposition=ranges)).checks[0]
+            assert check == ("decomposition ranges disjoint and in bounds", False,
+                             f"psi = 4, ranges {[r for _, r in ranges]}")
+
+
+GLUING_DOC = parse(
+    "gluing g { psi = 4, u = [1/2,0,0,0;0,0,3,0;0,0,0,0], v = [0,0,0;2,0,0;0,0,0;0,1,0] }\n"
+)
+
+
+def test_gluing_layer_reads_numerators_only(monkeypatch):
+    blocks = {
+        "p1": GluingBlock(QMatrix.from_rows([[1, 2]]), QMatrix.from_columns([[-2, 1]])),
+        "p2": GluingBlock(
+            QMatrix.from_rows([[Fraction(1, 3), 0]]), QMatrix.from_columns([[0, 5]])
+        ),
+    }
+    calls = {"entry": 0, "__init__": 0}
+
+    def counting(name):
+        original = getattr(QMatrix, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(QMatrix, name, wrapper)
+
+    counting("entry")
+    counting("__init__")
+    g = assemble_gluing(blocks, 5, [("p2", (3, 5)), ("p1", (0, 2))])
+    assert verify_gluing(g).passed
+    built = GLUING_DOC.build_gluing("g")
+    assert built.decomposition == (("block_1", (0, 2)), ("block_2", (2, 4)), ("block_3", (0, 0)))
+    verify_gluing(built)
+    assert calls == {"entry": 0, "__init__": 0}

@@ -202,9 +202,24 @@ class TestExtIsomorphic:
             ext_isomorphic(make_extension(IC, SKY, 0), make_extension(std_ic(LABEL, 2, 1), SKY, 0))
 
     def test_size_bound(self):
-        e = make_extension(IC, std_skyscraper(7), [1] * 7)
+        # subs conjugated by a unipotent g on A = Q^7, unequal with equal rank
+        # profiles, so the sub witness needs the bounded search
+        n = 7
+        g = QMatrix.from_rows([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+        sub1 = ZigZag(LABEL, n, 0, n, 0, QMatrix.identity(n), QMatrix.zero(0, n), QMatrix.zero(0, 0))
+        sub2 = ZigZag(LABEL, n, 0, n, 0, g, QMatrix.zero(0, n), QMatrix.zero(0, 0))
+        e1, e2 = make_extension(sub1, SKY, 1), make_extension(sub2, SKY, 1)
         with pytest.raises(SizeBound, match="dims <= 6"):
-            ext_isomorphism_witness(e, e)
+            ext_isomorphism_witness(e1, e2)
+
+    def test_no_size_bound_without_a_search(self):
+        # equal subs get the identity and the quotient blocks are closed form
+        e = make_extension(IC, std_skyscraper(7), [1] * 7)
+        assert verify_ext_witness(e, e, ext_isomorphism_witness(e, e))
+        split, corrected = classify_selfdual_rank_one((7, 7))
+        assert (split.is_split, corrected.is_split) == (True, False)
+        assert split.grid_members == (0,) and 1 in corrected.grid_members
+        assert is_self_dual(make_extension(std_ic("C", 7, 7), std_skyscraper(1), 1))
 
 
 def _conjugated_block_pairs(seeds):

@@ -37,6 +37,14 @@ from zzl.zigzag import (
 LABEL = "Q_U[3]"
 
 
+def _conjugated_pair_of_dim_seven() -> tuple[ZigZag, ZigZag]:
+    """E^- = A = Q^7 with alpha = 1, and its copy moved by a unipotent g on A."""
+    n = 7
+    g = QMatrix.from_rows([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+    z1 = ZigZag(LABEL, n, 0, n, 0, QMatrix.identity(n), QMatrix.zero(0, n), QMatrix.zero(0, 0))
+    return z1, dataclasses.replace(z1, alpha=g)
+
+
 class TestValidate:
     def test_ic_is_valid(self):
         assert validate(std_ic(LABEL, 1, 1)) == []
@@ -239,8 +247,16 @@ class TestIsomorphism:
                 assert compressed_shape(z1) == compressed_shape(z2)
 
     def test_size_bound(self):
-        with pytest.raises(SizeBound):
-            is_isomorphic(std_skyscraper(7), std_skyscraper(7))
+        # conjugated, unequal and with equal rank profiles: only a search decides
+        z1, z2 = _conjugated_pair_of_dim_seven()
+        assert z1 != z2
+        with pytest.raises(SizeBound, match="dims <= 6"):
+            is_isomorphic(z1, z2)
+
+    def test_size_bound_spares_decisions_without_search(self):
+        assert is_isomorphic(std_skyscraper(7), std_skyscraper(7))
+        assert not is_isomorphic(std_skyscraper(7), std_skyscraper(8))
+        assert not is_isomorphic(std_ic(LABEL, 7, 7), std_ic("other", 7, 7))
 
     def test_strict_mode(self):
         z = std_corrected(LABEL, 1, 1)
