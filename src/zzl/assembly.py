@@ -316,13 +316,18 @@ def verify_gluing(g: GluingQuadruple) -> Report:
     u_rows = [g.u.nums[i * psi : (i + 1) * psi] for i in range(m2_total)]
     v_cols = [g.v.nums[j::m2_total] for j in range(m2_total)]
     offender = ""
+    vacuous = []  # per node: all its u rows and v columns zero, its range empty
     row_offset = 0
     for (label, (start, stop)), r_k in zip(g.decomposition, g.m2_dims):
+        zero = True
         for kind, vectors in (("u row", u_rows), ("v column", v_cols)):
             for vector in vectors[row_offset : row_offset + r_k]:
                 for k, x in enumerate(vector):
-                    if x and not start <= k < stop:
-                        offender = f"{kind} for node {label} touches psi coordinate {k}"
+                    if x:
+                        zero = False
+                        if not start <= k < stop:
+                            offender = f"{kind} for node {label} touches psi coordinate {k}"
+        vacuous.append(zero and start == stop)
         row_offset += r_k
     checks.append(
         Check(
@@ -348,12 +353,15 @@ def verify_gluing(g: GluingQuadruple) -> Report:
             f"n^{nil_index} = 0" if nil_index is not None else "no power of n vanishes",
         )
     )
-    for (label, _), r_k in zip(g.decomposition, g.m2_dims):
+    for (label, _), r_k, empty in zip(g.decomposition, g.m2_dims, vacuous):
+        # a rank-one block that touches no psi coordinate is one in name only
         checks.append(
             Check(
                 f"node {label}: rank-one block (ODP)",
-                r_k == 1,
-                f"rank block has dimension {r_k}",
+                r_k == 1 and not empty,
+                "u row and v column are zero over an empty psi range"
+                if r_k == 1 and empty
+                else f"rank block has dimension {r_k}",
             )
         )
     if g.expected_n is not None:

@@ -31,10 +31,22 @@ splitting it at `;` and `,`: each entry is read with `int()`, `p/q` as
 the pair (p, q), and the matrix is built straight from the numerators
 over the LCM of the denominators, with no `Fraction` per entry.  Any
 other literal (a line break or comment inside, `- 3`, `1 / 2`, a
-trailing separator) and every bracket index such as `x[3]` is read
-token by token, and so is a literal whose entry does not convert (a
-zero denominator, an integer past CPython's digit limit), so that each
-diagnostic sits at the token that causes it.
+trailing separator) is read token by token, and so is a literal that
+does not read cleanly (ragged rows, a zero denominator, an integer past
+CPython's digit limit), so that each diagnostic sits at the token that
+causes it.
+
+The `{ key = value, ... }` block of a zig-zag or gluing is read first
+without tokens: one match per `key = value` pair, straight in the text,
+each value a one-line matrix literal, a natural or a label `x` or
+`x[3]`.  On success the scanner restarts after the closing `}`.  The
+read declines, having consumed nothing, wherever the token path could
+report something (an unknown or duplicate key, a value of the wrong
+kind, a dimension over the budget, a literal that does not read
+cleanly, a quoted or `0...` label) and wherever the block leaves that
+plain form (a line break or comment inside, a missing or trailing
+comma); the block is then read token by token, so every diagnostic and
+token offset is the token path's.
 
 Untrusted input has a budget: a declared dimension above `MAX_DIM`, or
 a document whose extensions, nodes block and gluings would make
@@ -254,7 +266,8 @@ class Document:
 # PUNCT, MATRIX or EOF, and offset is where its first character sits in
 # the source; line and column are found from the offset (_Lines) only
 # where a diagnostic or an item span needs them.  The scanner hands the
-# parser one token at a time, so no token list is ever built.
+# parser one token at a time, so no token list is ever built, and a field
+# block read without tokens (_read_fields) restarts it after its `}`.
 _Token = tuple[str, str, int]
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -309,10 +322,10 @@ class _Lines:
 
 
 def _tokenize(
-    text: str, diagnostics: list[Diagnostic], lines: _Lines | None = None
+    text: str, diagnostics: list[Diagnostic], lines: _Lines | None = None, start: int = 0
 ) -> Iterator[_Token]:
     where = (lines or _Lines(text)).at
-    for match in _TOKEN_RE.finditer(text):
+    for match in _TOKEN_RE.finditer(text, start):
         kind = match.lastgroup
         if kind == "ASSIGN":
             yield ("PUNCT", "=", match.start(kind))
@@ -348,20 +361,100 @@ def _over_lcm(entries: list[tuple[int, int]]) -> tuple[int, list[int]]:
     return den, [n * (den // d) for n, d in entries]
 
 
-def _literal_entries(body: str) -> tuple[int, list[int]] | None:
-    """The entries of a one-token literal's body, which `_MATRIX` matched,
-    as a denominator and row-major numerators; None when an integer is past
-    CPython's digit limit or a denominator is zero."""
+# a parsed matrix literal: rows, columns, and the row-major entries as
+# numerators over one positive denominator; [] is 0x0
+_Literal = tuple[int, int, int, Sequence[int]]
+_EMPTY: _Literal = (0, 0, 1, ())
+
+
+def _read_literal(body: str) -> _Literal | None:
+    """The body of a one-token literal, which `_MATRIX` matched; None when
+    reading it token by token would report something: ragged rows, a zero
+    denominator, an integer past CPython's digit limit."""
+    if not body.strip():
+        return _EMPTY
+    rows = body.split(";")
+    commas = rows[0].count(",")
+    if any(row.count(",") != commas for row in rows):
+        return None
     texts = body.replace(";", ",").split(",")
     try:
         # int() ignores the blanks next to an entry
         if "/" not in body:
-            return 1, list(map(int, texts))
+            return len(rows), commas + 1, 1, list(map(int, texts))
         parts = [text.split("/") for text in texts]
         entries = [(int(p[0]), int(p[1]) if len(p) == 2 else 1) for p in parts]
     except ValueError:
         return None
-    return None if any(d == 0 for _, d in entries) else _over_lcm(entries)
+    if any(d == 0 for _, d in entries):
+        return None
+    return len(rows), commas + 1, *_over_lcm(entries)
+
+
+def _nat(text: str) -> int | None:
+    """A NAT's value; None past CPython's limit on integer-string conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _bracket_label(name: str, index: str) -> str:
+    """The label `name[index]`, its index in decimal without leading zeros,
+    as int() would print it, at any length."""
+    return f"{name}[{index.lstrip('0') or '0'}]"
+
+
+# fields whose value is a declared dimension; the others but `open` are matrices
+_DIM_FIELDS = frozenset(("eminus", "ezero", "A", "B", "psi"))
+
+# one `key = value` pair of a field block and the `,` or `}` after it, all on
+# one line; the value is a matrix literal (the text ASSIGN would lex as one
+# MATRIX token), a natural, or a label with an optional bracket index.  The
+# value is matched in a lookahead and consumed by a backreference, so when
+# no `,` or `}` follows it the match fails at once instead of retrying every
+# shorter prefix of the value, none of which one can follow either
+_FIELD_RE = re.compile(
+    rf"{_BLANK}*({_IDENT}){_BLANK}*={_BLANK}*"
+    rf"(?=(({_MATRIX})|({_NAT})|({_IDENT})(?:\[({_NAT})\])?))\2{_BLANK}*([,}}])"
+)
+
+
+def _read_fields(
+    text: str, pos: int, allowed: tuple[str, ...]
+) -> tuple[dict[str, object], int] | None:
+    """The fields of the block whose `{` ends at `pos`, read with one match
+    per field, and the offset after its `}`.  None wherever the token path
+    could report something, and wherever the block is not plain one-line
+    `key = value` pairs separated by commas."""
+    fields: dict[str, object] = {}
+    match = _FIELD_RE.match
+    while True:
+        m = match(text, pos)
+        if m is None:
+            return None
+        key, _, matrix, nat, label, index, end = m.groups()
+        if key not in allowed or key in fields:
+            return None
+        if key == "open":
+            if label is not None:
+                value: object = label if index is None else _bracket_label(label, index)
+            elif nat == "0":
+                value = ZERO_LABEL
+            else:
+                return None
+        elif key in _DIM_FIELDS:
+            value = None if nat is None else _nat(nat)
+            if value is None or value > MAX_DIM:
+                return None
+        else:
+            value = None if matrix is None else _read_literal(matrix[1:-1])
+            if value is None:
+                return None
+        fields[key] = value
+        pos = m.end()
+        if end == "}":
+            return fields, pos
 
 
 # -- parser ------------------------------------------------------------
@@ -371,18 +464,15 @@ class _SyntaxAbort(Exception):
     """Internal: abandon the current item after a diagnostic."""
 
 
-# a parsed matrix literal: rows, columns, and the row-major entries as
-# numerators over one positive denominator; [] is 0x0
-_Literal = tuple[int, int, int, Sequence[int]]
-_EMPTY: _Literal = (0, 0, 1, ())
-
-
 class _Parser:
-    def __init__(self, tokens: Iterator[_Token], diagnostics: list[Diagnostic], lines: _Lines):
-        self.stream = tokens
-        self.tok = next(tokens)
+    def __init__(self, text: str, lexical: list[Diagnostic], diagnostics: list[Diagnostic]):
+        self.text = text
+        self.lexical = lexical
+        self.lines = _Lines(text)
+        self.stream = _tokenize(text, lexical, self.lines)
+        self.tok = next(self.stream)
         self.diagnostics = diagnostics
-        self.where = lines.at
+        self.where = self.lines.at
 
     def advance(self) -> _Token:
         tok = self.tok
@@ -439,12 +529,12 @@ class _Parser:
     def nat_value(self, tok: _Token) -> int:
         """The NAT token's value; a literal longer than CPython's limit on
         integer-string conversion is a lexical error at the token."""
-        try:
-            return int(tok[1])
-        except ValueError:
+        value = _nat(tok[1])
+        if value is None:
             raise self.diagnose(
                 CODE_LEX, f"integer literal of {len(tok[1])} digits is too long", tok
-            ) from None
+            )
+        return value
 
     def at_punct(self, text: str) -> bool:
         tok = self.tok
@@ -479,16 +569,12 @@ class _Parser:
     def parse_matrix(self) -> _Literal:
         tok = self.tok
         if tok[0] == "MATRIX":
-            body = tok[1][1:-1]
-            if not body.strip():
+            literal = _read_literal(tok[1][1:-1])
+            if literal is not None:
                 self.advance()
-                return _EMPTY
-            entries = _literal_entries(body)
-            if entries is not None:
-                self.advance()
-                return self._literal([row.count(",") + 1 for row in body.split(";")], *entries)
-            # an over-long integer or a zero denominator: read the literal
-            # token by token, which reports it at its place
+                return literal
+            # ragged rows, a zero denominator or an over-long integer: read
+            # the literal token by token, which reports it at its place
             pieces = [(kind, text, tok[2] + at) for kind, text, at in _tokenize(tok[1], [])]
             self.tok = pieces[0]
             self.stream = chain(pieces[1:-1], self.stream)
@@ -510,12 +596,9 @@ class _Parser:
                 break
             self.advance()
         self.expect_punct("]")
-        return self._literal(widths, *_over_lcm(entries))
-
-    def _literal(self, widths: list[int], den: int, nums: list[int]) -> _Literal:
         if any(w != widths[0] for w in widths):
             raise self.error("ragged matrix rows")
-        return len(widths), widths[0], den, nums
+        return len(widths), widths[0], *_over_lcm(entries)
 
     def parse_label(self) -> str:
         tok = self.tok
@@ -535,9 +618,7 @@ class _Parser:
                     raise self.error(f"expected bracket index, found {self._describe(index)}")
                 self.advance()
                 self.expect_punct("]")
-                # the index in decimal without leading zeros, as int() would
-                # print it, at any length
-                label = f"{label}[{index[1].lstrip('0') or '0'}]"
+                label = _bracket_label(label, index[1])
             return label
         raise self.error("expected an open-part label")
 
@@ -617,12 +698,20 @@ class _Parser:
             return self._parse_gluing(span)
         raise AssertionError(keyword)
 
-    def _parse_fields(
-        self, allowed: tuple[str, ...]
-    ) -> dict[str, tuple[_Token, object]]:
-        """key = value pairs inside braces; values typed by key name."""
+    def _parse_fields(self, allowed: tuple[str, ...]) -> dict[str, object]:
+        """key = value pairs inside braces; values typed by key name.  The
+        block is read without tokens where _read_fields can, and token by
+        token from its untouched `{` otherwise."""
+        tok = self.tok
+        if tok[1] == "{" and tok[0] == "PUNCT":
+            read = _read_fields(self.text, tok[2] + 1, allowed)
+            if read is not None:
+                fields, end = read
+                self.stream = _tokenize(self.text, self.lexical, self.lines, end)
+                self.tok = next(self.stream)
+                return fields
         self.expect_punct("{")
-        fields: dict[str, tuple[_Token, object]] = {}
+        fields: dict[str, object] = {}
         while not self.at_punct("}"):
             key_tok = self.expect_ident("field name")
             key = key_tok[1]
@@ -633,11 +722,11 @@ class _Parser:
             self.expect_punct("=")
             if key == "open":
                 value: object = self.parse_label()
-            elif key in ("eminus", "ezero", "A", "B", "psi"):
+            elif key in _DIM_FIELDS:
                 value = self.expect_dim(f"value of {key}")
             else:
                 value = self.parse_matrix()
-            fields[key] = (key_tok, value)
+            fields[key] = value
             if self.at_punct(","):
                 self.advance()
         self.expect_punct("}")
@@ -655,15 +744,15 @@ class _Parser:
         ]
         if missing:
             raise self.error(f"zigzag {name!r} is missing fields {missing}")
-        open_label = fields["open"][1]
-        e_minus = fields["eminus"][1]
-        e_zero = fields["ezero"][1]
-        a_dim = fields["A"][1]
-        b_dim = fields["B"][1]
+        open_label = fields["open"]
+        e_minus = fields["eminus"]
+        e_zero = fields["ezero"]
+        a_dim = fields["A"]
+        b_dim = fields["B"]
         try:
-            alpha = _matrix(fields["alpha"][1], a_dim, e_minus)
-            beta = _matrix(fields["beta"][1], b_dim, a_dim)
-            gamma = _matrix(fields["gamma"][1], e_zero, b_dim)
+            alpha = _matrix(fields["alpha"], a_dim, e_minus)
+            beta = _matrix(fields["beta"], b_dim, a_dim)
+            gamma = _matrix(fields["gamma"], e_zero, b_dim)
             zigzag = ZigZag(open_label, e_minus, e_zero, a_dim, b_dim, alpha, beta, gamma)
         except ValueError as exc:
             self.diagnostics.append(
@@ -678,12 +767,12 @@ class _Parser:
         missing = [k for k in ("psi", "u", "v") if k not in fields]
         if missing:
             raise self.error(f"gluing {name!r} is missing fields {missing}")
-        psi = fields["psi"][1]
+        psi = fields["psi"]
         try:
-            u = _matrix(fields["u"][1], None, psi)
-            v = _matrix(fields["v"][1], psi, None)
+            u = _matrix(fields["u"], None, psi)
+            v = _matrix(fields["v"], psi, None)
             expected_n = (
-                _matrix(fields["N"][1], psi, psi) if "N" in fields else None
+                _matrix(fields["N"], psi, psi) if "N" in fields else None
             )
             if u.rows != v.cols:
                 raise ValueError(f"u has {u.rows} rows but v has {v.cols} columns")
@@ -833,8 +922,7 @@ def parse(text: str) -> Document | list[Diagnostic]:
     # first, as if the whole text had been scanned before parsing
     lexical: list[Diagnostic] = []
     syntax: list[Diagnostic] = []
-    lines = _Lines(text)
-    items = _Parser(_tokenize(text, lexical, lines), syntax, lines).parse_document()
+    items = _Parser(text, lexical, syntax).parse_document()
     return lexical + syntax or _resolve(items)
 
 

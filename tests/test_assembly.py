@@ -260,6 +260,21 @@ class TestGluing:
         assert not report.passed
         assert any("rank-one" in c.name for c in report.failures())
 
+    def test_zero_block_over_an_empty_range_fails_odp_check(self):
+        # zero maps over a range of their own still pass (test_zero_maps); a
+        # zero node that owns no psi coordinate is rank one in name only
+        u = QMatrix.from_rows([[1, 0], [0, 0]])
+        v = QMatrix.from_rows([[0, 0], [1, 0]])
+        g = GluingQuadruple(2, (("p1", (0, 2)), ("p2", (0, 0))), (1, 1), u, v, v * u)
+        assert [(c.name, c.detail) for c in verify_gluing(g).failures()] == [
+            ("node p2: rank-one block (ODP)", "u row and v column are zero over an empty psi range")
+        ]
+        zero = assemble_gluing(
+            {"p1": GluingBlock(QMatrix.zero(1, 0), QMatrix.zero(0, 1))}, 2, [("p1", (1, 1))]
+        )
+        (check,) = [c for c in verify_gluing(zero).checks if "rank-one" in c.name]
+        assert not check.passed
+
     def test_expected_n_checked(self):
         g = assemble_gluing(ONE_NODE_BLOCKS, 2, [("p1", (0, 2))])
         with_expected = dataclasses.replace(g, expected_n=g.n)

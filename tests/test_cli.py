@@ -362,15 +362,15 @@ PINNED_CHECKS = {
     ),
     "gluing-with-a-zero-u-row": (
         "gluing g { psi = 2, u = [1,0;0,0], v = [0,0;1,0] }\n",
-        EXIT_OK,
+        EXIT_CHECK_FAILED,
         "[PASS] gluing g: decomposition ranges disjoint and in bounds: psi = 2, ranges [(0, 2), (0, 0)]\n"
         "[PASS] gluing g: u and v respect the node decomposition: all block supports inside their ranges\n"
         "[PASS] gluing g: n equals v*u entrywise: equal\n"
         "[PASS] gluing g: n is nilpotent: n^2 = 0\n"
         "[PASS] gluing g: node block_1: rank-one block (ODP): rank block has dimension 1\n"
-        "[PASS] gluing g: node block_2: rank-one block (ODP): rank block has dimension 1\n"
+        "[FAIL] gluing g: node block_2: rank-one block (ODP): u row and v column are zero over an empty psi range\n"
         "notice: gluing g: filtration compatibilities (Hodge, weight, V): not checked\n"
-        "status: pass\n",
+        "status: fail\n",
     ),
     "duplicate-field": (
         "zigzag z { open = C, open = C }\n", EXIT_USAGE,

@@ -305,7 +305,7 @@ class TestMatrixLiteral:
         m = doc.maps["m"].matrix
         assert (m.den, m.nums) == (6, (3, 0, 3, 0, 1, 0, 6, 0, -9))
 
-    def test_work_gate_one_token_per_literal(self):
+    def test_work_gate_one_token_per_literal(self, monkeypatch):
         # corpus-style lines; the token path needs 72 and 90 tokens
         zigzag = (
             "zigzag z3 { open = Q_U[3], eminus = 2, ezero = 1, A = 3, B = 2, "
@@ -315,10 +315,184 @@ class TestMatrixLiteral:
             "gluing g0 { psi = 4, u = [1,-2,0,0;0,0,1,1], v = [2,0;1,0;0,-1;0,1], "
             "N = [2,-4,0,0;1,-2,0,0;0,0,-1,-1;0,0,1,1] }"
         )
-        for line, count in ((zigzag, 39), (gluing, 20)):
+        for line in (zigzag, gluing):
             tokens = list(lang._tokenize(line, []))
-            assert len(tokens) == count
             assert [kind for kind, _, _ in tokens].count("MATRIX") == 3
+        # the parser pulls the keyword, the name, `{` and the end of input:
+        # the field block is read without tokens
+        pulled = []
+        scan = lang._tokenize
+
+        def counting(*args):
+            for tok in scan(*args):
+                pulled.append(tok)
+                yield tok
+
+        monkeypatch.setattr(lang, "_tokenize", counting)
+        for line in (zigzag, gluing):
+            pulled.clear()
+            parse_ok(line)
+            assert [text for _, text, _ in pulled] == [line.split()[0], line.split()[1], "{", ""]
+
+
+def token_path(text: str) -> Document | list[Diagnostic]:
+    """parse(text) with every field block read token by token."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lang, "_read_fields", lambda *args: None)
+        return parse(text)
+
+
+def assert_same_outcome(text: str) -> None:
+    """The field-block reader and the token path parse `text` alike: the same
+    serialization and item spans, or the same diagnostics."""
+    fast, slow = parse(text), token_path(text)
+    if isinstance(slow, Document):
+        assert isinstance(fast, Document)
+        assert serialize(fast) == serialize(slow)
+        assert [it.span for it in fast.items] == [it.span for it in slow.items]
+    else:
+        assert fast == slow
+
+
+# each block's fields, and values they can be mutated to: first values the
+# reader reads, then values it declines
+ZIGZAG_FIELDS = {
+    "open": "x", "eminus": "0", "ezero": "0", "A": "1", "B": "1",
+    "alpha": "[]", "beta": "[1]", "gamma": "[]",
+}
+GLUING_FIELDS = {"psi": "2", "u": "[1,0]", "v": "[0;1]", "N": "[0,0;1,0]"}
+READ_VALUES = [
+    "0", "x", "Q_U[3]", "x[007]", "x[0]", "zigzag", "open", "1", "01", "007",
+    str(lang.MAX_DIM), f"0{lang.MAX_DIM}", "[]", "[ ]", "[1]", "[0,1]", "[1;0]",
+    "[ 1 , -2/4 ; 3 , 0 ]", "[-1/2]",
+]
+DECLINED_VALUES = [
+    '"q"', '"x[007]"', "00", "5", "x [3]", "x[", "x[3]y", "x[-1]", str(lang.MAX_DIM + 1),
+    "9" * 5000, "1/2", "-1", "[1,0;1]", "[1;0,1]", "[1/0]", "[1,2/0]", "[" + "7" * 5000 + "]",
+    "[1/" + "3" * 5000 + "]", "[1,\n0]", "[1, # c\n0]", "[1,]", "[- 1]", "[1 / 2]", "[1", "[",
+]
+BLANKS = ["", " ", "\t", " \n", " # c\n"]
+SEPARATORS = [", ", ",", " , ", "\t,\t", " ", "", ",\n", " # c\n, ", ", ,", "; "]
+ENDS = [" }", "}", ", }", ",}", "", " ]", "\n}", " # c\n}", " )"]
+SUFFIXES = ["", "\n", "\nspace V dim 1", " space V dim 1", "\nspace V dim x", "\n  space V dim =",
+            "space V dim 1", "=", "#c\nspace V dim x"]
+
+
+@st.composite
+def field_blocks(draw) -> str:
+    """A zig-zag or gluing declaration with its fields in any order.  A plain
+    block is on one line with one comma separator and mutates values only
+    to values the reader reads; any other block may also drop, duplicate or
+    add keys, mutate to any value, break lines and vary separators and end."""
+    keyword, base = draw(st.sampled_from([("zigzag", ZIGZAG_FIELDS), ("gluing", GLUING_FIELDS)]))
+    plain = draw(st.booleans())
+    keys = list(draw(st.permutations(list(base))))
+    for _ in range(0 if plain else draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "unknown"]))
+        at = draw(st.integers(0, len(keys)))
+        if edit == "drop" and keys:
+            del keys[at % len(keys)]
+        elif edit == "duplicate" and keys:
+            keys.insert(at, draw(st.sampled_from(keys)))
+        else:
+            keys.insert(at, draw(st.sampled_from(["foo", "zigzag", "dim", "psi", "open"])))
+    values = [base.get(key, "1") for key in keys]
+    pool = READ_VALUES if plain else READ_VALUES + DECLINED_VALUES
+    for _ in range(draw(st.integers(0, 2)) if keys else 0):
+        values[draw(st.integers(0, len(keys) - 1))] = draw(st.sampled_from(pool))
+    blank = st.sampled_from(BLANKS[:3] if plain else BLANKS)
+    fields = [f"{key}{draw(blank)}={draw(blank)}{value}" for key, value in zip(keys, values)]
+    separators = [draw(st.sampled_from(SEPARATORS[:4]))] * max(len(fields) - 1, 0)
+    if separators and not plain:
+        separators[draw(st.integers(0, len(separators) - 1))] = draw(st.sampled_from(SEPARATORS))
+    body = fields[0] if fields else ""
+    for separator, field in zip(separators, fields[1:]):
+        body += separator + field
+    opening = draw(blank)
+    end = draw(st.sampled_from(ENDS[:2] if plain else ENDS))
+    suffix = draw(st.sampled_from(SUFFIXES))
+    return f"{keyword} n {{{opening}{body}{end}{suffix}"
+
+
+class TestFieldBlockReader:
+    """A field block read with one match per field parses as it does token by token."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(field_blocks(), min_size=1, max_size=3))
+    def test_reader_and_token_path_agree(self, blocks):
+        assert_same_outcome("\n".join(blocks))
+
+    @pytest.mark.parametrize("label, read", [
+        ("0", "0"), ("x[007]", "x[7]"), ("x[000]", "x[0]"), ("zigzag", "zigzag"), ("open", "open"),
+    ])
+    def test_labels_read_as_the_token_path_reads_them(self, label, read):
+        text = (f"zigzag z {{ open = {label}, eminus = 0, ezero = 0, A = 0, B = 0, "
+                "alpha = [], beta = [], gamma = [] }")
+        assert lang._read_fields(text, text.index("{") + 1, tuple(ZIGZAG_FIELDS)) is not None
+        expected = lang.ZERO_LABEL if read == "0" else read
+        assert parse_ok(text).zigzags["z"].zigzag.open_label == expected
+        assert token_path(text) == parse_ok(text)
+
+    @pytest.mark.parametrize("field", [
+        "open = 00", 'open = "x"', f"A = {lang.MAX_DIM + 1}", "A = " + "1" * 5000,
+        "alpha = [1/0]", "alpha = [1,0;1]", "beta = [" + "1" * 5000 + "]", "A = [1]",
+        "alpha = 1", "open = [1]", "foo = 1", "open = x, open = x", "A = 1\n", "A = 1 # c\n",
+        "A = 1 B = 1", "A = 1,",
+    ])
+    def test_declines_without_consuming(self, field):
+        text = "zigzag z { " + field + " }"
+        assert lang._read_fields(text, text.index("{") + 1, tuple(ZIGZAG_FIELDS)) is None
+        assert_same_outcome(text)
+
+    def test_corpus_documents(self, tmp_path):
+        from test_corpus_payloads import N_OPS, SEED, _gen
+
+        reads = []
+        read = lang._read_fields
+
+        def counting(*args):
+            result = read(*args)
+            reads.append(result is not None)
+            return result
+
+        ops, _ = _gen().check_corpus(SEED, N_OPS, tmp_path)
+        blocks, broken = 0, 0
+        for op in ops:
+            text = Path(op["path"]).read_bytes().decode("latin-1")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lang, "_read_fields", counting)
+                assert_same_outcome(text)
+            lines = text.splitlines()
+            blocks += sum(line.startswith(("zigzag ", "gluing ")) for line in lines)
+            broken += lines.count("zigzag bad { open = , eminus = 1 }")
+        # every corpus block but the broken one is read without tokens
+        assert broken and len(reads) == blocks
+        assert reads.count(False) == broken
+
+    def test_work_gate_broken_megabyte_block(self, monkeypatch):
+        # one line of about 1 MB whose last character, where `}` belongs, is
+        # `)`: the reader makes one match attempt per field, then the token
+        # path reads the block and reports the `)`
+        dim = lang.MAX_DIM
+        row = ",".join(["-12345678901234", "12345678901234"] * (dim // 2))
+        gamma = "[" + ";".join([row] * dim) + "]"
+        text = (f"zigzag z {{ open = x, eminus = 0, ezero = {dim}, A = 0, B = {dim}, "
+                f"alpha = [], beta = [], gamma = {gamma} )")
+        assert len(text) > 1_000_000
+        attempts = []
+        field_re = lang._FIELD_RE
+
+        class Counting:
+            @staticmethod
+            def match(text, pos):
+                attempts.append(pos)
+                return field_re.match(text, pos)
+
+        monkeypatch.setattr(lang, "_FIELD_RE", Counting)
+        diags = parse_fails(text)
+        assert [d.render() for d in diags] == [f"1:{len(text)}: error [syntax] expected field name, found ')'"]
+        assert len(attempts) == 8 and attempts == sorted(set(attempts))
+        assert diags == token_path(text)
 
 
 def naive_position(text: str, pos: int) -> tuple[int, int]:
