@@ -234,12 +234,6 @@ class GluingQuadruple:
         if len(self.m2_dims) != len(self.decomposition):
             raise ShapeMismatch("one rank block per decomposition entry")
 
-    def inert_coords(self) -> tuple[int, ...]:
-        covered = set()
-        for _, (start, stop) in self.decomposition:
-            covered.update(range(start, stop))
-        return tuple(sorted(set(range(self.psi_dim)) - covered))
-
 
 def _range_issue(
     decomposition: Sequence[tuple[str, tuple[int, int]]], psi_dim: int
@@ -316,18 +310,20 @@ def verify_gluing(g: GluingQuadruple) -> Report:
     u_rows = [g.u.nums[i * psi : (i + 1) * psi] for i in range(m2_total)]
     v_cols = [g.v.nums[j::m2_total] for j in range(m2_total)]
     offender = ""
-    vacuous = []  # per node: all its u rows and v columns zero, its range empty
+    nonzero = []  # per node: whether some u row, some v column is nonzero
     row_offset = 0
     for (label, (start, stop)), r_k in zip(g.decomposition, g.m2_dims):
-        zero = True
+        found = []
         for kind, vectors in (("u row", u_rows), ("v column", v_cols)):
+            seen = False
             for vector in vectors[row_offset : row_offset + r_k]:
                 for k, x in enumerate(vector):
                     if x:
-                        zero = False
+                        seen = True
                         if not start <= k < stop:
                             offender = f"{kind} for node {label} touches psi coordinate {k}"
-        vacuous.append(zero and start == stop)
+            found.append(seen)
+        nonzero.append(found)
         row_offset += r_k
     checks.append(
         Check(
@@ -353,15 +349,22 @@ def verify_gluing(g: GluingQuadruple) -> Report:
             f"n^{nil_index} = 0" if nil_index is not None else "no power of n vanishes",
         )
     )
-    for (label, _), r_k, empty in zip(g.decomposition, g.m2_dims, vacuous):
-        # a rank-one block that touches no psi coordinate is one in name only
+    for (label, (start, stop)), r_k, (u_nonzero, v_nonzero) in zip(
+        g.decomposition, g.m2_dims, nonzero
+    ):
+        # N_k = v_k*u_k, a column times a row, has rank one exactly when
+        # neither factor is zero
+        if r_k != 1 or (u_nonzero and v_nonzero):
+            detail = f"rank block has dimension {r_k}"
+        elif start == stop and not (u_nonzero or v_nonzero):
+            detail = "u row and v column are zero over an empty psi range"
+        else:
+            detail = "u row or v column is zero, so v*u has rank 0"
         checks.append(
             Check(
                 f"node {label}: rank-one block (ODP)",
-                r_k == 1 and not empty,
-                "u row and v column are zero over an empty psi range"
-                if r_k == 1 and empty
-                else f"rank block has dimension {r_k}",
+                r_k == 1 and u_nonzero and v_nonzero,
+                detail,
             )
         )
     if g.expected_n is not None:

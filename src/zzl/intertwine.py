@@ -8,8 +8,9 @@ element with prescribed blocks invertible is wanted.
 The solution set is an affine subspace p + span(h_1, ..., h_k) of the
 flat vector of unknowns (the blocks row-major, in the order of
 ``BlockSystem.variables``).  ``BlockSystem.solve_affine`` reads p and the
-h_i off one fraction-free elimination of the augmented system [M | rhs]
-(``linalg._eliminate``) and returns them as flat vectors.
+h_i off the reduced form of the augmented system [M | rhs], one
+fraction-free forward pass (``linalg._eliminate``) and one backward pass
+(``linalg._reduce_above``), and returns them as flat vectors.
 ``find_invertible`` scales p and the h_i once to integers over a common
 denominator, keeping each h_i as its nonzero entries only, so that every
 candidate p + sum t_i h_i is combined on integers and each of its square
@@ -36,6 +37,7 @@ from .linalg import (
     _common_denominator,
     _eliminate,
     _int_row,
+    _reduce_above,
     _scaled,
     _solution_space,
 )
@@ -123,7 +125,9 @@ class BlockSystem:
         """Particular solution (None when inconsistent) and homogeneous basis,
         each a flat vector of the unknowns."""
         work = [_int_row(row + [b]) for row, b in zip(self._rows, self._rhs)]
-        den, particular, basis = _solution_space(work, _eliminate(work, self._total), self._total)
+        pivots = _eliminate(work, self._total)
+        _reduce_above(work, pivots)
+        den, particular, basis = _solution_space(work, pivots, self._total)
         return (
             None if particular is None else _scaled(particular, den),
             [_scaled(h, den) for h in basis],
@@ -145,7 +149,7 @@ def _invertible_at(
                 v[i] += t * x
     for off, n in squares:
         rows = [v[off + r * n : off + (r + 1) * n] for r in range(n)]
-        if len(_eliminate(rows, n, reduce=False)) < n:
+        if len(_eliminate(rows, n)) < n:
             return None
     return v
 

@@ -24,17 +24,26 @@ No floating point is used anywhere.  Every elimination (``rref``,
 one fraction-free integer kernel in the style of Bareiss: rows are taken
 from the stored numerators, updated as ``p*row_i - f*row_r`` and divided
 by their gcd, and each result is read off over one denominator, the LCM
-of the pivot entries.  The pivot is always the first nonzero entry of its
-column, exactly as in rational Gauss-Jordan elimination, and the reduced
-row-echelon form of a matrix is unique, so the pivots, bases and
-serialized output are the same as those of rational elimination, byte
-for byte, and safe to freeze into golden tests.  Subspace containment is
-decided by rank, products visit only the nonzero entries, and
-``product_is_zero`` decides a*b = 0 without building the product.  Every
-span is built as ``image_basis`` of one whole matrix, keeping its first
-independent columns: ``Subspace.spanned_by`` of the given vectors,
-``subspace_sum`` of the two stacked bases and ``subspace_intersect`` of
-B1*X, X the top block of the kernel of [B1 | -B2].
+of the pivot entries.  The kernel has two passes: a forward pass that
+clears below each pivot, which fixes the pivots and the rank, and a
+backward pass that clears above them, which gives the reduced form.
+Each matrix is eliminated at most once: the first ``rank``,
+``image_basis``, ``kernel_basis`` or ``rref`` of a matrix stores its
+forward pass on the matrix, the backward pass runs on demand from it the
+first time a reduced form is asked for, and the stored form is dropped
+with the matrix.  Augmented systems (``solve``, ``inverse``,
+``solve_affine``) are built fresh and run both passes.  The pivot is
+always the first nonzero entry of its column, exactly as in rational
+Gauss-Jordan elimination, and the reduced row-echelon form of a matrix
+is unique, so the pivots, bases and serialized output are the same as
+those of rational elimination, byte for byte, and safe to freeze into
+golden tests.  Subspace containment is decided by rank, products visit
+only the nonzero entries, and ``product_is_zero`` decides a*b = 0 without
+building the product.  Every span is built as ``image_basis`` of one
+whole matrix, keeping its first independent columns:
+``Subspace.spanned_by`` of the given vectors, ``subspace_sum`` of the two
+stacked bases and ``subspace_intersect`` of B1*X, X the top block of the
+kernel of [B1 | -B2].
 """
 
 from __future__ import annotations
@@ -103,14 +112,20 @@ class QMatrix:
 
     ``QMatrix(rows, cols, entries)`` takes the row-major entries as any
     sequence of ``Fraction`` or ``int`` values and keeps none of it.
+
+    The slot ``_echelon`` holds the matrix's elimination once one has been
+    asked for (see ``_echelon`` and ``_reduced``), so that each matrix is
+    eliminated at most once; it is derived from the value, takes no part
+    in equality, hashing or ``repr``, and is dropped with the matrix.
     """
 
-    __slots__ = ("rows", "cols", "den", "nums")
+    __slots__ = ("rows", "cols", "den", "nums", "_echelon")
 
     rows: int
     cols: int
     den: int
     nums: tuple[int, ...]
+    _echelon: tuple[list[int], list[list[int]], bool] | None
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]) -> None:
         if rows < 0 or cols < 0:
@@ -296,18 +311,21 @@ class QMatrix:
         pivots = _eliminate(work, n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
+        _reduce_above(work, pivots)
         return _from_nums(n, n, *_divided_by_pivots(work, pivots, n))
 
 
 _SET_SLOTS = tuple(QMatrix.__dict__[name].__set__ for name in QMatrix.__slots__)
+_SET_ECHELON = _SET_SLOTS[-1]
 
 
 def _set(m: QMatrix, rows: int, cols: int, den: int, nums: tuple[int, ...]) -> None:
-    set_rows, set_cols, set_den, set_nums = _SET_SLOTS
+    set_rows, set_cols, set_den, set_nums, set_echelon = _SET_SLOTS
     set_rows(m, rows)
     set_cols(m, cols)
     set_den(m, den)
     set_nums(m, nums)
+    set_echelon(m, None)
 
 
 def _from_nums(rows: int, cols: int, den: int, nums: Sequence[int]) -> QMatrix:
@@ -398,21 +416,21 @@ def _content(row: Sequence[int], g: int = 0) -> int:
     return g
 
 
-def _eliminate(rows: list[list[int]], pivot_cols: int, reduce: bool = True) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def _eliminate(rows: list[list[int]], pivot_cols: int) -> list[int]:
+    """The forward pass of fraction-free elimination of integer rows, in
+    place: clears each pivot column below its pivot.
 
     Pivots are searched in the first ``pivot_cols`` columns only, always
     the first nonzero entry from the top; the row updates span the whole
     row, so extra columns (a right-hand side, an identity) ride along.
     Each row update is ``p*row_i - f*row_r`` with ``p, f`` the pivot and
     the entry to clear (divided by their gcd), and the result is divided
-    by its content, so entries stay small.  With ``reduce`` the rows above
-    each pivot are cleared as well, so that row ``r`` divided by its
-    pivot entry is row ``r`` of the reduced row-echelon form; without it
-    only the rows below are cleared, which is enough for the rank and the
-    pivot columns.  Each row stays a nonzero multiple of the row that
-    rational Gauss-Jordan elimination would hold at the same step, so the
-    pivot columns agree with it exactly.  Returns the pivot columns.
+    by its content, so entries stay small.  The pivot search reads only
+    the rows at and below the current one, which no clearing above a
+    pivot touches, so the pivot columns agree exactly with those of
+    rational Gauss-Jordan elimination.  Returns the pivot columns; the
+    first ``len(pivots)`` rows are the pivot rows, and the rows after them
+    are zero in the first ``pivot_cols`` columns.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -428,22 +446,45 @@ def _eliminate(rows: list[list[int]], pivot_cols: int, reduce: bool = True) -> l
         rows[r], rows[i] = rows[i], rows[r]
         pivot_row = rows[r]
         p = pivot_row[c]
-        for i in range(0 if reduce else r + 1, nrows):
+        for i in range(r + 1, nrows):
             row = rows[i]
             f = row[c]
-            if not f or i == r:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            row = [a * x - b * y for x, y in zip(row, pivot_row)]
-            g = _content(row)
-            rows[i] = [x // g for x in row] if g > 1 else row
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+                g = _content(row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _pivot_den(work: list[list[int]], pivots: list[int]) -> tuple[int, list[int]]:
+def _reduce_above(rows: list[list[int]], pivots: Sequence[int]) -> None:
+    """The backward pass, in place, after ``_eliminate`` returned
+    ``pivots``: clears each pivot column above its pivot, last pivot
+    first, with the row update of the forward pass, so that pivot row
+    ``r`` divided by its pivot entry is row ``r`` of the reduced
+    row-echelon form.  Rows are replaced, never written to.  (The update
+    is written out in both passes: most eliminations are of tiny
+    matrices, where a helper call per pivot costs measurably.)
+    """
+    for r in range(len(pivots) - 1, 0, -1):
+        pivot_row = rows[r]
+        c = pivots[r]
+        p = pivot_row[c]
+        for i in range(r):
+            row = rows[i]
+            f = row[c]
+            if f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+                g = _content(row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+
+
+def _pivot_den(work: list[list[int]], pivots: Sequence[int]) -> tuple[int, list[int]]:
     """The LCM of the pivot entries of an elimination, and for each pivot
     row the factor (signed) that scales it to that denominator."""
     den = 1
@@ -453,7 +494,7 @@ def _pivot_den(work: list[list[int]], pivots: list[int]) -> tuple[int, list[int]
 
 
 def _divided_by_pivots(
-    work: list[list[int]], pivots: list[int], start: int
+    work: list[list[int]], pivots: Sequence[int], start: int
 ) -> tuple[int, list[int]]:
     """Each pivot row from column ``start`` on, divided by its pivot entry,
     as row-major numerators over one denominator."""
@@ -471,23 +512,47 @@ def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
     return [Fraction(x, den) if x else _ZERO for x in values]
 
 
+def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]], bool]:
+    """The elimination stored on m: its pivot columns, its pivot rows as
+    integer rows in an echelon form, and whether that form is reduced.
+    The first call runs the forward pass and stores it without its zero
+    rows; ``_reduced`` may later replace it by the reduced form.  A stored
+    entry and its rows are never written to."""
+    entry = m._echelon
+    if entry is None:
+        rows = _int_rows(m)
+        pivots = _eliminate(rows, m.cols)
+        del rows[len(pivots) :]
+        entry = (pivots, rows, False)
+        _SET_ECHELON(m, entry)
+    return entry
+
+
+def _reduced(m: QMatrix) -> tuple[list[int], list[list[int]], bool]:
+    """The stored elimination of m in reduced form: on the first call, the
+    backward pass over a copy of the stored forward pass, stored on m in
+    its place."""
+    entry = _echelon(m)
+    if not entry[2]:
+        pivots, forward, _ = entry
+        rows = forward[:]
+        _reduce_above(rows, pivots)
+        entry = (pivots, rows, True)
+        _SET_ECHELON(m, entry)
+    return entry
+
+
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices."""
-    work = _int_rows(m)
-    pivots = _eliminate(work, m.cols)
-    den, nums = _divided_by_pivots(work, pivots, 0)
+    pivots, rows, _ = _reduced(m)
+    den, nums = _divided_by_pivots(rows, pivots, 0)
     nums += [0] * ((m.rows - len(pivots)) * m.cols)
     return _from_nums(m.rows, m.cols, den, nums), tuple(pivots)
 
 
-def _pivot_columns(m: QMatrix) -> list[int]:
-    """Pivot columns of the row-echelon form, without reducing above pivots."""
-    return _eliminate(_int_rows(m), m.cols, reduce=False)
-
-
 def rank(m: QMatrix) -> int:
     """Dimension of the column span."""
-    return len(_pivot_columns(m))
+    return len(_echelon(m)[0])
 
 
 @dataclass(frozen=True)
@@ -553,32 +618,35 @@ def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
     if len(rhs) != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
     work = _int_rows(a, QMatrix(a.rows, 1, rhs))
-    den, x, _ = _solution_space(work, _eliminate(work, a.cols), a.cols)
+    pivots = _eliminate(work, a.cols)
+    _reduce_above(work, pivots)
+    den, x, _ = _solution_space(work, pivots, a.cols)
     return None if x is None else tuple(_scaled(x, den))
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Basis of {x : m*x = 0}; dimension is cols - rank by rank-nullity."""
-    work = _int_rows(m)
-    den, _, kernel = _solution_space(work, _eliminate(work, m.cols), m.cols)
+    pivots, rows, _ = _reduced(m)
+    den, _, kernel = _solution_space(rows, pivots, m.cols)
     nums = [v[i] for i in range(m.cols) for v in kernel]
     return _from_basis(_from_nums(m.cols, len(kernel), den, nums))
 
 
 def _solution_space(
-    work: list[list[int]], pivots: list[int], n: int
+    work: list[list[int]], pivots: Sequence[int], n: int
 ) -> tuple[int, list[int] | None, list[list[int]]]:
     """A solution of M*x = b and a basis of the kernel of M, read off one
     elimination, as integer vectors over one common denominator.
 
     ``work`` holds the rows of [M | b], M with n columns, after
-    ``_eliminate(work, n)`` returned ``pivots``; b is column n, and a
-    homogeneous system may leave it out.  The solution sets each pivot
-    unknown to its row's b entry over the pivot entry and every free
-    unknown to 0; it is None, with no basis, when a row without a pivot
-    keeps a nonzero b entry.  Basis vector q sets the q-th free unknown
-    f to 1, the other free unknowns to 0, and each pivot unknown to minus
-    its row's entry at f over the pivot entry.  Returns the denominator,
+    ``_eliminate(work, n)`` returned ``pivots`` and ``_reduce_above(work,
+    pivots)`` ran, and is only read; b is column n, and a homogeneous
+    system may leave it out, as well as its rows without a pivot.  The
+    solution sets each pivot unknown to its row's b entry over the pivot
+    entry and every free unknown to 0; it is None, with no basis, when a
+    row without a pivot keeps a nonzero b entry.  Basis vector q sets the
+    q-th free unknown f to 1, the other free unknowns to 0, and each pivot
+    unknown to minus its row's entry at f over the pivot entry.  Returns the denominator,
     the solution and the basis; the denominator is the LCM of the reduced
     denominators of all their entries.
     """
@@ -613,7 +681,7 @@ def _solution_space(
 
 def image_basis(m: QMatrix) -> Subspace:
     """Basis of the column span: the original columns at the pivot positions."""
-    pivots, c = _pivot_columns(m), m.cols
+    pivots, c = _echelon(m)[0], m.cols
     nums = [m.nums[i * c + j] for i in range(m.rows) for j in pivots]
     return _from_basis(_from_nums(m.rows, len(pivots), m.den, nums))
 

@@ -372,6 +372,17 @@ PINNED_CHECKS = {
         "notice: gluing g: filtration compatibilities (Hodge, weight, V): not checked\n"
         "status: fail\n",
     ),
+    "gluing-with-zero-maps": (
+        "gluing g { psi = 2, u = [1,0], v = [0;0] }\n",
+        EXIT_CHECK_FAILED,
+        "[PASS] gluing g: decomposition ranges disjoint and in bounds: psi = 2, ranges [(0, 1)]\n"
+        "[PASS] gluing g: u and v respect the node decomposition: all block supports inside their ranges\n"
+        "[PASS] gluing g: n equals v*u entrywise: equal\n"
+        "[PASS] gluing g: n is nilpotent: n^1 = 0\n"
+        "[FAIL] gluing g: node block_1: rank-one block (ODP): u row or v column is zero, so v*u has rank 0\n"
+        "notice: gluing g: filtration compatibilities (Hodge, weight, V): not checked\n"
+        "status: fail\n",
+    ),
     "duplicate-field": (
         "zigzag z { open = C, open = C }\n", EXIT_USAGE,
         "1:22: error [syntax] duplicate field 'open'\n",

@@ -481,3 +481,70 @@ class TestAgainstSympy:
         assert rank(a) == sympy_qq(a).rank() == 0
         assert kernel_basis(a).dim == inner
         assert rref(a) == (a, ())
+
+
+# -- the elimination stored on a matrix ---------------------------------------
+
+READ_OFFS = {"rank": rank, "image_basis": image_basis, "kernel_basis": kernel_basis, "rref": rref}
+
+
+class TestStoredElimination:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = {"_eliminate": 0, "_reduce_above": 0}
+        for name in calls:
+            original = getattr(linalg, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        return calls
+
+    def test_work_gate_one_forward_and_one_backward_pass(self, passes):
+        m = QMatrix.from_rows([[1, 2, 3, 4], [2, 4, 7, 1], [3, 6, 10, 5]])
+        assert rank(m) == 2
+        assert image_basis(m).dim == 2
+        assert kernel_basis(m).dim == 2
+        assert rref(m)[1] == (0, 2)
+        assert rank(m) == 2
+        assert passes == {"_eliminate": 1, "_reduce_above": 1}
+
+    def test_work_gate_reduced_form_first(self, passes):
+        m = QMatrix.from_rows([[0, 1, 2], [1, 1, 1]])
+        assert kernel_basis(m).dim == 1
+        assert rank(m) == 2
+        assert passes == {"_eliminate": 1, "_reduce_above": 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_matrices(), st.permutations(sorted(READ_OFFS)))
+    def test_read_offs_in_any_order(self, sympy_qq, m, order):
+        reduced, den, pivots = sympy_qq(m).rref_den()
+        expected_rref = from_dm(reduced) * (1 / Fraction(int(den.numerator), int(den.denominator)))
+        expected_rank = sympy_qq(m).rank()
+        for name in order:
+            ours = READ_OFFS[name](m)
+            assert ours == READ_OFFS[name](QMatrix(m.rows, m.cols, m.entries))
+            if name == "rank":
+                assert ours == expected_rank
+            elif name == "rref":
+                assert ours == (expected_rref, tuple(pivots))
+            elif name == "image_basis":
+                assert ours.basis == QMatrix.from_columns([m.col(j) for j in pivots], rows=m.rows)
+            else:
+                assert ours.dim == m.cols - expected_rank
+                assert (sympy_qq(m) * sympy_qq(ours.basis)).is_zero_matrix
+
+    def test_stored_elimination_is_not_part_of_the_value(self):
+        m = QMatrix.from_rows([[1, Fraction(1, 2)], [2, 1], [0, 3]])
+        for read_off in READ_OFFS.values():
+            read_off(m)
+        fresh = QMatrix.from_rows([[1, Fraction(1, 2)], [2, 1], [0, 3]])
+        assert m._echelon is not None and fresh._echelon is None
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+        for name in ("rows", "_echelon"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
