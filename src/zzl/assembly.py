@@ -103,7 +103,6 @@ class FiniteNodeDatum:
 
     bulk_label: str
     nodes: tuple[NodeDatum, ...]
-    shadow_quotient: MultiZigZag
     shadow: ExtensionPresentation
 
     @property
@@ -114,11 +113,11 @@ class FiniteNodeDatum:
 def assemble(bulk_label: str, nodes: Sequence[NodeDatum]) -> FiniteNodeDatum:
     """Combine local node data into the corrected finite-node shadow.
 
-    The nodes must share one bulk part, over ``bulk_label``; the shadow
-    sub is the minimal extension over it (over the boundary (1, 1) when
-    there are no nodes).  The shadow quotient is the direct sum of one
-    rank-one point object per node, in node order; the shadow class
-    vector is the per-node normalized class.
+    The nodes must share one bulk part, over ``bulk_label``, and each
+    local sub must be the minimal extension over it, which is the shadow
+    sub (over the boundary (1, 1) when there are no nodes).  The shadow
+    quotient is the direct sum of one rank-one point object per node, in
+    node order; the shadow class vector is the per-node normalized class.
     """
     bulks = sorted({n.bulk for n in nodes})
     if len(bulks) > 1:
@@ -131,12 +130,13 @@ def assemble(bulk_label: str, nodes: Sequence[NodeDatum]) -> FiniteNodeDatum:
         raise DuplicateNode(f"node labels must be distinct, got {labels}")
     if bulk_label in labels:
         raise DuplicateNode(f"bulk label {bulk_label!r} collides with a node label")
-    quotient = MultiZigZag.skyscrapers(labels)
+    sub = std_ic(bulk_label, e_minus, e_zero)
+    strays = [n.label for n in nodes if n.local_extension.sub != sub]
+    if strays:
+        raise ValueError(f"nodes {strays}: local sub is not the bulk's minimal extension")
     classes = tuple(n.normalized_class for n in nodes)
-    shadow = ExtensionPresentation(
-        std_ic(bulk_label, e_minus, e_zero), quotient.total(), None, classes
-    )
-    return FiniteNodeDatum(bulk_label, tuple(nodes), quotient, shadow)
+    shadow = ExtensionPresentation(sub, MultiZigZag.skyscrapers(labels).total(), None, classes)
+    return FiniteNodeDatum(bulk_label, tuple(nodes), shadow)
 
 
 def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
@@ -148,7 +148,7 @@ def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
         Check("node labels distinct", distinct, f"labels: {list(labels)}")
     )
     sub = datum.shadow.sub
-    strays = [n.label for n in datum.nodes if n.bulk != (sub.open_label, sub.e_minus, sub.e_zero)]
+    strays = [n.label for n in datum.nodes if n.local_extension.sub != sub]
     is_ic = (
         sub.a_dim == 0 and sub.b_dim == 0 and sub.open_label == datum.bulk_label and not strays
     )
@@ -156,15 +156,13 @@ def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
     if strays:
         detail += f"; nodes over another bulk part: {strays}"
     checks.append(Check("bulk shadow is the minimal-extension zig-zag", is_ic, detail))
-    count_ok = (
-        len(datum.shadow_quotient.nodes) == len(datum.nodes)
-        and datum.shadow_quotient.labels == labels
-    )
+    summands = datum.shadow.quot.a_dim  # one A dimension per rank-one point summand
+    count_ok = summands == len(labels)
     checks.append(
         Check(
             "one quotient summand per node, in node order",
             count_ok,
-            f"quotient summands: {list(datum.shadow_quotient.labels)}",
+            f"quotient summands: {list(labels) if count_ok else summands}",
         )
     )
     expected_quotient = MultiZigZag.skyscrapers(labels).total()

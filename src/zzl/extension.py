@@ -16,12 +16,13 @@ Isomorphism of presentations means block-upper-triangular isomorphism of
 the totals over isomorphisms of the factors, with the stored class
 transported contravariantly along the quotient factor.  The only search
 is the one for the sub witness; over it the quotient blocks are built in
-closed form (collapsed regime) or read off one linear solve (block
-regime).  Every positive verdict is backed by an explicit verified
-witness; every negative one by the sub's rank profile or, in the
-collapsed regime, by the zero-ness of the class.  That zero-ness is the
-normal form the rank-one classification partitions its grid by: each
-member is witnessed once against the first member of its part.
+closed form (collapsed regime) or solved for against the second total's
+beta, one solve per quotient column (block regime).  Every positive
+verdict is backed by an explicit verified witness; every negative one by
+the sub's rank profile or, in the collapsed regime, by the zero-ness of
+the class.  That zero-ness is the normal form the rank-one
+classification partitions its grid by: each member is witnessed once
+against the first member of its part.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import intertwine
 from .linalg import (
     PostconditionError,
     QMatrix,
@@ -39,6 +39,7 @@ from .linalg import (
     block_assemble,
     hstack,
     image_basis,
+    solve,
     vstack,
     _frac,
 )
@@ -278,34 +279,29 @@ def _block_witness(
     """The block-regime witness over the sub witness, with quot_b = 1 and
     h_b = 0.
 
-    With the sub blocks fixed, quot_b = 1 and h_b = 0, the total
-    intertwines when the quotient A-map a_q and the correction h_a solve
-        beta_q2 a_q = beta_q1,   b_s u1 = beta_s2 h_a + u2 a_q.
-    Exact totals make this system consistent: exactness of the second
-    total at B (ker gamma_s2 = im beta_s2 + u2 ker beta_q2) lets a_q absorb
-    any B correction h_b in ker gamma_s2.  They also make a_q invertible in
-    every solution: a_q y = 0 puts y in ker beta_q1 with u1 y in
-    im beta_s1, and exactness of the total at A then gives y = 0.  So the
-    particular solution is a witness; None means the system had no
-    solution, which valid presentations rule out.
+    With the sub blocks fixed, the total intertwines when the quotient
+    A-map a_q and the correction h_a solve, against the second total's
+    beta, beta_tot2 [h_a; a_q] = [b_s u1; beta_q1]: one solve per quotient
+    column.  Exact totals make it consistent: exactness of the second total
+    at B (ker gamma_s2 = im beta_s2 + u2 ker beta_q2) lets a_q absorb any
+    B correction h_b in ker gamma_s2.  They also make a_q unique and
+    invertible: ker beta_tot2 = im alpha_tot2 lies in A_sub, and a_q y = 0
+    puts y in ker beta_q1 with u1 y in im beta_s1, which exactness of the
+    total at A turns into y = 0.  So the solution is a witness; None means
+    a column had no solution, which valid presentations rule out.
     """
-    s2, q1, q2 = e2.sub, e1.quot, e2.quot
-    ident = QMatrix.identity
-    system = intertwine.BlockSystem({"a_q": (q2.a_dim, q1.a_dim), "h_a": (s2.a_dim, q1.a_dim)})
-    system.add_equation([(q2.beta, "a_q", ident(q1.a_dim))], constant=-1 * q1.beta)
-    system.add_equation(
-        [
-            (-1 * s2.beta, "h_a", ident(q1.a_dim)),
-            (-1 * e2.u_block, "a_q", ident(q1.a_dim)),
-        ],
-        constant=w_sub.b * e1.u_block,
-    )
-    particular, _ = system.solve_affine()
-    if particular is None:
+    s2, q1 = e2.sub, e1.quot
+    rhs = vstack(w_sub.b * e1.u_block, q1.beta)
+    columns = [solve(e2.total.beta, rhs.col(j)) for j in range(q1.a_dim)]
+    if None in columns:
         return None
-    found = system.blocks(particular)
+
+    def rows(start: int, stop: int) -> QMatrix:
+        return QMatrix(stop - start, q1.a_dim, [x[i] for i in range(start, stop) for x in columns])
+
     return ExtWitness(
-        w_sub, found["a_q"], ident(q1.b_dim), found["h_a"], QMatrix.zero(s2.b_dim, q1.b_dim)
+        w_sub, rows(s2.a_dim, e2.total.a_dim), QMatrix.identity(q1.b_dim),
+        rows(0, s2.a_dim), QMatrix.zero(s2.b_dim, q1.b_dim),
     )
 
 

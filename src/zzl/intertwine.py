@@ -1,9 +1,9 @@
 """Solving for intertwiners between tuples of linear maps.
 
-The isomorphism tests in this package all reduce to the same shape of
-problem: a family of unknown matrix blocks X_1, ..., X_m subject to
-linear equations sum_t L_t * X_{i(t)} * R_t + C = 0, inside which an
-element with prescribed blocks invertible is wanted.
+The zig-zag isomorphism search (``zigzag.iso_witness``) reduces to
+this shape of problem: a family of unknown matrix blocks X_1, ..., X_m
+subject to linear equations sum_t L_t * X_{i(t)} * R_t + C = 0, inside
+which an element with prescribed blocks invertible is wanted.
 
 The solution set is an affine subspace p + span(h_1, ..., h_k) of the
 flat vector of unknowns (the blocks row-major, in the order of

@@ -65,7 +65,7 @@ def skeleton_of(datum: FiniteNodeDatum) -> Skeleton:
         datum.bulk_label,
         tuple(
             NodeAnnotation(
-                node.label, datum.shadow.class_vector[k], datum.shadow_quotient.nodes[k].a_dim
+                node.label, datum.shadow.class_vector[k], node.local_extension.quot.a_dim
             )
             for k, node in enumerate(datum.nodes)
         ),

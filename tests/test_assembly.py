@@ -35,6 +35,13 @@ def node(label, cls, bulk="C_bulk"):
     return NodeDatum(label, make_extension(std_ic(bulk, 1, 1), std_skyscraper(1), cls))
 
 
+def corrected_node(label):
+    """A node over the bulk C whose local sub has A = B = 1, so it is not the
+    minimal extension; the class is 0 (u = 0)."""
+    sub = std_corrected("C", 1, 1)
+    return NodeDatum(label, make_extension(sub, std_skyscraper(1), QMatrix.zero(1, 1)))
+
+
 class TestAssemble:
     def test_single_corrected_node_matches_table_row(self):
         d = assemble("C_bulk", [node("p1", 1)])
@@ -76,6 +83,11 @@ class TestAssemble:
     def test_nodes_over_another_bulk_rejected(self):
         with pytest.raises(ValueError, match="nodes are over the bulk 'C', not 'X'"):
             assemble("X", [node("p1", 1, bulk="C"), node("p2", 0, bulk="C")])
+
+    def test_node_whose_sub_is_not_the_minimal_extension_rejected(self):
+        message = r"nodes \['p2'\]: local sub is not the bulk's minimal extension"
+        with pytest.raises(ValueError, match=message):
+            assemble("C", [node("p1", 1, bulk="C"), corrected_node("p2")])
 
     def test_boundary_comes_from_the_nodes(self):
         nodes = [NodeDatum("p1", make_extension(std_ic("C", 2, 3), std_skyscraper(1), 1))]
@@ -132,6 +144,17 @@ class TestShadowCompat:
         bad = dataclasses.replace(d, shadow=bad_shadow)
         assert not verify_shadow_compat(bad).passed
 
+    def test_quotient_summands_counted_off_the_shadow(self):
+        d = assemble("C_bulk", [node("p1", 1)])
+        bad_shadow = ExtensionPresentation(
+            d.shadow.sub, std_skyscraper(2), None, (Fraction(1), Fraction(0))
+        )
+        failures = verify_shadow_compat(dataclasses.replace(d, shadow=bad_shadow)).failures()
+        assert [(c.name, c.detail) for c in failures] == [
+            ("one quotient summand per node, in node order", "quotient summands: 2"),
+            ("shadow quotient equals the direct sum of rank-one point objects",
+             "quotient dims (A, B) = (2, 2)"),
+        ]
 
     @pytest.mark.parametrize(
         "sub", [std_ic("D", 1, 1), std_ic("C_bulk", 2, 1), std_ic("C_bulk", 1, 0)]
@@ -152,6 +175,15 @@ class TestShadowCompat:
             "sub has point dims (0, 0), label 'C_bulk'; nodes over another bulk part: ['p2']",
         )]
 
+    def test_node_whose_sub_is_not_the_shadow_sub_fails(self):
+        d = assemble("C", [node("p1", 1, bulk="C"), node("p2", 0, bulk="C")])
+        bad = dataclasses.replace(d, nodes=(d.nodes[0], corrected_node("p2")))
+        failures = verify_shadow_compat(bad).failures()
+        assert [(c.name, c.detail) for c in failures] == [(
+            "bulk shadow is the minimal-extension zig-zag",
+            "sub has point dims (0, 0), label 'C'; nodes over another bulk part: ['p2']",
+        )]
+
     def test_passing_bulk_detail_unchanged(self):
         d = assemble("C_bulk", [node("p1", 1)])
         check = verify_shadow_compat(d).checks[1]
@@ -164,7 +196,7 @@ class TestShadowCompat:
         report = verify_shadow_compat(dataclasses.replace(d, shadow=block))
         assert [(c.name, c.passed, c.detail) for c in report.failures()] == [
             ("bulk shadow is the minimal-extension zig-zag", False,
-             "sub has point dims (1, 1), label 'C'"),
+             "sub has point dims (1, 1), label 'C'; nodes over another bulk part: ['p']"),
             ("node p: shadow class", False, "normalized class 1 (corrected); stored 0"),
             ("shadow is in the collapsed regime", False,
              "expected a stored scalar class vector over an IC-type sub"),

@@ -320,6 +320,8 @@ class TestMain:
 
 _IC = "zigzag ic { open = C, eminus = 1, ezero = 1, A = 0, B = 0, alpha = [], beta = [], gamma = [] }\n"
 _SKY = "zigzag sky { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, alpha = [], beta = [1], gamma = [] }\n"
+# exact, with A = B = 1: not the minimal extension over C
+_COR = "zigzag cor { open = C, eminus = 1, ezero = 1, A = 1, B = 1, alpha = [0], beta = [1], gamma = [0] }\n"
 # beta*alpha = 1: not exact at A or B, and neither is any total over it
 _INEXACT = "zigzag s { open = C, eminus = 1, ezero = 1, A = 1, B = 1, alpha = [1], beta = [1], gamma = [1] }\n"
 _INEXACT_TOTAL = (
@@ -359,6 +361,14 @@ PINNED_CHECKS = {
         "[PASS] extension Q: total and class: class 0 (normalized 0)\n"
         "[FAIL] nodes: assembly: local extensions disagree on the bulk part: "
         "[('C', 1, 1), ('D', 1, 1)]\nstatus: fail\n",
+    ),
+    "nodes-over-a-sub-that-is-not-the-minimal-extension": (
+        _COR + _SKY + "extension p = ext(cor, sky) class 0\nnodes { p }\n",
+        EXIT_CHECK_FAILED,
+        "[PASS] zigzag cor: " + _EXACT + "[PASS] zigzag sky: " + _EXACT
+        + "[PASS] extension p: total and class: class 0 (normalized 0)\n"
+        "[FAIL] nodes: assembly: nodes ['p']: local sub is not the bulk's minimal extension\n"
+        "status: fail\n",
     ),
     "gluing-with-a-zero-u-row": (
         "gluing g { psi = 2, u = [1,0;0,0], v = [0,0;1,0] }\n",

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -243,15 +245,32 @@ class TestBlockRegimeWitness:
             assert w.quot_b == QMatrix.identity(e1.quot.b_dim)
         assert non_exact >= 50  # quotients that fail exactness at A are covered
 
-    def test_block_system_is_decided_at_its_particular_solution(self, monkeypatch):
-        solved, searched, candidates = [], [], []
-        original_solve = intertwine.BlockSystem.solve_affine
+    def test_witness_is_the_two_equation_system_particular_solution(self):
+        for e1, e2 in _conjugated_block_pairs(range(150)):
+            _assert_matches_block_system(e1, e2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_drawn_witness_is_the_block_system_particular_solution(self, seed):
+        rng = random.Random(seed)
+        e1 = random_block_presentation(rng, max_dim=4)
+        e2, _ = conjugate_block_presentation(rng, e1)
+        _assert_matches_block_system(e1, e2)
+
+    def test_one_solve_per_quotient_column_and_no_block_system(self, monkeypatch):
+        solves, systems, searched, candidates = [], [], [], []
+        original_solve = extension.solve
+        original_init = intertwine.BlockSystem.__init__
         original_find = intertwine.find_invertible
         original_at = intertwine._invertible_at
 
-        def solve_affine(system):
-            solved.append(tuple(system.variables))
-            return original_solve(system)
+        def solve(a, b):
+            solves.append(a)
+            return original_solve(a, b)
+
+        def init(system, variables):
+            systems.append(tuple(variables))
+            original_init(system, variables)
 
         def find_invertible(system, names):
             searched.append(tuple(system.variables))
@@ -261,19 +280,55 @@ class TestBlockRegimeWitness:
             candidates.append(args[-1])
             return original_at(*args)
 
-        monkeypatch.setattr(intertwine.BlockSystem, "solve_affine", solve_affine)
+        monkeypatch.setattr(extension, "solve", solve)
+        monkeypatch.setattr(intertwine.BlockSystem, "__init__", init)
         monkeypatch.setattr(intertwine, "find_invertible", find_invertible)
         monkeypatch.setattr(intertwine, "_invertible_at", invertible_at)
         for e1, e2 in _conjugated_block_pairs(range(40)):
-            del solved[:], searched[:], candidates[:]
+            del systems[:], searched[:], candidates[:]
             iso_witness(e1.sub, e2.sub)
-            sub_work = (list(solved), list(searched), list(candidates))
-            del solved[:], searched[:], candidates[:]
+            sub_work = (list(systems), list(searched), list(candidates))
+            del solves[:], systems[:], searched[:], candidates[:]
             assert ext_isomorphism_witness(e1, e2) is not None
-            # the sub search runs as it would alone; the block system adds
-            # one solve, no search, no random draw and no grid point
-            assert solved == sub_work[0] + [("a_q", "h_a")]
-            assert (searched, candidates) == sub_work[1:]
+            # the sub search runs as it would alone; the quotient blocks add
+            # one solve per quotient column against the second total's beta,
+            # no block system, no search, no random draw and no grid point
+            assert solves == [e2.total.beta] * e1.quot.a_dim
+            assert (systems, searched, candidates) == sub_work
+
+
+def _assert_matches_block_system(e1, e2):
+    """The witness's a_q and h_a are the particular solution of the two
+    block equations beta_q2 a_q = beta_q1 and beta_s2 h_a + u2 a_q = b_s u1."""
+    w = ext_isomorphism_witness(e1, e2)
+    s2, q1, q2 = e2.sub, e1.quot, e2.quot
+    ident = QMatrix.identity(q1.a_dim)
+    system = intertwine.BlockSystem({"a_q": (q2.a_dim, q1.a_dim), "h_a": (s2.a_dim, q1.a_dim)})
+    system.add_equation([(q2.beta, "a_q", ident)], constant=-1 * q1.beta)
+    system.add_equation(
+        [(-1 * s2.beta, "h_a", ident), (-1 * e2.u_block, "a_q", ident)],
+        constant=w.sub.b * e1.u_block,
+    )
+    particular, _ = system.solve_affine()
+    found = system.blocks(particular)
+    assert (w.quot_a, w.h_a) == (found["a_q"], found["h_a"])
+    assert w.quot_b == QMatrix.identity(q1.b_dim) and w.h_b.is_zero()
+
+
+def test_only_zigzag_imports_intertwine():
+    package = Path(__file__).resolve().parents[1] / "src" / "zzl"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "intertwine" for name in names):
+                importers.add(path.name)
+    assert importers == {"zigzag.py"}
 
 
 class TestSelfDuality:

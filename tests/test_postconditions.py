@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import zzl
-from zzl import intertwine
 from zzl.extension import classify_selfdual_rank_one, ext_isomorphism_witness, make_extension
 from zzl.linalg import PostconditionError, QMatrix
 from zzl.monodromy import jordan_nilpotent, weight_filtration
@@ -33,13 +32,6 @@ def _block_regime():
 
 def _never(*_args):
     return False
-
-
-class _Inconsistent(intertwine.BlockSystem):
-    """A block system whose solve finds no solution."""
-
-    def solve_affine(self):
-        return None, []
 
 
 # name -> (module, verifier attribute, failing stand-in, call that re-checks)
@@ -67,7 +59,7 @@ CASES = {
     # isomorphic subs make the block-regime system consistent, so a
     # solve that finds nothing is wrong
     "ext_witness_block_solve": (
-        "zzl.intertwine", "BlockSystem", _Inconsistent,
+        "zzl.extension", "solve", lambda _a, _b: None,
         lambda: ext_isomorphism_witness(_block_regime(), _block_regime()),
     ),
     "classify_selfdual": (
