@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .extension import ExtensionPresentation, extension_class
 from .linalg import QMatrix, ShapeMismatch, hstack, vstack
 from .monodromy import NotNilpotent, nilpotency_index
-from .zigzag import MultiZigZag, std_ic
+from .zigzag import ZERO_LABEL, ZigZag, std_ic, std_skyscraper
 
 
 class DuplicateNode(ValueError):
@@ -86,8 +87,9 @@ class NodeDatum:
                 f"{self.local_extension.quot.a_dim}, expected 1"
             )
 
-    @property
+    @cached_property
     def normalized_class(self) -> Fraction:
+        """The local extension's class in {0, 1}, computed on the first read."""
         return extension_class(self.local_extension).normalized
 
     @property
@@ -135,8 +137,15 @@ def assemble(bulk_label: str, nodes: Sequence[NodeDatum]) -> FiniteNodeDatum:
     if strays:
         raise ValueError(f"nodes {strays}: local sub is not the bulk's minimal extension")
     classes = tuple(n.normalized_class for n in nodes)
-    shadow = ExtensionPresentation(sub, MultiZigZag.skyscrapers(labels).total(), None, classes)
+    shadow = ExtensionPresentation(sub, _point_sum(len(labels)), None, classes)
     return FiniteNodeDatum(bulk_label, tuple(nodes), shadow)
+
+
+def _point_sum(n: int) -> ZigZag:
+    """The direct sum of n rank-one point objects, in closed form: the
+    total of ``MultiZigZag.skyscrapers`` over n labels, which is
+    ``std_skyscraper(n)``, and the zero object when there are no nodes."""
+    return std_skyscraper(n) if n else std_ic(ZERO_LABEL, 0, 0)
 
 
 def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
@@ -165,8 +174,7 @@ def verify_shadow_compat(datum: FiniteNodeDatum) -> Report:
             f"quotient summands: {list(labels) if count_ok else summands}",
         )
     )
-    expected_quotient = MultiZigZag.skyscrapers(labels).total()
-    quot_ok = datum.shadow.quot == expected_quotient
+    quot_ok = datum.shadow.quot == _point_sum(len(labels))
     checks.append(
         Check(
             "shadow quotient equals the direct sum of rank-one point objects",

@@ -8,16 +8,19 @@ When the sub's B space is zero (the double-point collapse) that block is
 empty, the assembled zig-zag is literally blind to the class, and the
 class is carried as an explicit stored scalar per quotient coordinate.
 The two regimes never mix: storing a scalar next to a nonzero block
-would double-count the class.  A presentation checks these rules, and
-assembles and validates its total, once at construction; everything
-after reads the stored total.
+would double-count the class.  A presentation checks these rules once,
+at construction.  It also decides there whether its total is exact: a
+block-regime total is assembled, validated and kept; a collapsed total
+is the direct sum of the factors, so its exactness is read off the
+factors' dimensions, ranks and products, and the total is assembled
+only when it is first read, then kept.
 
 Isomorphism of presentations means block-upper-triangular isomorphism of
 the totals over isomorphisms of the factors, with the stored class
 transported contravariantly along the quotient factor.  The only search
 is the one for the sub witness; over it the quotient blocks are built in
 closed form (collapsed regime) or solved for against the second total's
-beta, one solve per quotient column (block regime).  Every positive
+beta, every quotient column in one solve (block regime).  Every positive
 verdict is backed by an explicit verified witness; every negative one by
 the sub's rank profile or, in the collapsed regime, by the zero-ness of
 the class.  That zero-ness is the normal form the rank-one
@@ -27,8 +30,9 @@ against the first member of its part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .linalg import (
@@ -53,6 +57,7 @@ from .zigzag import (
     std_ic,
     std_skyscraper,
     validate,
+    validate_sum,
     verify_witness,
 )
 
@@ -89,13 +94,16 @@ class ExtensionPresentation:
     quot: ZigZag
     u_block: QMatrix | None
     class_vector: tuple[Fraction, ...]
-    # the assembled total, built and validated once at construction
-    total: ZigZag = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """The only check of the label, regime and shape rules; the regime
         is checked before the class length, so a scalar class over a
-        block-regime sub is a RegimeMismatch whatever its length."""
+        block-regime sub is a RegimeMismatch whatever its length.
+
+        A block-regime total is built and validated here, and kept.  A
+        collapsed total is the direct sum of the factors, so its exactness
+        is read off them (``validate_sum``) and the total is built only
+        when it is first read."""
         s, q, u = self.sub, self.quot, self.u_block
         if q.open_label != ZERO_LABEL:
             raise ShapeMismatch("quotient must be point-supported (zero open part)")
@@ -111,27 +119,36 @@ class ExtensionPresentation:
                 f"quotient A has dimension {q.a_dim}"
             )
         if u is None:
-            u = QMatrix.zero(s.b_dim, q.a_dim)
+            issues = validate_sum((s, q))
         elif (u.rows, u.cols) != (s.b_dim, q.a_dim):
             raise ShapeMismatch(f"u-block must be {s.b_dim}x{q.a_dim}")
         elif any(self.class_vector):
             raise RegimeMismatch("block regime: the stored scalar class must be zero")
-        total = _total(s, q, u)
-        issues = validate(total)
+        else:
+            total = _total(s, q, u)
+            issues = validate(total)
+            # stored where the cached property ``total`` keeps its value
+            object.__setattr__(self, "total", total)
         if issues:
             raise InvalidTotal(
                 "assembled total violates exactness: "
                 + "; ".join(i.message for i in issues)
             )
-        object.__setattr__(self, "total", total)
 
     @property
     def collapsed(self) -> bool:
         return self.sub.b_dim == 0
 
+    @cached_property
+    def total(self) -> ZigZag:
+        """The assembled total: in the collapsed regime, built on the first
+        read and kept (a block-regime total is kept from construction)."""
+        return _total(self.sub, self.quot, QMatrix.zero(0, self.quot.a_dim))
+
 
 def _total(s: ZigZag, q: ZigZag, u: QMatrix) -> ZigZag:
-    """The compressed total: block-diagonal except for u in beta."""
+    """The compressed total: block-diagonal except for u in beta, so with
+    u = 0 it is ``direct_sum(s, q)``."""
     beta = block_assemble(
         [[s.beta, u], [None, q.beta]], [s.b_dim, q.b_dim], [s.a_dim, q.a_dim]
     )
@@ -159,7 +176,7 @@ def make_extension(
 
 
 def total_zigzag(e: ExtensionPresentation) -> ZigZag:
-    """The compressed total, assembled once when the presentation was built."""
+    """The compressed total, assembled at most once per presentation."""
     return e.total
 
 
@@ -281,27 +298,25 @@ def _block_witness(
 
     With the sub blocks fixed, the total intertwines when the quotient
     A-map a_q and the correction h_a solve, against the second total's
-    beta, beta_tot2 [h_a; a_q] = [b_s u1; beta_q1]: one solve per quotient
-    column.  Exact totals make it consistent: exactness of the second total
-    at B (ker gamma_s2 = im beta_s2 + u2 ker beta_q2) lets a_q absorb any
-    B correction h_b in ker gamma_s2.  They also make a_q unique and
-    invertible: ker beta_tot2 = im alpha_tot2 lies in A_sub, and a_q y = 0
-    puts y in ker beta_q1 with u1 y in im beta_s1, which exactness of the
-    total at A turns into y = 0.  So the solution is a witness; None means
-    a column had no solution, which valid presentations rule out.
+    beta, beta_tot2 [h_a; a_q] = [b_s u1; beta_q1]: one solve, all quotient
+    columns against one elimination.  Exact totals make it consistent:
+    exactness of the second total at B (ker gamma_s2 = im beta_s2 + u2
+    ker beta_q2) lets a_q absorb any B correction h_b in ker gamma_s2.
+    They also make a_q unique and invertible: ker beta_tot2 = im
+    alpha_tot2 lies in A_sub, and a_q y = 0 puts y in ker beta_q1 with u1
+    y in im beta_s1, which exactness of the total at A turns into y = 0.
+    So the solution is a witness; None means a column had no solution,
+    which valid presentations rule out.
     """
     s2, q1 = e2.sub, e1.quot
-    rhs = vstack(w_sub.b * e1.u_block, q1.beta)
-    columns = [solve(e2.total.beta, rhs.col(j)) for j in range(q1.a_dim)]
-    if None in columns:
+    x = solve(e2.total.beta, vstack(w_sub.b * e1.u_block, q1.beta))
+    if x is None:
         return None
-
-    def rows(start: int, stop: int) -> QMatrix:
-        return QMatrix(stop - start, q1.a_dim, [x[i] for i in range(start, stop) for x in columns])
-
+    split = s2.a_dim * q1.a_dim  # h_a is the top s2.a_dim rows, a_q the rest
+    h_a = QMatrix(s2.a_dim, q1.a_dim, x.entries[:split])
+    a_q = QMatrix(e2.quot.a_dim, q1.a_dim, x.entries[split:])
     return ExtWitness(
-        w_sub, rows(s2.a_dim, e2.total.a_dim), QMatrix.identity(q1.b_dim),
-        rows(0, s2.a_dim), QMatrix.zero(s2.b_dim, q1.b_dim),
+        w_sub, a_q, QMatrix.identity(q1.b_dim), h_a, QMatrix.zero(s2.b_dim, q1.b_dim)
     )
 
 

@@ -127,7 +127,7 @@ class BlockSystem:
         work = [_int_row(row + [b]) for row, b in zip(self._rows, self._rhs)]
         pivots = _eliminate(work, self._total)
         _reduce_above(work, pivots)
-        den, particular, basis = _solution_space(work, pivots, self._total)
+        den, particular, basis = _solution_space(work, pivots, self._total, 1)
         return (
             None if particular is None else _scaled(particular, den),
             [_scaled(h, den) for h in basis],

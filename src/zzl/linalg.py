@@ -612,52 +612,62 @@ def _from_basis(basis: QMatrix) -> Subspace:
     return s
 
 
-def solve(a: QMatrix, b: Iterable[Scalar]) -> Vector | None:
-    """One solution x of a*x = b, or None when inconsistent."""
-    rhs = as_vector(b)
-    if len(rhs) != a.rows:
+def solve(a: QMatrix, b: QMatrix | Iterable[Scalar]) -> QMatrix | Vector | None:
+    """One solution x of a*x = b, or None when inconsistent.
+
+    b is a vector, or a matrix whose k columns are right-hand sides; then
+    x is the a.cols x k matrix whose column j solves column j, and None
+    means some column is inconsistent.  [a | b] is eliminated once, and a
+    vector is the case k = 1, returned as a vector.
+    """
+    vector = not isinstance(b, QMatrix)
+    if vector:
+        rhs = as_vector(b)
+        b = QMatrix(len(rhs), 1, rhs)
+    if b.rows != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
-    work = _int_rows(a, QMatrix(a.rows, 1, rhs))
+    work = _int_rows(a, b)
     pivots = _eliminate(work, a.cols)
     _reduce_above(work, pivots)
-    den, x, _ = _solution_space(work, pivots, a.cols)
-    return None if x is None else tuple(_scaled(x, den))
+    den, x, _ = _solution_space(work, pivots, a.cols, b.cols)
+    if x is None:
+        return None
+    return tuple(_scaled(x, den)) if vector else _from_nums(a.cols, b.cols, den, x)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Basis of {x : m*x = 0}; dimension is cols - rank by rank-nullity."""
     pivots, rows, _ = _reduced(m)
-    den, _, kernel = _solution_space(rows, pivots, m.cols)
+    den, _, kernel = _solution_space(rows, pivots, m.cols, 0)
     nums = [v[i] for i in range(m.cols) for v in kernel]
     return _from_basis(_from_nums(m.cols, len(kernel), den, nums))
 
 
 def _solution_space(
-    work: list[list[int]], pivots: Sequence[int], n: int
+    work: list[list[int]], pivots: Sequence[int], n: int, k: int
 ) -> tuple[int, list[int] | None, list[list[int]]]:
-    """A solution of M*x = b and a basis of the kernel of M, read off one
+    """A solution X of M*X = B and a basis of the kernel of M, read off one
     elimination, as integer vectors over one common denominator.
 
-    ``work`` holds the rows of [M | b], M with n columns, after
-    ``_eliminate(work, n)`` returned ``pivots`` and ``_reduce_above(work,
-    pivots)`` ran, and is only read; b is column n, and a homogeneous
-    system may leave it out, as well as its rows without a pivot.  The
-    solution sets each pivot unknown to its row's b entry over the pivot
-    entry and every free unknown to 0; it is None, with no basis, when a
-    row without a pivot keeps a nonzero b entry.  Basis vector q sets the
-    q-th free unknown f to 1, the other free unknowns to 0, and each pivot
-    unknown to minus its row's entry at f over the pivot entry.  Returns the denominator,
-    the solution and the basis; the denominator is the LCM of the reduced
-    denominators of all their entries.
+    ``work`` holds the rows of [M | B], M with n columns and B with k,
+    after ``_eliminate(work, n)`` returned ``pivots`` and
+    ``_reduce_above(work, pivots)`` ran, and is only read; a homogeneous
+    system (k = 0) may leave out its rows without a pivot.  The solution
+    sets each pivot unknown to its row's B entries over the pivot entry
+    and every free unknown to 0; it is None, with no basis, when a row
+    without a pivot keeps a nonzero B entry.  Basis vector q sets the q-th
+    free unknown f to 1, the other free unknowns to 0, and each pivot
+    unknown to minus its row's entry at f over the pivot entry.  Returns
+    the denominator, the solution (n x k, row-major) and the basis; the
+    denominator is the LCM of the reduced denominators of all their
+    entries.
     """
-    homogeneous = not work or len(work[0]) == n
-    if not homogeneous and any(row[n] for row in work[len(pivots):]):
+    if k and any(any(row[n:]) for row in work[len(pivots):]):
         return 1, None, []
     den, factors = _pivot_den(work, pivots)
-    x = [0] * n
-    if not homogeneous:
-        for row, c, s in zip(work, pivots, factors):
-            x[c] = s * row[n]
+    x = [0] * (n * k)
+    for row, c, s in zip(work, pivots, factors):
+        x[c * k : (c + 1) * k] = [s * y for y in row[n:]]
     pivot_set = set(pivots)
     kernel = []
     for f in range(n):

@@ -96,19 +96,48 @@ def validate(z: ZigZag) -> list[ExactnessIssue]:
     """
     issues = []
     rank_alpha, rank_beta, rank_gamma = rank(z.alpha), rank(z.beta), rank(z.gamma)
-    for position, f, g, names, im_dim, ker_dim in (
-        ("A", z.alpha, z.beta, ("alpha", "beta"), rank_alpha, z.a_dim - rank_beta),
-        ("B", z.beta, z.gamma, ("beta", "gamma"), rank_beta, z.b_dim - rank_gamma),
-    ):
-        if im_dim != ker_dim or not product_is_zero(g, f):
-            issues.append(
-                ExactnessIssue(
-                    position, im_dim, ker_dim,
-                    f"at {position}: im({names[0]}) has dim {im_dim}, "
-                    f"ker({names[1]}) has dim {ker_dim}",
-                )
-            )
+    if rank_alpha != z.a_dim - rank_beta or not product_is_zero(z.beta, z.alpha):
+        issues.append(_issue("A", rank_alpha, z.a_dim - rank_beta))
+    if rank_beta != z.b_dim - rank_gamma or not product_is_zero(z.gamma, z.beta):
+        issues.append(_issue("B", rank_beta, z.b_dim - rank_gamma))
     return issues
+
+
+def validate_sum(parts: Sequence[ZigZag]) -> list[ExactnessIssue]:
+    """``validate`` of the direct sum of the parts, read off the parts.
+
+    The maps of a direct sum are block-diagonal, so its dimensions and
+    ranks are the sums of the parts' and its products g*f vanish exactly
+    when every part's do; the sum is never built, and each rank is read
+    from the elimination stored on the part's map.
+    """
+    a_dim = b_dim = rank_alpha = rank_beta = rank_gamma = 0
+    for z in parts:
+        a_dim += z.a_dim
+        b_dim += z.b_dim
+        rank_alpha += rank(z.alpha)
+        rank_beta += rank(z.beta)
+        rank_gamma += rank(z.gamma)
+    issues = []
+    if rank_alpha != a_dim - rank_beta or not all(
+        product_is_zero(z.beta, z.alpha) for z in parts
+    ):
+        issues.append(_issue("A", rank_alpha, a_dim - rank_beta))
+    if rank_beta != b_dim - rank_gamma or not all(
+        product_is_zero(z.gamma, z.beta) for z in parts
+    ):
+        issues.append(_issue("B", rank_beta, b_dim - rank_gamma))
+    return issues
+
+
+def _issue(position: str, im_dim: int, ker_dim: int) -> ExactnessIssue:
+    """The issue at A (im alpha against ker beta) or at B (im beta against
+    ker gamma), the one place its message is written."""
+    f, g = ("alpha", "beta") if position == "A" else ("beta", "gamma")
+    return ExactnessIssue(
+        position, im_dim, ker_dim,
+        f"at {position}: im({f}) has dim {im_dim}, ker({g}) has dim {ker_dim}",
+    )
 
 
 # -- standard objects ------------------------------------------------

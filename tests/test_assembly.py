@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zzl import assembly, extension, linalg
 from zzl.lang import parse
 from zzl.linalg import QMatrix, ShapeMismatch
 from zzl.monodromy import NotNilpotent
@@ -201,6 +202,72 @@ class TestShadowCompat:
             ("shadow is in the collapsed regime", False,
              "expected a stored scalar class vector over an IC-type sub"),
         ]
+
+
+class TestShadowQuotientClosedForm:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 90])
+    def test_closed_form_is_the_point_sum_by_definition(self, n):
+        labels = [f"p{k}" for k in range(n)]
+        d = assemble("C_bulk", [node(label, k % 2) for k, label in enumerate(labels)])
+        assert d.shadow.quot == MultiZigZag.skyscrapers(labels).total()
+        assert verify_shadow_compat(d).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_one_summand_too_many_or_too_few_fails(self, n, extra):
+        d = assemble("C_bulk", [node(f"p{k}", 1) for k in range(n)])
+        m = n + extra
+        quot = MultiZigZag.skyscrapers([f"q{k}" for k in range(m)]).total()
+        classes = (d.shadow.class_vector + (Fraction(0),))[:m]
+        bad = dataclasses.replace(
+            d, shadow=dataclasses.replace(d.shadow, quot=quot, class_vector=classes)
+        )
+        expected = [
+            ("one quotient summand per node, in node order", f"quotient summands: {m}"),
+            ("shadow quotient equals the direct sum of rank-one point objects",
+             f"quotient dims (A, B) = ({m}, {m})"),
+        ]
+        if extra < 0:
+            expected.append(
+                (f"node p{n - 1}: shadow class", "normalized class 1 (corrected); stored None")
+            )
+        assert [(c.name, c.detail) for c in verify_shadow_compat(bad).failures()] == expected
+
+
+class TestShadowWork:
+    """Deterministic work counts of assembling collapsed nodes over one
+    shared minimal extension and rank-one point object."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {}
+        for module, name in (
+            (linalg, "_eliminate"), (extension, "_total"), (assembly, "extension_class")
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @staticmethod
+    def _assemble_and_check(work, n):
+        work.update(_eliminate=0, _total=0, extension_class=0)
+        ic, sky = std_ic("C", 1, 1), std_skyscraper(1)
+        nodes = [NodeDatum(f"p{k}", make_extension(ic, sky, k % 3)) for k in range(n)]
+        assert verify_shadow_compat(assemble("C", nodes)).passed
+        return dict(work)
+
+    def test_work_does_not_grow_with_the_node_count(self, work):
+        few, many = self._assemble_and_check(work, 5), self._assemble_and_check(work, 60)
+        # the shared factors are eliminated once, and so is each shadow map;
+        # no node builds its total and each node's class is computed once
+        assert few["_eliminate"] == many["_eliminate"]
+        assert few["_total"] == many["_total"] == 0
+        assert (few["extension_class"], many["extension_class"]) == (5, 60)
 
 
 ONE_NODE_BLOCKS = {"p1": GluingBlock(QMatrix.from_rows([[1, 0]]), QMatrix.from_columns([[0, 1]]))}

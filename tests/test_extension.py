@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from generators import conjugate_block_presentation, random_block_presentation
-from zzl import extension, intertwine
+from zzl import extension, intertwine, linalg
 from zzl.linalg import PostconditionError, QMatrix, ShapeMismatch, block_assemble, rank
 from zzl.extension import (
     DEFAULT_CLASS_GRID,
@@ -257,16 +257,23 @@ class TestBlockRegimeWitness:
         e2, _ = conjugate_block_presentation(rng, e1)
         _assert_matches_block_system(e1, e2)
 
-    def test_one_solve_per_quotient_column_and_no_block_system(self, monkeypatch):
-        solves, systems, searched, candidates = [], [], [], []
+    def test_one_solve_for_all_columns_and_no_block_system(self, monkeypatch):
+        solves, eliminations, systems, searched, candidates = [], [], [], [], []
         original_solve = extension.solve
+        original_eliminate = linalg._eliminate
         original_init = intertwine.BlockSystem.__init__
         original_find = intertwine.find_invertible
         original_at = intertwine._invertible_at
 
+        def eliminate(rows, pivot_cols):
+            eliminations.append(pivot_cols)
+            return original_eliminate(rows, pivot_cols)
+
         def solve(a, b):
-            solves.append(a)
-            return original_solve(a, b)
+            before = len(eliminations)
+            x = original_solve(a, b)
+            solves.append((a, b.cols, len(eliminations) - before))
+            return x
 
         def init(system, variables):
             systems.append(tuple(variables))
@@ -280,10 +287,12 @@ class TestBlockRegimeWitness:
             candidates.append(args[-1])
             return original_at(*args)
 
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
         monkeypatch.setattr(extension, "solve", solve)
         monkeypatch.setattr(intertwine.BlockSystem, "__init__", init)
         monkeypatch.setattr(intertwine, "find_invertible", find_invertible)
         monkeypatch.setattr(intertwine, "_invertible_at", invertible_at)
+        wide = 0
         for e1, e2 in _conjugated_block_pairs(range(40)):
             del systems[:], searched[:], candidates[:]
             iso_witness(e1.sub, e2.sub)
@@ -291,10 +300,13 @@ class TestBlockRegimeWitness:
             del solves[:], systems[:], searched[:], candidates[:]
             assert ext_isomorphism_witness(e1, e2) is not None
             # the sub search runs as it would alone; the quotient blocks add
-            # one solve per quotient column against the second total's beta,
-            # no block system, no search, no random draw and no grid point
-            assert solves == [e2.total.beta] * e1.quot.a_dim
+            # one solve of all quotient columns against the second total's
+            # beta, eliminated once, and no block system, no search, no
+            # random draw and no grid point
+            assert solves == [(e2.total.beta, e1.quot.a_dim, 1)]
             assert (systems, searched, candidates) == sub_work
+            wide += e1.quot.a_dim > 1
+        assert wide >= 10  # quotients with several columns are covered
 
 
 def _assert_matches_block_system(e1, e2):
@@ -397,6 +409,74 @@ def test_dual_presentation_total_is_the_dual_total(e):
     # why is_self_dual makes one check in the collapsed regime: the witness
     # of ext_isomorphic(dual, e) intertwines this total with e's total
     assert total_zigzag(dual_presentation(e)) == dualize(total_zigzag(e))
+
+
+def _int_matrices(rows: int, cols: int):
+    return st.lists(st.integers(-1, 1), min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: QMatrix(rows, cols, entries)
+    )
+
+
+@st.composite
+def _collapsed_factors(draw):
+    """A sub with B = 0 (exact exactly when alpha is onto A), a point-supported
+    quotient (exact exactly when beta is invertible) and a class per quotient
+    coordinate; the total may or may not be exact."""
+    e_minus, e_zero, a_sub, a_q, b_q = (draw(st.integers(0, 3)) for _ in range(5))
+    zero = QMatrix.zero
+    sub = ZigZag(
+        LABEL, e_minus, e_zero, a_sub, 0,
+        draw(_int_matrices(a_sub, e_minus)), zero(0, a_sub), zero(e_zero, 0),
+    )
+    quot = ZigZag("0", 0, 0, a_q, b_q, zero(a_q, 0), draw(_int_matrices(b_q, a_q)), zero(0, b_q))
+    classes = draw(st.lists(st.integers(-2, 2), min_size=a_q, max_size=a_q))
+    return sub, quot, classes
+
+
+class TestCollapsedTotal:
+    @settings(max_examples=200, deadline=None)
+    @given(_collapsed_factors())
+    def test_exactness_read_off_the_factors_is_that_of_the_eager_total(self, drawn):
+        sub, quot, classes = drawn
+        eager = extension._total(sub, quot, QMatrix.zero(0, quot.a_dim))
+        issues = validate(eager)
+        try:
+            e = make_extension(sub, quot, classes)
+        except InvalidTotal as exc:
+            assert issues
+            assert str(exc) == "assembled total violates exactness: " + "; ".join(
+                i.message for i in issues
+            )
+        else:
+            assert not issues
+            assert e.total == eager == direct_sum(sub, quot)
+
+    def test_built_on_first_read_and_kept(self, monkeypatch):
+        totals = []
+        original = extension._total
+
+        def total(*args):
+            totals.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(extension, "_total", total)
+        e = make_extension(IC, SKY, 1)
+        assert totals == []
+        assert total_zigzag(e) is e.total
+        assert len(totals) == 1
+        # the block regime validates its total at construction and keeps it
+        block = make_extension(std_corrected(LABEL, 1, 1), SKY, QMatrix.from_rows([[1]]))
+        assert len(totals) == 2 and block.total is block.total and len(totals) == 2
+
+    def test_invalid_total_text_pinned(self):
+        sub = ZigZag(LABEL, 1, 1, 1, 0, QMatrix.zero(1, 1), QMatrix.zero(0, 1), QMatrix.zero(1, 0))
+        quot = ZigZag("0", 0, 0, 1, 2, QMatrix.zero(1, 0), QMatrix.from_rows([[1], [0]]), QMatrix.zero(0, 2))
+        with pytest.raises(InvalidTotal) as info:
+            make_extension(sub, quot, 1)
+        assert str(info.value) == (
+            "assembled total violates exactness: at A: im(alpha) has dim 0, ker(beta) has dim 1; "
+            "at B: im(beta) has dim 1, ker(gamma) has dim 2"
+        )
 
 
 class TestClassification:

@@ -423,6 +423,21 @@ class TestAgainstSympy:
             assert from_dm(sympy_qq(a) * sympy_qq(QMatrix.column(x))) == QMatrix.column(b)
 
     @settings(max_examples=60, deadline=None)
+    @given(oracle_matrices(), st.integers(0, 3), st.data())
+    def test_solve_columns_is_each_column_solved(self, sympy_qq, a, k, data):
+        if data.draw(st.booleans()):
+            b = a * data.draw(shaped_qmatrices(a.cols, k))  # every column consistent
+        else:
+            b = data.draw(shaped_qmatrices(a.rows, k))
+        x = solve(a, b)
+        columns = [solve(a, b.col(j)) for j in range(k)]
+        assert (x is None) == (None in columns)
+        if x is not None:
+            assert (x.rows, x.cols) == (a.cols, k)
+            assert [x.col(j) for j in range(k)] == columns
+            assert from_dm(sympy_qq(a) * sympy_qq(x)) == b
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: shaped_qmatrices(n, n)))
     def test_inverse(self, sympy_qq, m):
         if sympy_qq(m).rank() < m.rows:
