@@ -46,6 +46,7 @@ from .linalg import (
     solve,
     vstack,
     _frac,
+    _from_nums,
 )
 from .zigzag import (
     IsoWitness,
@@ -125,10 +126,7 @@ class ExtensionPresentation:
         elif any(self.class_vector):
             raise RegimeMismatch("block regime: the stored scalar class must be zero")
         else:
-            total = _total(s, q, u)
-            issues = validate(total)
-            # stored where the cached property ``total`` keeps its value
-            object.__setattr__(self, "total", total)
+            issues = validate(self.total)
         if issues:
             raise InvalidTotal(
                 "assembled total violates exactness: "
@@ -141,9 +139,10 @@ class ExtensionPresentation:
 
     @cached_property
     def total(self) -> ZigZag:
-        """The assembled total: in the collapsed regime, built on the first
-        read and kept (a block-regime total is kept from construction)."""
-        return _total(self.sub, self.quot, QMatrix.zero(0, self.quot.a_dim))
+        """The assembled total, built on its first read and kept (in the
+        block regime that read is the validation at construction)."""
+        s, q, u = self.sub, self.quot, self.u_block
+        return _total(s, q, u if u is not None else QMatrix.zero(0, q.a_dim))
 
 
 def _total(s: ZigZag, q: ZigZag, u: QMatrix) -> ZigZag:
@@ -313,8 +312,8 @@ def _block_witness(
     if x is None:
         return None
     split = s2.a_dim * q1.a_dim  # h_a is the top s2.a_dim rows, a_q the rest
-    h_a = QMatrix(s2.a_dim, q1.a_dim, x.entries[:split])
-    a_q = QMatrix(e2.quot.a_dim, q1.a_dim, x.entries[split:])
+    h_a = _from_nums(s2.a_dim, q1.a_dim, x.den, x.nums[:split])
+    a_q = _from_nums(e2.quot.a_dim, q1.a_dim, x.den, x.nums[split:])
     return ExtWitness(
         w_sub, a_q, QMatrix.identity(q1.b_dim), h_a, QMatrix.zero(s2.b_dim, q1.b_dim)
     )

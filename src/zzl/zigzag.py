@@ -88,28 +88,20 @@ class ExactnessIssue(NamedTuple):
 
 
 def validate(z: ZigZag) -> list[ExactnessIssue]:
-    """Check exactness at A and B; an empty report means the zig-zag is valid.
-
-    im f = ker g exactly when g*f = 0 and dim im f = dim ker g, and the
-    latter is rank f = dim Y - rank g by rank-nullity; so three ranks and
-    two zero tests of a product decide both positions.
-    """
-    issues = []
-    rank_alpha, rank_beta, rank_gamma = rank(z.alpha), rank(z.beta), rank(z.gamma)
-    if rank_alpha != z.a_dim - rank_beta or not product_is_zero(z.beta, z.alpha):
-        issues.append(_issue("A", rank_alpha, z.a_dim - rank_beta))
-    if rank_beta != z.b_dim - rank_gamma or not product_is_zero(z.gamma, z.beta):
-        issues.append(_issue("B", rank_beta, z.b_dim - rank_gamma))
-    return issues
+    """Check exactness at A and B; an empty report means the zig-zag is valid."""
+    return validate_sum((z,))
 
 
 def validate_sum(parts: Sequence[ZigZag]) -> list[ExactnessIssue]:
     """``validate`` of the direct sum of the parts, read off the parts.
 
-    The maps of a direct sum are block-diagonal, so its dimensions and
-    ranks are the sums of the parts' and its products g*f vanish exactly
-    when every part's do; the sum is never built, and each rank is read
-    from the elimination stored on the part's map.
+    im f = ker g exactly when g*f = 0 and dim im f = dim ker g, and the
+    latter is rank f = dim Y - rank g by rank-nullity; so three ranks and
+    two zero tests of a product decide both positions.  The maps of a
+    direct sum are block-diagonal, so its dimensions and ranks are the
+    sums of the parts' and its products g*f vanish exactly when every
+    part's do; the sum is never built, and each rank is read from the
+    elimination stored on the part's map.
     """
     a_dim = b_dim = rank_alpha = rank_beta = rank_gamma = 0
     for z in parts:
