@@ -4,8 +4,9 @@
 diagnostics of `zzl.lang.parse` or, when it parses, the `serialize` output
 of the document.  The inputs are a seeded byte fuzz (half of it spliced
 into declaration fragments), hand-written matrix literals that sit on the
-edge of the literal grammar, and bracket-indexed labels.  The test replays
-the recorded texts; any change in bytes is a failure.
+edge of the literal grammar, bracket-indexed labels, and literals and
+field blocks that are read partly in the text and partly token by token.
+The test replays the recorded texts; any change in bytes is a failure.
 
 Regenerate the fixture (only when an output change is intended) with
 
@@ -131,8 +132,31 @@ def _label_cases() -> list[str]:
     ]
 
 
+# literals away from the line of their `=` or with a stray byte after them,
+# and field blocks that go over to the token path at a declined field
+HANDOVER_CASES = (
+    f"{SPACES}map m : V -> W =\n[1,2]\n",
+    f"{SPACES}map m : W -> V = # c\n[1;2]\n",
+    f"{SPACES}map m : W -> V = # c\n\n[ 1 ; 2/4 ]\nspace X dim x\n",
+    f"{SPACES}map m : V -> W = [1,0]$\n",
+    f"{SPACES}map m : V -> W =\n[1,0]$ space X dim x\n",
+    "gluing g { psi = 2, u = [1,0]$, v = [0;1] }\n",
+    "gluing g { psi = 2, u = [1,0], v = [0;1] $ }\n",
+    'zigzag z { open = "q", eminus = 0, ezero = 0, A = 1, B = 1, '
+    "alpha = [], beta = [1], gamma = [] }\n",
+    "gluing g { psi = 2 # c\n, u = [1,0], v = [0;1], N = [0,0;1,0] }\n",
+    "gluing g { psi = 2, u =\n[1,0], v = [0;1], u = [1,1] }\n",
+    "gluing g { psi = 2, u = [1,0], psi = 2 }\n",
+    "gluing g { psi = 2, u = [1,0], v = [0;1], N = [0,0;1] }\n",
+    "zigzag z { open = x, eminus = 0, ezero = 0, A = 2, B = 2, "
+    "alpha = [], beta = [1,0;0], gamma = [] }\n",
+    "zigzag z { open = x, eminus = 0, ezero = 0, A = 1, B = 1, "
+    "alpha = [], beta = [1/0], gamma = [] }\n",
+)
+
+
 def inputs() -> list[str]:
-    return _fuzz() + _matrix_cases() + _label_cases()
+    return _fuzz() + _matrix_cases() + _label_cases() + list(HANDOVER_CASES)
 
 
 def outcome(text: str) -> dict:
