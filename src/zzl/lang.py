@@ -25,28 +25,23 @@ and hands the parser one token at a time.  A token records its offset
 into the text; line and column are found from the offset only where a
 diagnostic or an item span needs them.
 
-A matrix literal that follows `=` on the same line, with blanks only
-next to its brackets and separators, is lexed as one token and read by
-splitting it at `;` and `,`: each entry is read with `int()`, `p/q` as
-the pair (p, q), and the matrix is built straight from the numerators
-over the LCM of the denominators, with no `Fraction` per entry.  Any
-other literal (a line break or comment inside, `- 3`, `1 / 2`, a
-trailing separator) is read token by token, and so is a literal that
-does not read cleanly (ragged rows, a zero denominator, an integer past
-CPython's digit limit), so that each diagnostic sits at the token that
-causes it.
-
-The `{ key = value, ... }` block of a zig-zag or gluing is read first
-without tokens: one match per `key = value` pair, straight in the text,
-each value a one-line matrix literal, a natural or a label `x` or
-`x[3]`.  On success the scanner restarts after the closing `}`.  The
-read declines, having consumed nothing, wherever the token path could
-report something (an unknown or duplicate key, a value of the wrong
-kind, a dimension over the budget, a literal that does not read
-cleanly, a quoted or `0...` label) and wherever the block leaves that
-plain form (a line break or comment inside, a missing or trailing
-comma); the block is then read token by token, so every diagnostic and
-token offset is the token path's.
+Matrix literals and the `{ key = value, ... }` blocks of zig-zags and
+gluings are read straight from the text where they are plain, and the
+scanner restarts after what was read.  A literal whose brackets hold
+entries and separators with blanks only next to them is split at `;`
+and `,`: each entry is read with `int()`, `p/q` as the pair (p, q), and
+the matrix is built from the numerators over the LCM of the
+denominators, with no `Fraction` per entry.  A block is read one match
+per `key = value` pair, each on one line and followed by `,` or `}`,
+the value a plain literal, a natural or a label `x` or `x[3]`.  Reading
+declines, having consumed nothing, wherever the token path could report
+something (ragged rows, a zero denominator, an integer past CPython's
+digit limit, an unknown or duplicate key, a value of the wrong kind, a
+dimension over the budget, a quoted or `0...` label) and wherever the
+text leaves that plain form (a line break or comment inside, `- 3`,
+`1 / 2`, a missing or trailing separator).  The token path then reads
+the literal, or the block from the first field declined with the fields
+read so far, so every diagnostic and offset is the token path's.
 
 Untrusted input has a budget: a declared dimension above `MAX_DIM`, or
 a document whose extensions, nodes block and gluings would make
@@ -70,7 +65,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from itertools import chain
 from typing import Iterator, Mapping, Sequence, Union
 
 from .extension import ExtensionPresentation, make_extension
@@ -263,11 +257,12 @@ class Document:
 
 
 # a token is a plain tuple (kind, text, offset): kind is IDENT, NAT, STRING,
-# PUNCT, MATRIX or EOF, and offset is where its first character sits in
-# the source; line and column are found from the offset (_Lines) only
-# where a diagnostic or an item span needs them.  The scanner hands the
-# parser one token at a time, so no token list is ever built, and a field
-# block read without tokens (_read_fields) restarts it after its `}`.
+# PUNCT or EOF, and offset is where its first character sits in the
+# source; line and column are found from the offset (_Lines) only where a
+# diagnostic or an item span needs them.  The scanner hands the parser one
+# token at a time, so no token list is ever built, and the parser restarts
+# it (_Parser.restart) after a literal or fields read straight from the
+# text.
 _Token = tuple[str, str, int]
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -276,21 +271,19 @@ _BLANK = r"[ \t\r\f\v]"
 _ENTRY = rf"-?{_NAT}(?:/{_NAT})?"
 # a whole matrix literal, blanks allowed only next to brackets and separators
 _MATRIX = rf"\[{_BLANK}*(?:{_ENTRY}{_BLANK}*(?:[,;]{_BLANK}*{_ENTRY}{_BLANK}*)*)?\]"
+_MATRIX_RE = re.compile(_MATRIX)
 
 # one match per token: blanks, line breaks and comments are a skipped
 # prefix, then one alternative per token kind, and any other single
-# character is an error.  ASSIGN is `=` followed by a matrix literal on the
-# same line and gives two tokens, `=` and one MATRIX; a literal it does not
-# match (a line break or comment inside, `- 3`, a trailing separator, ...)
-# is read token by token.  A backslash escapes the next character inside a
-# string, newline included; a string left open at a newline or at the end
-# of input keeps what it read.
+# character is an error.  A matrix literal is punctuation and naturals to
+# the scanner.  A backslash escapes the next character inside a string,
+# newline included; a string left open at a newline or at the end of
+# input keeps what it read.
 _TOKEN_RE = re.compile(
     rf"""
     (?:[ \t\r\f\v\n]+|\#[^\n]*)*
     (?:
-        (?P<ASSIGN>={_BLANK}*(?P<matrix>{_MATRIX}))
-      | (?P<PUNCT>->|[{{}}\[\](),;:=/-])
+        (?P<PUNCT>->|[{{}}\[\](),;:=/-])
       | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*\\?)(?P<close>"?))
       | (?P<NAT>{_NAT})
       | (?P<IDENT>{_IDENT})
@@ -327,10 +320,7 @@ def _tokenize(
     where = (lines or _Lines(text)).at
     for match in _TOKEN_RE.finditer(text, start):
         kind = match.lastgroup
-        if kind == "ASSIGN":
-            yield ("PUNCT", "=", match.start(kind))
-            yield ("MATRIX", match["matrix"], match.start("matrix"))
-        elif kind == "EOF":
+        if kind == "EOF":
             break
         elif kind == "STRING":
             pos = match.start(kind)
@@ -368,8 +358,8 @@ _EMPTY: _Literal = (0, 0, 1, ())
 
 
 def _read_literal(body: str) -> _Literal | None:
-    """The body of a one-token literal, which `_MATRIX` matched; None when
-    reading it token by token would report something: ragged rows, a zero
+    """The body of a literal that `_MATRIX` matched; None when reading it
+    token by token would report something: ragged rows, a zero
     denominator, an integer past CPython's digit limit."""
     if not body.strip():
         return _EMPTY
@@ -409,52 +399,33 @@ def _bracket_label(name: str, index: str) -> str:
 _DIM_FIELDS = frozenset(("eminus", "ezero", "A", "B", "psi"))
 
 # one `key = value` pair of a field block and the `,` or `}` after it, all on
-# one line; the value is a matrix literal (the text ASSIGN would lex as one
-# MATRIX token), a natural, or a label with an optional bracket index.  The
-# value is matched in a lookahead and consumed by a backreference, so when
-# no `,` or `}` follows it the match fails at once instead of retrying every
-# shorter prefix of the value, none of which one can follow either
+# one line; the value is a plain matrix literal, a natural, or a label with
+# an optional bracket index.  The value is matched in a lookahead and
+# consumed by a backreference, so when no `,` or `}` follows it the match
+# fails at once instead of retrying every shorter prefix of the value, none
+# of which one can follow either
 _FIELD_RE = re.compile(
     rf"{_BLANK}*({_IDENT}){_BLANK}*={_BLANK}*"
     rf"(?=(({_MATRIX})|({_NAT})|({_IDENT})(?:\[({_NAT})\])?))\2{_BLANK}*([,}}])"
 )
 
 
-def _read_fields(
-    text: str, pos: int, allowed: tuple[str, ...]
-) -> tuple[dict[str, object], int] | None:
-    """The fields of the block whose `{` ends at `pos`, read with one match
-    per field, and the offset after its `}`.  None wherever the token path
-    could report something, and wherever the block is not plain one-line
-    `key = value` pairs separated by commas."""
-    fields: dict[str, object] = {}
-    match = _FIELD_RE.match
-    while True:
-        m = match(text, pos)
-        if m is None:
-            return None
-        key, _, matrix, nat, label, index, end = m.groups()
-        if key not in allowed or key in fields:
-            return None
-        if key == "open":
-            if label is not None:
-                value: object = label if index is None else _bracket_label(label, index)
-            elif nat == "0":
-                value = ZERO_LABEL
-            else:
-                return None
-        elif key in _DIM_FIELDS:
-            value = None if nat is None else _nat(nat)
-            if value is None or value > MAX_DIM:
-                return None
-        else:
-            value = None if matrix is None else _read_literal(matrix[1:-1])
-            if value is None:
-                return None
-        fields[key] = value
-        pos = m.end()
-        if end == "}":
-            return fields, pos
+def _field_value(
+    m: re.Match[str], allowed: tuple[str, ...], fields: dict[str, object]
+) -> object | None:
+    """The value of the field that `_FIELD_RE` matched, typed by its key;
+    None wherever reading it token by token could report something."""
+    key, _, matrix, nat, label, index, _ = m.groups()
+    if key not in allowed or key in fields:
+        return None
+    if key == "open":
+        if label is not None:
+            return label if index is None else _bracket_label(label, index)
+        return ZERO_LABEL if nat == "0" else None
+    if key in _DIM_FIELDS:
+        value = None if nat is None else _nat(nat)
+        return None if value is None or value > MAX_DIM else value
+    return None if matrix is None else _read_literal(matrix[1:-1])
 
 
 # -- parser ------------------------------------------------------------
@@ -474,6 +445,11 @@ class _Parser:
         self.diagnostics = diagnostics
         self.where = self.lines.at
 
+    def restart(self, pos: int) -> None:
+        """Scan on from `pos`, after text read without tokens."""
+        self.stream = _tokenize(self.text, self.lexical, self.lines, pos)
+        self.tok = next(self.stream)
+
     def advance(self) -> _Token:
         tok = self.tok
         if tok[0] != "EOF":
@@ -489,8 +465,6 @@ class _Parser:
 
     @staticmethod
     def _describe(tok: _Token) -> str:
-        if tok[0] == "MATRIX":
-            return "'['"  # where the literal's first token would be
         return "end of input" if tok[0] == "EOF" else repr(tok[1])
 
     # a token that expect_* accepts is never EOF, so they pull the next
@@ -567,17 +541,12 @@ class _Parser:
         return Fraction(*self.parse_entry())
 
     def parse_matrix(self) -> _Literal:
-        tok = self.tok
-        if tok[0] == "MATRIX":
-            literal = _read_literal(tok[1][1:-1])
+        if self.at_punct("["):
+            m = _MATRIX_RE.match(self.text, self.tok[2])
+            literal = None if m is None else _read_literal(m[0][1:-1])
             if literal is not None:
-                self.advance()
+                self.restart(m.end())
                 return literal
-            # ragged rows, a zero denominator or an over-long integer: read
-            # the literal token by token, which reports it at its place
-            pieces = [(kind, text, tok[2] + at) for kind, text, at in _tokenize(tok[1], [])]
-            self.tok = pieces[0]
-            self.stream = chain(pieces[1:-1], self.stream)
         self.expect_punct("[")
         if self.at_punct("]"):
             self.advance()
@@ -699,19 +668,22 @@ class _Parser:
         raise AssertionError(keyword)
 
     def _parse_fields(self, allowed: tuple[str, ...]) -> dict[str, object]:
-        """key = value pairs inside braces; values typed by key name.  The
-        block is read without tokens where _read_fields can, and token by
-        token from its untouched `{` otherwise."""
+        """key = value pairs inside braces; values typed by key name.  Each
+        field is read straight from the text while _field_value takes it,
+        and the rest of the block token by token from the first it
+        declines, with the fields read so far."""
         tok = self.tok
-        if tok[1] == "{" and tok[0] == "PUNCT":
-            read = _read_fields(self.text, tok[2] + 1, allowed)
-            if read is not None:
-                fields, end = read
-                self.stream = _tokenize(self.text, self.lexical, self.lines, end)
-                self.tok = next(self.stream)
-                return fields
-        self.expect_punct("{")
+        if not self.at_punct("{"):
+            raise self.error(f"expected '{{', found {self._describe(tok)}")
         fields: dict[str, object] = {}
+        text, match, pos = self.text, _FIELD_RE.match, tok[2] + 1
+        while (m := match(text, pos)) and (value := _field_value(m, allowed, fields)) is not None:
+            fields[m[1]] = value
+            pos = m.end()
+            if text[pos - 1] == "}":  # the match ends with the `,` or `}` after the value
+                self.restart(pos)
+                return fields
+        self.restart(pos)
         while not self.at_punct("}"):
             key_tok = self.expect_ident("field name")
             key = key_tok[1]
@@ -721,7 +693,7 @@ class _Parser:
                 raise self.error(f"duplicate field {key!r}", key_tok)
             self.expect_punct("=")
             if key == "open":
-                value: object = self.parse_label()
+                value = self.parse_label()
             elif key in _DIM_FIELDS:
                 value = self.expect_dim(f"value of {key}")
             else:

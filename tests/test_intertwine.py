@@ -177,7 +177,7 @@ def _blocks(variables, flat):
 @settings(max_examples=80, deadline=None)
 @given(block_systems())
 def test_solve_affine_against_sympy(system_data):
-    sympy = pytest.importorskip("sympy")
+    import sympy
     from sympy.polys.matrices import DomainMatrix
 
     variables, equations = system_data

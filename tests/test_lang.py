@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import string
 import sys
 from fractions import Fraction
@@ -254,6 +255,31 @@ def _literal(rows: list[list[tuple[int, int]]], pad) -> str:
 
 PADDING = st.sampled_from(["", " ", "\t", "\n", "  # note\n", "\n\t"])
 RATIONALS = st.tuples(st.integers(-30, 30), st.integers(1, 12))
+NEVER = re.compile(r"(?!)")
+
+
+def token_path(text: str) -> Document | list[Diagnostic]:
+    """parse(text) with every field block and matrix literal read token by token."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lang, "_FIELD_RE", NEVER)
+        mp.setattr(lang, "_MATRIX_RE", NEVER)
+        return parse(text)
+
+
+def pulled(text: str) -> list[tuple[str, str, int]]:
+    """The tokens the parser pulls from the scanner while parsing `text`."""
+    tokens = []
+    scan = lang._tokenize
+
+    def counting(*args):
+        for tok in scan(*args):
+            tokens.append(tok)
+            yield tok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lang, "_tokenize", counting)
+        parse(text)
+    return tokens
 
 
 class TestMatrixLiteral:
@@ -263,26 +289,33 @@ class TestMatrixLiteral:
             lambda c: st.lists(st.lists(RATIONALS, min_size=c, max_size=c), min_size=1, max_size=4)
         ),
         st.lists(PADDING, min_size=1),
+        st.sampled_from([" ", "", "\n", " # c\n"]),
     )
-    def test_one_token_and_token_path_agree(self, rows, pads):
+    def test_one_token_and_token_path_agree(self, rows, pads, gap):
         compact = _literal(rows, lambda: "")
         cycle = itertools.cycle(pads)
         padded = _literal(rows, lambda: next(cycle))
-        head = f"space V dim {len(rows[0])}\nspace W dim {len(rows)}\nmap m : V -> W = "
-        tokens = list(lang._tokenize(head + compact, []))
-        assert [kind for kind, _, _ in tokens[-2:]] == ["MATRIX", "EOF"]
-        # a line break after `[` keeps the padded literal off the one-token path
+        head = f"space V dim {len(rows[0])}\nspace W dim {len(rows)}\nmap m : V -> W ={gap}"
+        # the compact literal is read in the text, after the line or comment
+        # between it and `=` too: the parser pulls its `[` and then the end
+        assert [t for _, t, _ in pulled(head + compact)[-3:]] == ["=", "[", ""]
+        # a line break after `[` keeps the padded literal on the token path
         padded = "[\n" + padded[1:]
-        assert "MATRIX" not in [kind for kind, _, _ in lang._tokenize(head + padded, [])]
+        assert "]" in [t for _, t, _ in pulled(head + padded)]
 
         one, many = parse_ok(head + compact), parse_ok(head + padded)
         expected = QMatrix.from_rows([[Fraction(n, d) for n, d in row] for row in rows])
         assert one.maps["m"].matrix == many.maps["m"].matrix == expected
-        assert serialize(one) == serialize(many)
-        # a declaration after the padded literal keeps its line and column
-        text = head + padded + "\n  space X dim x"
-        diags = parse_fails(text)
-        assert [(d.line, d.column) for d in diags] == [(text.count("\n") + 1, 15)]
+        assert serialize(one) == serialize(many) == serialize(token_path(head + compact))
+        # a stray byte right after the literal and a declaration after it
+        # keep their lines and columns
+        for literal in (compact, padded):
+            text = head + literal + "$\n  space X dim x"
+            diags = parse_fails(text)
+            assert [(d.line, d.column) for d in diags] == [
+                naive_position(text, len(head + literal)), (text.count("\n") + 1, 15)
+            ]
+            assert diags == token_path(text)
 
     def test_work_gate_literals_build_no_fractions(self, monkeypatch):
         # literals are read with int() and built from their numerators:
@@ -315,31 +348,16 @@ class TestMatrixLiteral:
             "gluing g0 { psi = 4, u = [1,-2,0,0;0,0,1,1], v = [2,0;1,0;0,-1;0,1], "
             "N = [2,-4,0,0;1,-2,0,0;0,0,-1,-1;0,0,1,1] }"
         )
+        reads = []
+        read = lang._read_literal
+        monkeypatch.setattr(lang, "_read_literal", lambda body: reads.append(body) or read(body))
         for line in (zigzag, gluing):
-            tokens = list(lang._tokenize(line, []))
-            assert [kind for kind, _, _ in tokens].count("MATRIX") == 3
-        # the parser pulls the keyword, the name, `{` and the end of input:
-        # the field block is read without tokens
-        pulled = []
-        scan = lang._tokenize
-
-        def counting(*args):
-            for tok in scan(*args):
-                pulled.append(tok)
-                yield tok
-
-        monkeypatch.setattr(lang, "_tokenize", counting)
-        for line in (zigzag, gluing):
-            pulled.clear()
-            parse_ok(line)
-            assert [text for _, text, _ in pulled] == [line.split()[0], line.split()[1], "{", ""]
-
-
-def token_path(text: str) -> Document | list[Diagnostic]:
-    """parse(text) with every field block read token by token."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lang, "_read_fields", lambda *args: None)
-        return parse(text)
+            # the parser pulls the keyword, the name, `{` and the end of
+            # input: the field block is read without tokens, and each of its
+            # literals is read once
+            reads.clear()
+            assert [t for _, t, _ in pulled(line)] == [*line.split()[:2], "{", ""]
+            assert len(reads) == 3
 
 
 def assert_same_outcome(text: str) -> None:
@@ -428,7 +446,7 @@ class TestFieldBlockReader:
     def test_labels_read_as_the_token_path_reads_them(self, label, read):
         text = (f"zigzag z {{ open = {label}, eminus = 0, ezero = 0, A = 0, B = 0, "
                 "alpha = [], beta = [], gamma = [] }")
-        assert lang._read_fields(text, text.index("{") + 1, tuple(ZIGZAG_FIELDS)) is not None
+        assert [t for _, t, _ in pulled(text)] == ["zigzag", "z", "{", ""]
         expected = lang.ZERO_LABEL if read == "0" else read
         assert parse_ok(text).zigzags["z"].zigzag.open_label == expected
         assert token_path(text) == parse_ok(text)
@@ -441,38 +459,37 @@ class TestFieldBlockReader:
     ])
     def test_declines_without_consuming(self, field):
         text = "zigzag z { " + field + " }"
-        assert lang._read_fields(text, text.index("{") + 1, tuple(ZIGZAG_FIELDS)) is None
+        # the token path reads on from the first field declined: after a
+        # field read before a duplicate or a trailing comma, from `{` otherwise
+        read = {"open = x, open = x": "open = x, ", "A = 1,": "A = 1, "}.get(field, "")
+        assert pulled(text)[3][2] == len("zigzag z { " + read)
         assert_same_outcome(text)
 
     def test_corpus_documents(self, tmp_path):
         from test_corpus_payloads import N_OPS, SEED, _gen
 
-        reads = []
-        read = lang._read_fields
-
-        def counting(*args):
-            result = read(*args)
-            reads.append(result is not None)
-            return result
-
         ops, _ = _gen().check_corpus(SEED, N_OPS, tmp_path)
-        blocks, broken = 0, 0
+        broken = 0
         for op in ops:
             text = Path(op["path"]).read_bytes().decode("latin-1")
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lang, "_read_fields", counting)
-                assert_same_outcome(text)
+            assert_same_outcome(text)
             lines = text.splitlines()
-            blocks += sum(line.startswith(("zigzag ", "gluing ")) for line in lines)
-            broken += lines.count("zigzag bad { open = , eminus = 1 }")
-        # every corpus block but the broken one is read without tokens
-        assert broken and len(reads) == blocks
-        assert reads.count(False) == broken
+            blocks = sum(line.startswith(("zigzag ", "gluing ")) for line in lines)
+            nodes = sum(line.startswith("nodes ") for line in lines)
+            bad = lines.count("zigzag bad { open = , eminus = 1 }")
+            # every corpus block but the broken one is read without tokens:
+            # the parser pulls its `{` but not its `}`
+            texts = [t for _, t, _ in pulled(text)]
+            assert texts.count("{") == blocks + nodes
+            assert texts.count("}") == nodes + bad
+            broken += bad
+        assert broken
 
     def test_work_gate_broken_megabyte_block(self, monkeypatch):
         # one line of about 1 MB whose last character, where `}` belongs, is
         # `)`: the reader makes one match attempt per field, then the token
-        # path reads the block and reports the `)`
+        # path reads the last field and reports the `)`; each literal is
+        # read once
         dim = lang.MAX_DIM
         row = ",".join(["-12345678901234", "12345678901234"] * (dim // 2))
         gamma = "[" + ";".join([row] * dim) + "]"
@@ -488,10 +505,14 @@ class TestFieldBlockReader:
                 attempts.append(pos)
                 return field_re.match(text, pos)
 
+        reads = []
+        read = lang._read_literal
         monkeypatch.setattr(lang, "_FIELD_RE", Counting)
+        monkeypatch.setattr(lang, "_read_literal", lambda body: reads.append(body) or read(body))
         diags = parse_fails(text)
         assert [d.render() for d in diags] == [f"1:{len(text)}: error [syntax] expected field name, found ')'"]
         assert len(attempts) == 8 and attempts == sorted(set(attempts))
+        assert len(reads) == 3
         assert diags == token_path(text)
 
 

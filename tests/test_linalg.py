@@ -371,7 +371,7 @@ class TestSerialization:
 
 @pytest.fixture(scope="module")
 def sympy_qq():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     from sympy.polys.matrices import DomainMatrix
 
     def to_dm(m: QMatrix):

@@ -276,7 +276,7 @@ def _sparse_nilpotent(rng, n):
 def _jordan_type_by_sympy(m):
     """Block sizes of a nilpotent matrix: rank N^(s-1) - rank N^s blocks have
     size at least s, with the ranks computed by sympy's DomainMatrix."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
     from sympy.polys.matrices import DomainMatrix
 
     rows = [[sympy.QQ(x.numerator, x.denominator) for x in m.row(i)] for i in range(m.rows)]
