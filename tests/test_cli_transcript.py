@@ -34,6 +34,14 @@ DOCUMENTS = {
     "zero_denominator.zzl": "space V dim 1\nmap m : V -> V = [1/0]\n",
     "escapes.zzl": 'zigzag z { open = "a\\"b\\\\", eminus = 0, ezero = 0, A = 0, B = 0, '
                    "alpha = [], beta = [], gamma = [] }\n",
+    # Jordan type (3, 2, 1) under a rational change of basis, and its unipotent exp
+    "jordan_321.zzl": "space V dim 6\n"
+                      "map N : V -> V = [-3,6,-1,3,3,1; -2,10/3,-2/3,2,2,2/3; "
+                      "2,-4/3,2/3,-2,1,-8/3; 5/3,-10/9,5/9,-5/3,-2/3,-11/9; "
+                      "0,0,0,0,0,0; -2,10/3,-2/3,2,2,2/3]\n"
+                      "map T : V -> V = [-3,23/3,-4/3,4,4,4/3; -2,13/3,-2/3,2,2,2/3; "
+                      "2,-4/3,5/3,-2,1,-8/3; 2/3,5/9,2/9,1/3,1/3,-8/9; "
+                      "0,0,0,0,1,0; -2,10/3,-2/3,2,2,5/3]\n",
 }
 
 NAMED = {"dual": "zigzags", "ext-class": "extensions", "gluing": "gluings", "nlog": "maps"}
