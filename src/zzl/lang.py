@@ -43,10 +43,11 @@ text leaves that plain form (a line break or comment inside, `- 3`,
 the literal, or the block from the first field declined with the fields
 read so far, so every diagnostic and offset is the token path's.
 
-Untrusted input has a budget: a declared dimension above `MAX_DIM`, or
-a document whose extensions, nodes block and gluings would make
-checking build more than `MAX_IMPLIED_ENTRIES` matrix entries that the
-text does not write out, is refused with a `limit` diagnostic.
+Untrusted input has a budget: a declared dimension above `MAX_DIM`, a
+document whose extensions, nodes block and gluings would make checking
+build more than `MAX_IMPLIED_ENTRIES` matrix entries that the text does
+not write out, or one whose written matrices would cost more than
+`MAX_WRITTEN_WORK` to eliminate, is refused with a `limit` diagnostic.
 
 Parsing never raises on bad input: it returns a resolved
 :class:`Document` on success and a list of positioned
@@ -84,9 +85,24 @@ CODE_LIMIT = "limit"
 # is written.  MAX_IMPLIED_ENTRIES bounds the matrices that checking a
 # document builds although its text does not write them out: each
 # extension's total and class-0 u-block, the total that assembles the nodes
-# block, each gluing's N = v*u.  The text pays for every other entry.
+# block, each gluing's N = v*u.  The text pays for every other entry, but
+# not for eliminating it: MAX_WRITTEN_WORK bounds the sum of
+# rows*cols*min(rows, cols)*bits over the matrices the text writes (maps,
+# zig-zag alpha/beta/gamma, gluing u/v/N), bits being the bit length of the
+# literal's largest numerator.  On 2 vCPUs (Python 3.11), `linalg.rank` of
+# an n x n matrix of random integers in [-99, 99] (7 bits) took 0.06 s at
+# n = 64, 0.36 s at 96 and 1.0-1.2 s at 128 (14.7M), of one in [-1, 1]
+# 1.9 s at 200 (8.0M) and 5.2 s at 256, and of a 20 x 20 one of 1000-bit
+# integers 0.65 s (8.0M).  The cap admits [-1, 1] up to n = 200.  A matrix
+# with at most _FREE_PIVOTS rows or columns is not charged: it is eliminated
+# in that many passes over its entries, which its text pays for as it pays
+# for reading them: 256 x 4 of 4000-digit integers ranked at 1 ms per KB of
+# text, twice what checking a benchmark corpus document costs per KB, and
+# 256 x 8 at 7.7 ms.
 MAX_DIM = 256
 MAX_IMPLIED_ENTRIES = 1_000_000
+MAX_WRITTEN_WORK = 8_000_000
+_FREE_PIVOTS = 4
 
 
 @dataclass(frozen=True)
@@ -780,6 +796,19 @@ def _zigzag_entries(e_minus: int, a_dim: int, b_dim: int, e_zero: int) -> int:
     return a_dim * e_minus + b_dim * a_dim + e_zero * b_dim
 
 
+def _elimination_work(*matrices: QMatrix) -> int:
+    """The budget's measure of eliminating the matrices: rows*cols*min(rows,
+    cols) times the bit length of the largest numerator, summed over those
+    with more than _FREE_PIVOTS rows and columns."""
+    work = 0
+    for m in matrices:
+        r, c = m.rows, m.cols
+        if r > _FREE_PIVOTS < c:
+            nums = m.nums
+            work += r * c * min(r, c) * max(max(nums), -min(nums)).bit_length()
+    return work
+
+
 def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
     document = Document(tuple(items))
     spaces = document._index[SpaceItem]
@@ -790,17 +819,25 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
     def err(item: Item, code: str, message: str) -> None:
         diagnostics.append(Diagnostic(SEVERITY_ERROR, code, message, *item.span))
 
-    implied = 0
+    budgets = {  # name: [running total, limit, what checking would do]
+        "implied": [0, MAX_IMPLIED_ENTRIES, "build {} implied matrix entries"],
+        "written": [
+            0, MAX_WRITTEN_WORK, "spend {} units of elimination work on the matrices it writes"
+        ],
+    }
 
-    def charge(item: Item, what: str, entries: int) -> None:
-        """Add the entries `item` implies; report the item that crosses the budget."""
-        nonlocal implied
-        implied += entries
-        if implied - entries <= MAX_IMPLIED_ENTRIES < implied:
+    def charge(item: Item, amount: int, budget: str = "implied") -> None:
+        """Add what `item` costs to a budget; report the item that crosses it."""
+        spent = budgets[budget]
+        spent[0] += amount
+        total, limit, doing = spent
+        if total - amount <= limit < total:
+            keyword = next(k for k, kind in _KINDS.items() if isinstance(item, kind))
+            what = keyword if isinstance(item, NodesItem) else f"{keyword} {item.name!r}"
             err(
                 item, CODE_LIMIT,
-                f"{what}: checking the document would build {implied} implied matrix "
-                f"entries, above the limit of {MAX_IMPLIED_ENTRIES}",
+                f"{what}: checking the document would {doing.format(total)}, "
+                f"above the limit of {limit}",
             )
 
     seen: set[tuple[type, str]] = set()
@@ -816,6 +853,7 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
 
     for it in items:
         if isinstance(it, MapItem):
+            charge(it, _elimination_work(it.matrix), "written")
             src = spaces.get(it.source)
             dst = spaces.get(it.target)
             if src is None:
@@ -835,6 +873,9 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
                         f"map {it.name!r}: matrix is {m.rows}x{m.cols}, "
                         f"spaces require {want[0]}x{want[1]}",
                     )
+        elif isinstance(it, ZigZagItem):
+            z = it.zigzag
+            charge(it, _elimination_work(z.alpha, z.beta, z.gamma), "written")
         elif isinstance(it, ExtensionItem):
             sub = zigzags.get(it.sub_name)
             quot = zigzags.get(it.quot_name)
@@ -847,7 +888,7 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
             s, q = sub.zigzag, quot.zigzag
             # the class-0 u-block and the total
             charge(
-                it, f"extension {it.name!r}",
+                it,
                 s.b_dim * q.a_dim
                 + _zigzag_entries(s.e_minus, s.a_dim + q.a_dim, s.b_dim + q.b_dim, s.e_zero),
             )
@@ -881,9 +922,11 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
             bulk = zigzags.get(first.sub_name) if first else None
             e_minus, e_zero = (bulk.zigzag.e_minus, bulk.zigzag.e_zero) if bulk else (0, 0)
             count = len(it.names)
-            charge(it, "nodes", _zigzag_entries(e_minus, count, count, e_zero))
+            charge(it, _zigzag_entries(e_minus, count, count, e_zero))
         elif isinstance(it, GluingItem):
-            charge(it, f"gluing {it.name!r}", it.psi_dim * it.psi_dim)  # N = v*u
+            charge(it, it.psi_dim * it.psi_dim)  # N = v*u
+            work = _elimination_work(*filter(None, (it.u, it.v, it.expected_n)))
+            charge(it, work, "written")
 
     return diagnostics or document
 

@@ -26,7 +26,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     rank,
-    subspace_intersect,
 )
 
 
@@ -193,20 +192,18 @@ class WeightFiltration:
 def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     """The unique filtration with N W_w <= W_{w-2} and N^j : Gr_{k+j} ~ Gr_{k-j}.
 
-    Step center + l is the sum over i >= max(0, -l) of
-    ker N^(i+l+1) intersect im N^i, for both signs of l, spanned by one
-    ``image_basis`` of all the pieces side by side; each kernel and image
-    is computed once.  For a single Jordan block this reproduces the
-    textbook staircase, and both defining conditions are re-verified on
-    the output before it is returned.
+    Step center + l is the span over i >= max(0, -l) of N^i ker N^(2i+l+1),
+    for both signs of l: one ``image_basis`` of the pieces side by side.
+    A piece is ker N^(i+l+1) intersect im N^i, as ker A intersect im B =
+    B ker(AB), so no intersection is solved.  Both defining conditions are
+    re-verified on the output before it is returned.
     """
     k = n.index
-    kernels = [kernel_basis(p) for p in n.powers]  # ker N^k is everything
-    images = [image_basis(p) for p in n.powers[:-1]]  # im N^i = 0 for i >= k
+    kernels = [kernel_basis(p).basis for p in n.powers]  # ker N^k is everything
 
     def step(level: int) -> Subspace:
         pieces = (
-            subspace_intersect(kernels[min(i + level + 1, k)], images[i]).basis
+            n.powers[i] * kernels[min(2 * i + level + 1, k)]
             for i in range(max(0, -level), k)
         )
         # the empty first block keeps the stack defined when there is no piece

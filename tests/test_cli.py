@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -99,6 +100,22 @@ class TestInputBudget:
         assert result.payload == (
             "10:1: error [limit] extension 'P7': checking the document would build 1048576 "
             "implied matrix entries, above the limit of 1000000\n"
+        )
+
+    def test_written_matrix_over_the_work_limit_exits_two(self, tmp_path):
+        # a 286 KB file holding one 256x256 integer beta of rank 255: before
+        # the work budget, `zzl check` spent 53.7 s eliminating it (2 vCPUs) and exited 1
+        rng = random.Random(0)
+        rows = [", ".join(str(rng.randint(-99, 99)) for _ in range(256)) for _ in range(255)]
+        beta = "[" + "; ".join(rows + rows[:1]) + "]"
+        text = ("zigzag z { open = 0, eminus = 0, ezero = 0, A = 256, B = 256, "
+                f"alpha = [], beta = {beta}, gamma = [] }}\n")
+        assert 280_000 < len(text) < 290_000
+        result = self.check(tmp_path, text)
+        assert result.exit_code == EXIT_USAGE
+        assert result.payload == (
+            "1:1: error [limit] zigzag 'z': checking the document would spend 117440512 "
+            "units of elimination work on the matrices it writes, above the limit of 8000000\n"
         )
 
 

@@ -630,6 +630,33 @@ class TestInputBudget:
             "above the limit of 26"
         )
 
+    def test_written_work_is_counted_and_reported_once(self, monkeypatch):
+        # rows*cols*min(rows, cols) times the bit length of the largest
+        # numerator, for matrices with more than 4 rows and columns
+        def literal(diagonal, cols=5):
+            return "[" + ";".join(
+                ",".join(x if i == j else "0" for j in range(cols)) for i, x in enumerate(diagonal)
+            ) + "]"
+
+        text = (
+            "space V dim 5\nspace W dim 4\n"
+            f"map m : V -> V = {literal('13111')}\n"  # 5*5*5 * 2 bits: 250
+            f"map t : V -> W = {literal('9999')}\n"  # 4 rows: free
+            "zigzag z { open = x, eminus = 0, ezero = 0, A = 5, B = 5, alpha = [], "
+            f"beta = {literal(['1/2', '1/3', '0', '0', '0'])}, gamma = [] }}\n"  # 3, 2 over 6: 250
+            "gluing g { psi = 5, u = [4,0,0,0,0], v = [1;0;0;0;0], "
+            f"N = {literal('40000')} }}\n"  # u and v free, N 125 * 3 bits: 375
+        )
+        monkeypatch.setattr(lang, "MAX_WRITTEN_WORK", 875)
+        assert isinstance(parse(text), Document)
+        monkeypatch.setattr(lang, "MAX_WRITTEN_WORK", 500)  # reached, not crossed, at z
+        diags = parse_fails(text)
+        assert [(d.code, d.line, d.column) for d in diags] == [(CODE_LIMIT, 6, 1)]
+        assert diags[0].message == (
+            "gluing 'g': checking the document would spend 875 units of elimination work "
+            "on the matrices it writes, above the limit of 500"
+        )
+
 
 class TestDocumentIndex:
     TEXT = (

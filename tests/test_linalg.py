@@ -192,6 +192,25 @@ class TestSubspaces:
         assert subspace_equal(s, s2)
 
 
+@st.composite
+def composable_pairs(draw, max_dim=6):
+    """A (p x n) and B (n x m), A of rank at most 3 so that its kernel
+    often meets the image of B."""
+    p, n, m, inner = (draw(st.integers(0, d)) for d in (max_dim, max_dim, max_dim, 3))
+    a = draw(shaped_qmatrices(p, inner)) * draw(shaped_qmatrices(inner, n))
+    return a, draw(shaped_qmatrices(n, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable_pairs())
+def test_kernel_meets_image_as_image_of_kernel(pair):
+    # ker A intersect im B = B ker(AB), equal as stored, byte for byte: the
+    # weight filtration builds its pieces the second way
+    a, b = pair
+    meet = subspace_intersect(kernel_basis(a), image_basis(b))
+    assert meet == image_basis(b * kernel_basis(a * b).basis)
+
+
 def _exact_at_middle(f, g):
     """Exactness of f then g at their middle, read at position A of the
     zig-zag (f, g, 0) by zigzag.validate."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_invertible, random_nilpotent_upper, random_skew_pairing_gram
+from zzl import linalg, monodromy
 from zzl.linalg import (
     DimensionMismatch,
     QMatrix,
@@ -235,6 +236,28 @@ def test_each_step_is_the_fold_of_its_pieces(blocks, seed, center):
     n = conjugate(jordan_nilpotent(blocks), random_invertible(random.Random(seed), sum(blocks)))
     # equal as stored: the same basis columns, byte for byte
     assert weight_filtration(n, center).steps == _folded_steps(n, center)
+
+
+def test_work_gate_pieces_without_intersections(monkeypatch):
+    # each piece is a stored power times a kernel basis: 4 kernels, 6 step
+    # spans and the post-check's 9 ranks, against 43 with intersections
+    n = conjugate(jordan_nilpotent([3, 2, 1]), random_invertible(random.Random(0), 6))
+    calls = {"_eliminate": 0, "subspace_intersect": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_eliminate", counting("_eliminate", linalg._eliminate))
+    intersect = counting("subspace_intersect", linalg.subspace_intersect)
+    monkeypatch.setattr(linalg, "subspace_intersect", intersect)
+    # also where an import by name would look it up
+    monkeypatch.setattr(monodromy, "subspace_intersect", intersect, raising=False)
+    assert weight_filtration(n, 0).graded_dims() == {-2: 1, -1: 1, 0: 2, 1: 1, 2: 1}
+    assert calls == {"_eliminate": 19, "subspace_intersect": 0}
 
 
 def _partitions_by_total(n_max):
