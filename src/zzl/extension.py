@@ -236,9 +236,10 @@ def verify_ext_witness(
     if e1.collapsed != e2.collapsed:
         return False
     if e1.collapsed:
-        c1 = QMatrix(1, len(e1.class_vector), e1.class_vector)
-        transported = c1 * w.quot_a.inverse()
-        return transported.entries == e2.class_vector
+        # c1 quot_a^-1 = c2 as c2 quot_a = c1: quot_a is a diagonal block of
+        # the invertible block-triangular total A-map, so it is invertible
+        r = len(e1.class_vector)
+        return QMatrix(1, r, e2.class_vector) * w.quot_a == QMatrix(1, r, e1.class_vector)
     return True
 
 
@@ -263,20 +264,18 @@ def ext_isomorphism_witness(
         return None
 
     if e1.collapsed:
-        c1 = e1.class_vector
-        c2 = e2.class_vector
-        zero1 = all(c == 0 for c in c1)
-        zero2 = all(c == 0 for c in c2)
-        if zero1 != zero2:
+        c1, c2 = e1.class_vector, e2.class_vector
+        if any(c1) != any(c2):
             # the class moves by an invertible linear action, so the zero
             # class can only match the zero class
             return None
         r = e1.quot.a_dim
-        if zero1:
+        if not any(c1):
             quot_a = QMatrix.identity(r)
         else:
-            # want c1 * quot_a^{-1} = c2, i.e. c2 * quot_a = c1
-            quot_a = _complete_to_invertible(c2).inverse() * _complete_to_invertible(c1)
+            # want c2 * quot_a = c1: the first row of C2 quot_a = C1, for
+            # completions C2 and C1 whose first rows are c2 and c1
+            quot_a = solve(_complete_to_invertible(c2), _complete_to_invertible(c1))
         quot_b = e2.quot.beta * quot_a * e1.quot.beta.inverse()
         witness = ExtWitness(
             w_sub, quot_a, quot_b,

@@ -46,7 +46,8 @@ read so far, so every diagnostic and offset is the token path's.
 Untrusted input has a budget: a declared dimension above `MAX_DIM`, a
 document whose extensions, nodes block and gluings would make checking
 build more than `MAX_IMPLIED_ENTRIES` matrix entries that the text does
-not write out, or one whose written matrices would cost more than
+not write out, or one whose written matrices, with the extension totals
+and class tests assembled from them, would cost more than
 `MAX_WRITTEN_WORK` to eliminate, is refused with a `limit` diagnostic.
 
 Parsing never raises on bad input: it returns a resolved
@@ -98,7 +99,8 @@ CODE_LIMIT = "limit"
 # in that many passes over its entries, which its text pays for as it pays
 # for reading them: 256 x 4 of 4000-digit integers ranked at 1 ms per KB of
 # text, twice what checking a benchmark corpus document costs per KB, and
-# 256 x 8 at 7.7 ms.
+# 256 x 8 at 7.7 ms.  The same measure charges a block-regime extension
+# for the matrices that checking it eliminates.
 MAX_DIM = 256
 MAX_IMPLIED_ENTRIES = 1_000_000
 MAX_WRITTEN_WORK = 8_000_000
@@ -796,17 +798,20 @@ def _zigzag_entries(e_minus: int, a_dim: int, b_dim: int, e_zero: int) -> int:
     return a_dim * e_minus + b_dim * a_dim + e_zero * b_dim
 
 
+def _work(rows: int, cols: int, *blocks: QMatrix) -> int:
+    """The budget's measure of eliminating a rows x cols matrix made of the
+    blocks: rows*cols*min(rows, cols) times the bit length of the largest
+    numerator over their common denominator; 0 for a thin matrix."""
+    if rows <= _FREE_PIVOTS or cols <= _FREE_PIVOTS:
+        return 0
+    den = lcm(*(m.den for m in blocks))
+    top = max((max(map(abs, m.nums)) * (den // m.den) for m in blocks if m.nums), default=0)
+    return rows * cols * min(rows, cols) * top.bit_length()
+
+
 def _elimination_work(*matrices: QMatrix) -> int:
-    """The budget's measure of eliminating the matrices: rows*cols*min(rows,
-    cols) times the bit length of the largest numerator, summed over those
-    with more than _FREE_PIVOTS rows and columns."""
-    work = 0
-    for m in matrices:
-        r, c = m.rows, m.cols
-        if r > _FREE_PIVOTS < c:
-            nums = m.nums
-            work += r * c * min(r, c) * max(max(nums), -min(nums)).bit_length()
-    return work
+    """The budget's measure of eliminating each of the matrices."""
+    return sum(_work(m.rows, m.cols, m) for m in matrices)
 
 
 def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
@@ -892,6 +897,15 @@ def _resolve(items: list[Item]) -> Document | list[Diagnostic]:
                 s.b_dim * q.a_dim
                 + _zigzag_entries(s.e_minus, s.a_dim + q.a_dim, s.b_dim + q.b_dim, s.e_zero),
             )
+            if s.b_dim > 0:
+                # checking eliminates the three maps of the total and, per
+                # quotient column, the class test's [basis of im beta_s | u
+                # column], whose basis has at most min(A_s, B_s) columns
+                a, b = s.a_dim + q.a_dim, s.b_dim + q.b_dim
+                work = _work(a, s.e_minus, s.alpha) + _work(b, a, s.beta, q.beta)
+                work += _work(s.e_zero, b, s.gamma)
+                work += q.a_dim * _work(s.b_dim, min(s.a_dim, s.b_dim) + 1, s.beta)
+                charge(it, work, "written")
             if quot.zigzag.open_label != ZERO_LABEL:
                 err(
                     it, CODE_SHAPE,

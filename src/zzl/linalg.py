@@ -19,19 +19,21 @@ only where a caller reads entries (``entries``, ``entry``, ``row``,
 input and accepts ``Fraction`` and ``int`` entries.
 
 No floating point is used anywhere.  Every elimination (``rref``,
-``rank``, ``solve``, ``kernel_basis``, ``image_basis``,
-``QMatrix.inverse`` and ``intertwine.BlockSystem.solve_affine``) runs on
-one fraction-free integer kernel in the style of Bareiss: rows are taken
-from the stored numerators, updated as ``p*row_i - f*row_r`` and divided
-by their gcd, and each result is read off over one denominator, the LCM
-of the pivot entries.  The kernel has two passes: a forward pass that
-clears below each pivot, which fixes the pivots and the rank, and a
-backward pass that clears above them, which gives the reduced form.
+``rank``, ``solve``, ``kernel_basis``, ``image_basis`` and
+``intertwine.BlockSystem.solve_affine``) runs on one fraction-free
+integer kernel in the style of Bareiss: rows are taken from the stored
+numerators, updated as ``p*row_i - f*row_r`` and divided by their gcd,
+and each result is read off over one denominator, the LCM of the pivot
+entries.  The kernel has two passes: a forward pass that clears below
+each pivot, which fixes the pivots and the rank, and a backward pass
+that clears above them, which gives the reduced form.
 Each matrix is eliminated at most once: the first ``rank``,
 ``image_basis``, ``kernel_basis`` or ``rref`` of a matrix stores its
 forward pass on the matrix, the backward pass runs on demand from it the
 first time a reduced form is asked for, and the stored form is dropped
-with the matrix.  Augmented systems (``solve``, ``inverse``,
+with the matrix.  Every linear system of this module is one ``solve``,
+which takes a matrix of right-hand sides: ``QMatrix.inverse`` is the
+solution against the identity.  Augmented systems (``solve`` and
 ``solve_affine``) are built fresh and run both passes.  The pivot is
 always the first nonzero entry of its column, exactly as in rational
 Gauss-Jordan elimination, and the reduced row-echelon form of a matrix
@@ -48,6 +50,7 @@ kernel of [B1 | -B2].
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -92,13 +95,16 @@ def format_rational(x: Scalar) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# a .zzl entry, in ASCII digits, with a nonzero denominator
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`.  Raises ``ValueError`` on bad input."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Inverse of :func:`format_rational`.  Reads exactly a ``.zzl`` entry
+    and raises ``ValueError`` on anything else."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"not a rational entry: {text!r}")
+    return Fraction(text)
 
 
 def as_vector(values: Iterable[Scalar]) -> Vector:
@@ -306,13 +312,10 @@ class QMatrix:
     def inverse(self) -> QMatrix:
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        work = _int_rows(self, QMatrix.identity(n))
-        pivots = _eliminate(work, n)
-        if pivots != list(range(n)):
+        x = solve(self, QMatrix.identity(self.rows))
+        if x is None:
             raise ValueError("matrix is singular")
-        _reduce_above(work, pivots)
-        return _from_nums(n, n, *_divided_by_pivots(work, pivots, n))
+        return x
 
 
 _SET_SLOTS = tuple(QMatrix.__dict__[name].__set__ for name in QMatrix.__slots__)
@@ -493,18 +496,6 @@ def _pivot_den(work: list[list[int]], pivots: Sequence[int]) -> tuple[int, list[
     return den, [den // row[c] for row, c in zip(work, pivots)]
 
 
-def _divided_by_pivots(
-    work: list[list[int]], pivots: Sequence[int], start: int
-) -> tuple[int, list[int]]:
-    """Each pivot row from column ``start`` on, divided by its pivot entry,
-    as row-major numerators over one denominator."""
-    den, factors = _pivot_den(work, pivots)
-    nums: list[int] = []
-    for row, s in zip(work, factors):
-        nums += [s * x for x in row[start:]]
-    return den, nums
-
-
 def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
     """The integers divided by ``den`` as fractions in lowest terms."""
     if den == 1:
@@ -545,7 +536,9 @@ def _reduced(m: QMatrix) -> tuple[list[int], list[list[int]], bool]:
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices."""
     pivots, rows, _ = _reduced(m)
-    den, nums = _divided_by_pivots(rows, pivots, 0)
+    # each pivot row divided by its pivot entry, then the zero rows
+    den, factors = _pivot_den(rows, pivots)
+    nums = [s * x for row, s in zip(rows, factors) for x in row]
     nums += [0] * ((m.rows - len(pivots)) * m.cols)
     return _from_nums(m.rows, m.cols, den, nums), tuple(pivots)
 
@@ -612,27 +605,19 @@ def _from_basis(basis: QMatrix) -> Subspace:
     return s
 
 
-def solve(a: QMatrix, b: QMatrix | Iterable[Scalar]) -> QMatrix | Vector | None:
-    """One solution x of a*x = b, or None when inconsistent.
+def solve(a: QMatrix, b: QMatrix) -> QMatrix | None:
+    """One solution X of a*X = b, or None when some column is inconsistent.
 
-    b is a vector, or a matrix whose k columns are right-hand sides; then
-    x is the a.cols x k matrix whose column j solves column j, and None
-    means some column is inconsistent.  [a | b] is eliminated once, and a
-    vector is the case k = 1, returned as a vector.
+    The k columns of b are right-hand sides, and column j of the a.cols x k
+    matrix X solves column j; [a | b] is eliminated once.
     """
-    vector = not isinstance(b, QMatrix)
-    if vector:
-        rhs = as_vector(b)
-        b = QMatrix(len(rhs), 1, rhs)
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
     work = _int_rows(a, b)
     pivots = _eliminate(work, a.cols)
     _reduce_above(work, pivots)
     den, x, _ = _solution_space(work, pivots, a.cols, b.cols)
-    if x is None:
-        return None
-    return tuple(_scaled(x, den)) if vector else _from_nums(a.cols, b.cols, den, x)
+    return None if x is None else _from_nums(a.cols, b.cols, den, x)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:

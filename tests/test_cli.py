@@ -118,6 +118,26 @@ class TestInputBudget:
             "units of elimination work on the matrices it writes, above the limit of 8000000\n"
         )
 
+    def test_extension_eliminations_over_the_work_limit_exit_two(self, tmp_path):
+        # 67 class-0 extensions over one written 120x120 beta with entries in
+        # [-1, 1], as many as the implied-entry cap admits: each check
+        # eliminates the 121x121 total beta and the 120x121 class-test stack
+        # (before they were charged, 4 extensions took 3.7 s on 2 vCPUs)
+        rng = random.Random(0)
+        rows = [", ".join(str(rng.randint(-1, 1)) for _ in range(120)) for _ in range(120)]
+        text = (
+            "zigzag S { open = C, eminus = 0, ezero = 0, A = 120, B = 120, "
+            f"alpha = [], beta = [{'; '.join(rows)}], gamma = [] }}\n"
+            "zigzag Q { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, alpha = [], beta = [1], gamma = [] }\n"
+        ) + "".join(f"extension P{k} = ext(S, Q) class 0\n" for k in range(67))
+        result = self.check(tmp_path, text)
+        assert result.exit_code == EXIT_USAGE
+        # S costs 120^3 = 1728000, each extension 121^3 + 120*121*120 = 3513961
+        assert result.payload == (
+            "4:1: error [limit] extension 'P1': checking the document would spend 8755922 "
+            "units of elimination work on the matrices it writes, above the limit of 8000000\n"
+        )
+
 
 class TestRankTwoQuotient:
     # a class-0 extension over a rank-2 quotient: one class per coordinate

@@ -39,6 +39,7 @@ from zzl.zigzag import (
     std_ic,
     std_skyscraper,
     validate,
+    verify_witness,
 )
 
 LABEL = "Q_U[3]"
@@ -222,6 +223,45 @@ class TestExtIsomorphic:
         assert (split.is_split, corrected.is_split) == (True, False)
         assert split.grid_members == (0,) and 1 in corrected.grid_members
         assert is_self_dual(make_extension(std_ic("C", 7, 7), std_skyscraper(1), 1))
+
+
+class TestCollapsedTransport:
+    """The collapsed class moves contravariantly along quot_a: c2 quot_a = c1."""
+
+    PAIRS = [((1, 2), (-3, Fraction(1, 2))), ((0, 0), (0, 0))]
+
+    @staticmethod
+    def presentations(c1, c2):
+        quot = std_skyscraper(2)
+        return make_extension(IC, quot, c1), make_extension(IC, quot, c2)
+
+    @pytest.mark.parametrize("c1,c2", PAIRS)
+    def test_work_gate_one_inverse_for_the_quotient_beta(self, monkeypatch, c1, c2):
+        inverted = []
+        original = QMatrix.inverse
+
+        def inverse(m):
+            inverted.append(m)
+            return original(m)
+
+        e1, e2 = self.presentations(c1, c2)
+        monkeypatch.setattr(QMatrix, "inverse", inverse)
+        w = ext_isomorphism_witness(e1, e2)
+        # quot_a is one solve against the completion of c2, and the verifier
+        # checks the class as a product; only quot_b inverts e1's quotient beta
+        assert len(inverted) == 1 and inverted[0] is e1.quot.beta
+        monkeypatch.undo()
+        assert verify_ext_witness(e1, e2, w)
+        assert QMatrix(1, 2, e2.class_vector) * w.quot_a == QMatrix(1, 2, e1.class_vector)
+
+    def test_a_witness_that_breaks_the_class_is_rejected(self):
+        e1, e2 = self.presentations(*self.PAIRS[0])
+        w = ext_isomorphism_witness(e1, e2)
+        doubled = w._replace(quot_a=2 * w.quot_a, quot_b=2 * w.quot_b)
+        # the doubled quotient blocks still intertwine the totals, which are
+        # blind to the stored class; only the transport test sees it
+        assert verify_witness(e1.total, e2.total, doubled.total_witness(e1, e2))
+        assert not verify_ext_witness(e1, e2, doubled)
 
 
 def _conjugated_block_pairs(seeds):
