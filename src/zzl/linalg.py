@@ -29,9 +29,8 @@ each pivot, which fixes the pivots and the rank, and a backward pass
 that clears above them, which gives the reduced form.
 Each matrix is eliminated at most once: the first ``rank``,
 ``image_basis``, ``kernel_basis`` or ``rref`` of a matrix stores its
-forward pass on the matrix, the backward pass runs on demand from it the
-first time a reduced form is asked for, and the stored form is dropped
-with the matrix.  Every linear system of this module is one ``solve``,
+forward pass on the matrix, written once and dropped with the matrix;
+a reduced form is a backward pass over a copy of it, not stored.  Every linear system of this module is one ``solve``,
 which takes a matrix of right-hand sides: ``QMatrix.inverse`` is the
 solution against the identity.  Augmented systems (``solve`` and
 ``solve_affine``) are built fresh and run both passes.  The pivot is
@@ -45,7 +44,9 @@ building the product.  Every span is built as ``image_basis`` of one
 whole matrix, keeping its first independent columns:
 ``Subspace.spanned_by`` of the given vectors, ``subspace_sum`` of the two
 stacked bases and ``subspace_intersect`` of B1*X, X the top block of the
-kernel of [B1 | -B2].
+kernel of [B1 | -B2].  The same keep-first step on [B | C], read past
+B's width, gives the columns of C independent modulo the span of B
+(``independent_modulo``).
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class QMatrix:
     ``QMatrix(rows, cols, entries)`` takes the row-major entries as any
     sequence of ``Fraction`` or ``int`` values and keeps none of it.
 
-    The slot ``_echelon`` holds the matrix's elimination once one has been
-    asked for (see ``_echelon`` and ``_reduced``), so that each matrix is
+    The slot ``_echelon`` holds the matrix's forward elimination once one
+    has been asked for (see ``_echelon``), so that each matrix is
     eliminated at most once; it is derived from the value, takes no part
     in equality, hashing or ``repr``, and is dropped with the matrix.
     """
@@ -131,7 +132,7 @@ class QMatrix:
     cols: int
     den: int
     nums: tuple[int, ...]
-    _echelon: tuple[list[int], list[list[int]], bool] | None
+    _echelon: tuple[list[int], list[list[int]]] | None
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]) -> None:
         if rows < 0 or cols < 0:
@@ -503,39 +504,33 @@ def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
     return [Fraction(x, den) if x else _ZERO for x in values]
 
 
-def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]], bool]:
-    """The elimination stored on m: its pivot columns, its pivot rows as
-    integer rows in an echelon form, and whether that form is reduced.
-    The first call runs the forward pass and stores it without its zero
-    rows; ``_reduced`` may later replace it by the reduced form.  A stored
-    entry and its rows are never written to."""
+def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]]]:
+    """The elimination stored on m: its pivot columns and its pivot rows
+    as integer rows after the forward pass.  The first call runs the
+    forward pass and stores it without its zero rows, once; a stored entry
+    and its rows are never written to."""
     entry = m._echelon
     if entry is None:
         rows = _int_rows(m)
         pivots = _eliminate(rows, m.cols)
         del rows[len(pivots) :]
-        entry = (pivots, rows, False)
+        entry = (pivots, rows)
         _SET_ECHELON(m, entry)
     return entry
 
 
-def _reduced(m: QMatrix) -> tuple[list[int], list[list[int]], bool]:
-    """The stored elimination of m in reduced form: on the first call, the
-    backward pass over a copy of the stored forward pass, stored on m in
-    its place."""
-    entry = _echelon(m)
-    if not entry[2]:
-        pivots, forward, _ = entry
-        rows = forward[:]
-        _reduce_above(rows, pivots)
-        entry = (pivots, rows, True)
-        _SET_ECHELON(m, entry)
-    return entry
+def _reduced(m: QMatrix) -> tuple[list[int], list[list[int]]]:
+    """The pivots of m and its reduced pivot rows: the backward pass over a
+    copy of the stored forward pass, which is not stored."""
+    pivots, forward = _echelon(m)
+    rows = forward[:]
+    _reduce_above(rows, pivots)
+    return pivots, rows
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices."""
-    pivots, rows, _ = _reduced(m)
+    pivots, rows = _reduced(m)
     # each pivot row divided by its pivot entry, then the zero rows
     den, factors = _pivot_den(rows, pivots)
     nums = [s * x for row, s in zip(rows, factors) for x in row]
@@ -622,7 +617,7 @@ def solve(a: QMatrix, b: QMatrix) -> QMatrix | None:
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Basis of {x : m*x = 0}; dimension is cols - rank by rank-nullity."""
-    pivots, rows, _ = _reduced(m)
+    pivots, rows = _reduced(m)
     den, _, kernel = _solution_space(rows, pivots, m.cols, 0)
     nums = [v[i] for i in range(m.cols) for v in kernel]
     return _from_basis(_from_nums(m.cols, len(kernel), den, nums))
@@ -676,9 +671,21 @@ def _solution_space(
 
 def image_basis(m: QMatrix) -> Subspace:
     """Basis of the column span: the original columns at the pivot positions."""
-    pivots, c = _echelon(m)[0], m.cols
-    nums = [m.nums[i * c + j] for i in range(m.rows) for j in pivots]
-    return _from_basis(_from_nums(m.rows, len(pivots), m.den, nums))
+    return _from_basis(_columns(m, _echelon(m)[0]))
+
+
+def independent_modulo(b: QMatrix, c: QMatrix) -> QMatrix:
+    """The columns of c that ``image_basis`` keeps on [b | c]: the first
+    ones independent modulo the span of b, from one elimination."""
+    w = b.cols
+    return _columns(c, [j - w for j in _echelon(hstack(b, c))[0] if j >= w])
+
+
+def _columns(m: QMatrix, selected: Sequence[int]) -> QMatrix:
+    """The columns of m at the given indices, in that order."""
+    c = m.cols
+    nums = [m.nums[i * c + j] for i in range(m.rows) for j in selected]
+    return _from_nums(m.rows, len(selected), m.den, nums)
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:

@@ -22,8 +22,10 @@ from .linalg import (
     Subspace,
     Vector,
     as_vector,
+    _columns,
+    _from_basis,
     hstack,
-    image_basis,
+    independent_modulo,
     kernel_basis,
     rank,
 )
@@ -156,6 +158,8 @@ class WeightFiltration:
     steps: tuple[tuple[int, Subspace], ...]
 
     def __post_init__(self) -> None:
+        if not self.steps:
+            raise ValueError("a filtration needs at least one step")
         weights = [w for w, _ in self.steps]
         if weights != list(range(weights[0], weights[0] + len(weights))):
             raise ValueError("filtration weights must be consecutive")
@@ -192,25 +196,36 @@ class WeightFiltration:
 def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     """The unique filtration with N W_w <= W_{w-2} and N^j : Gr_{k+j} ~ Gr_{k-j}.
 
-    Step center + l is the span over i >= max(0, -l) of N^i ker N^(2i+l+1),
-    for both signs of l: one ``image_basis`` of the pieces side by side.
-    A piece is ker N^(i+l+1) intersect im N^i, as ker A intersect im B =
-    B ker(AB), so no intersection is solved.  Both defining conditions are
-    re-verified on the output before it is returned.
+    It is read off one basis G of Jordan strings.  For each height L from
+    the index down to 1, the string vectors at height L are N times those
+    at height L + 1, followed by the new string tops of length L: the
+    columns of ker N^L independent modulo ker N^(L-1) and those vectors,
+    one elimination per height.  A string of length s has weight
+    center + 2L - s - 1 at height L, and step w is the columns of G (the
+    heights side by side) of weight at most w, so no step eliminates
+    anything.  rank G = n is checked as the certificate (N G = G S holds by
+    construction, S the shift along the strings), and both defining
+    conditions are re-verified on the output before it is returned.
     """
     k = n.index
     kernels = [kernel_basis(p).basis for p in n.powers]  # ker N^k is everything
-
-    def step(level: int) -> Subspace:
-        pieces = (
-            n.powers[i] * kernels[min(2 * i + level + 1, k)]
-            for i in range(max(0, -level), k)
-        )
-        # the empty first block keeps the stack defined when there is no piece
-        return image_basis(hstack(QMatrix.zero(n.dim, 0), *pieces))
-
+    g = strings = QMatrix.zero(n.dim, 0)
+    lengths: list[int] = []
+    weights: list[int] = []
+    for height in range(k, 0, -1):
+        strings = n.matrix * strings
+        tops = independent_modulo(hstack(kernels[height - 1], strings), kernels[height])
+        strings = hstack(strings, tops)
+        lengths += [height] * tops.cols
+        g = hstack(strings, g)
+        weights[:0] = [center + 2 * height - s - 1 for s in lengths]
+    if rank(g) != n.dim:
+        raise PostconditionError(f"Jordan string basis has rank {rank(g)}, not {n.dim}")
     top = max(k, 1)  # the zero space still gets a zero step and a full one
-    steps = tuple((center + level, step(level)) for level in range(-top, top))
+    steps = tuple(
+        (w, _from_basis(_columns(g, [j for j, v in enumerate(weights) if v <= w])))
+        for w in range(center - top, center + top)
+    )
     filtration = WeightFiltration(center, steps)
     issues = check_weight_conditions(n, filtration)
     if issues:

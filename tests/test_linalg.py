@@ -16,6 +16,7 @@ from zzl.linalg import (
     format_rational,
     hstack,
     image_basis,
+    independent_modulo,
     kernel_basis,
     parse_rational,
     product_is_zero,
@@ -128,6 +129,19 @@ class TestKernelImage:
         monkeypatch.setattr(linalg, "_eliminate", counting)
         s = basis(QMatrix.from_rows([[1, 2, 3], [2, 4, 7]]))
         assert len(calls) == 1 and s.dim in (1, 2)
+
+    def test_independent_modulo_keeps_the_first_new_columns(self):
+        b = QMatrix.from_rows([[1], [0], [0]])
+        c = QMatrix.from_rows([[2, 0, 1, 0], [0, 1, 1, 0], [0, 2, 2, 1]])
+        assert independent_modulo(b, c) == QMatrix.from_rows([[0, 0], [1, 0], [2, 1]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.data())
+    def test_independent_modulo_is_image_basis_past_b(self, rows, data):
+        b = data.draw(st.integers(0, 4).flatmap(lambda k: shaped_qmatrices(rows, k)))
+        c = data.draw(st.integers(0, 4).flatmap(lambda k: shaped_qmatrices(rows, k)))
+        kept = independent_modulo(b, c)
+        assert image_basis(hstack(b, c)).basis == hstack(image_basis(b).basis, kept)
 
     @settings(max_examples=60, deadline=None)
     @given(qmatrices())
@@ -545,14 +559,16 @@ class TestStoredElimination:
             monkeypatch.setattr(linalg, name, counting)
         return calls
 
-    def test_work_gate_one_forward_and_one_backward_pass(self, passes):
+    def test_work_gate_one_forward_pass_and_a_backward_pass_per_reduced_form(self, passes):
+        # the forward pass is stored once; each reduced form (kernel_basis,
+        # rref) is a backward pass over a copy of it, not stored
         m = QMatrix.from_rows([[1, 2, 3, 4], [2, 4, 7, 1], [3, 6, 10, 5]])
         assert rank(m) == 2
         assert image_basis(m).dim == 2
         assert kernel_basis(m).dim == 2
         assert rref(m)[1] == (0, 2)
         assert rank(m) == 2
-        assert passes == {"_eliminate": 1, "_reduce_above": 1}
+        assert passes == {"_eliminate": 1, "_reduce_above": 2}
 
     def test_work_gate_reduced_form_first(self, passes):
         m = QMatrix.from_rows([[0, 1, 2], [1, 1, 1]])

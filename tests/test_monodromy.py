@@ -185,6 +185,11 @@ def _span(*vectors):
     return Subspace.spanned_by(2, vectors)
 
 
+def test_filtration_without_steps_is_refused():
+    with pytest.raises(ValueError, match="at least one step"):
+        WeightFiltration(0, ())
+
+
 class TestWeightConditionMessages:
     """Each message of check_weight_conditions, from a filtration that
     violates it."""
@@ -234,30 +239,67 @@ def _folded_steps(n, center):
 )
 def test_each_step_is_the_fold_of_its_pieces(blocks, seed, center):
     n = conjugate(jordan_nilpotent(blocks), random_invertible(random.Random(seed), sum(blocks)))
-    # equal as stored: the same basis columns, byte for byte
-    assert weight_filtration(n, center).steps == _folded_steps(n, center)
+    ours = weight_filtration(n, center).steps
+    folded = _folded_steps(n, center)
+    # the same weights, and each step spans the fold of its pieces
+    assert [w for w, _ in ours] == [w for w, _ in folded]
+    assert all(subspace_equal(a, b) for (_, a), (_, b) in zip(ours, folded))
 
 
-def test_work_gate_pieces_without_intersections(monkeypatch):
-    # each piece is a stored power times a kernel basis: 4 kernels, 6 step
-    # spans and the post-check's 9 ranks, against 43 with intersections
-    n = conjugate(jordan_nilpotent([3, 2, 1]), random_invertible(random.Random(0), 6))
-    calls = {"_eliminate": 0, "subspace_intersect": 0}
+def _construction_work(monkeypatch, n):
+    """The eliminations of weight_filtration(n, 0) before its post-check
+    (calls and entries handed to ``_eliminate``), and the ``image_basis``
+    and ``subspace_intersect`` calls of the whole run."""
+    work = {"_eliminate": 0, "entries": 0, "image_basis": 0, "subspace_intersect": 0}
+    counting = [True]
+    eliminate = linalg._eliminate
+    post_check = monodromy.check_weight_conditions
 
-    def counting(name, original):
+    def eliminating(rows, pivot_cols):
+        if counting[0]:
+            work["_eliminate"] += 1
+            work["entries"] += sum(map(len, rows))
+        return eliminate(rows, pivot_cols)
+
+    def checking(*args):
+        counting[0] = False
+        return post_check(*args)
+
+    def counted(name, original):
         def wrapper(*args):
-            calls[name] += 1
+            work[name] += 1
             return original(*args)
 
         return wrapper
 
-    monkeypatch.setattr(linalg, "_eliminate", counting("_eliminate", linalg._eliminate))
-    intersect = counting("subspace_intersect", linalg.subspace_intersect)
-    monkeypatch.setattr(linalg, "subspace_intersect", intersect)
-    # also where an import by name would look it up
-    monkeypatch.setattr(monodromy, "subspace_intersect", intersect, raising=False)
-    assert weight_filtration(n, 0).graded_dims() == {-2: 1, -1: 1, 0: 2, 1: 1, 2: 1}
-    assert calls == {"_eliminate": 19, "subspace_intersect": 0}
+    monkeypatch.setattr(linalg, "_eliminate", eliminating)
+    monkeypatch.setattr(monodromy, "check_weight_conditions", checking)
+    for name in ("image_basis", "subspace_intersect"):
+        wrapper = counted(name, getattr(linalg, name))
+        monkeypatch.setattr(linalg, name, wrapper)
+        # also where an import by name would look it up
+        monkeypatch.setattr(monodromy, name, wrapper, raising=False)
+    return weight_filtration(n, 0), work
+
+
+def test_work_gate_jordan_strings_without_step_eliminations(monkeypatch):
+    # 4 kernels of the stored powers, one keep-first elimination per
+    # height (3) and the rank certificate, against 10 calls of 546 entries
+    # with one span per step; no step builds a span
+    n = conjugate(jordan_nilpotent([3, 2, 1]), random_invertible(random.Random(0), 6))
+    w, work = _construction_work(monkeypatch, n)
+    assert w.graded_dims() == {-2: 1, -1: 1, 0: 2, 1: 1, 2: 1}
+    assert work == {"_eliminate": 8, "entries": 330, "image_basis": 0, "subspace_intersect": 0}
+
+
+def test_work_gate_single_block_of_twenty(monkeypatch):
+    # one span per step handed 217,800 entries to the elimination here
+    n = conjugate(jordan_nilpotent([20]), random_invertible(random.Random(0), 20))
+    w, work = _construction_work(monkeypatch, n)
+    assert w.graded_dims() == {2 * a - 19: 1 for a in range(20)}
+    assert work["_eliminate"] == 21 + 20 + 1
+    assert work["entries"] < 20_000
+    assert work["image_basis"] == 0
 
 
 def _partitions_by_total(n_max):

@@ -70,6 +70,11 @@ CASES = {
         "zzl.monodromy", "check_weight_conditions", lambda _n, _w: ["forced"],
         lambda: weight_filtration(jordan_nilpotent([2, 1]), 0),
     ),
+    # the rank of the Jordan string basis is the certificate read first
+    "weight_filtration_certificate": (
+        "zzl.monodromy", "rank", lambda _m: -1,
+        lambda: weight_filtration(jordan_nilpotent([2, 1]), 0),
+    ),
 }
 
 
@@ -84,6 +89,12 @@ def test_forced_failure_raises(name, monkeypatch):
     monkeypatch.setattr(importlib.import_module(module), attr, failing)
     with pytest.raises(PostconditionError):
         call()
+
+
+def test_failing_certificate_raises_before_the_post_check(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("zzl.monodromy"), "rank", lambda _m: -1)
+    with pytest.raises(PostconditionError, match="Jordan string basis has rank -1, not 3"):
+        weight_filtration(jordan_nilpotent([2, 1]), 0)
 
 
 def run_forced_cases() -> list[str]:
