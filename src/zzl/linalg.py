@@ -29,8 +29,9 @@ each pivot, which fixes the pivots and the rank, and a backward pass
 that clears above them, which gives the reduced form.
 Each matrix is eliminated at most once: the first ``rank``,
 ``image_basis``, ``kernel_basis`` or ``rref`` of a matrix stores its
-forward pass on the matrix, written once and dropped with the matrix;
-a reduced form is a backward pass over a copy of it, not stored.  Every linear system of this module is one ``solve``,
+forward pass on the matrix, written once and dropped with the matrix,
+and each reduced form is a backward pass over a copy of it, not stored.
+Every linear system of this module is one ``solve``,
 which takes a matrix of right-hand sides: ``QMatrix.inverse`` is the
 solution against the identity.  Augmented systems (``solve`` and
 ``solve_affine``) are built fresh and run both passes.  The pivot is
@@ -44,9 +45,8 @@ building the product.  Every span is built as ``image_basis`` of one
 whole matrix, keeping its first independent columns:
 ``Subspace.spanned_by`` of the given vectors, ``subspace_sum`` of the two
 stacked bases and ``subspace_intersect`` of B1*X, X the top block of the
-kernel of [B1 | -B2].  The same keep-first step on [B | C], read past
-B's width, gives the columns of C independent modulo the span of B
-(``independent_modulo``).
+kernel of [B1 | -B2].  Read past B's width on [B | C], the same step
+gives the columns of C independent modulo B (``independent_modulo``).
 """
 
 from __future__ import annotations
@@ -505,10 +505,9 @@ def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
 
 
 def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]]]:
-    """The elimination stored on m: its pivot columns and its pivot rows
-    as integer rows after the forward pass.  The first call runs the
-    forward pass and stores it without its zero rows, once; a stored entry
-    and its rows are never written to."""
+    """The forward pass stored on m: its pivot columns and its pivot rows
+    as integer rows.  The first call runs it and stores it without its
+    zero rows, once; a stored entry and its rows are never written to."""
     entry = m._echelon
     if entry is None:
         rows = _int_rows(m)
@@ -520,8 +519,7 @@ def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]]]:
 
 
 def _reduced(m: QMatrix) -> tuple[list[int], list[list[int]]]:
-    """The pivots of m and its reduced pivot rows: the backward pass over a
-    copy of the stored forward pass, which is not stored."""
+    """The pivots and reduced pivot rows of m, from a copy of its forward pass."""
     pivots, forward = _echelon(m)
     rows = forward[:]
     _reduce_above(rows, pivots)
@@ -677,8 +675,7 @@ def image_basis(m: QMatrix) -> Subspace:
 def independent_modulo(b: QMatrix, c: QMatrix) -> QMatrix:
     """The columns of c that ``image_basis`` keeps on [b | c]: the first
     ones independent modulo the span of b, from one elimination."""
-    w = b.cols
-    return _columns(c, [j - w for j in _echelon(hstack(b, c))[0] if j >= w])
+    return _columns(c, [j - b.cols for j in _echelon(hstack(b, c))[0] if j >= b.cols])
 
 
 def _columns(m: QMatrix, selected: Sequence[int]) -> QMatrix:

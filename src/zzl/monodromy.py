@@ -196,16 +196,14 @@ class WeightFiltration:
 def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     """The unique filtration with N W_w <= W_{w-2} and N^j : Gr_{k+j} ~ Gr_{k-j}.
 
-    It is read off one basis G of Jordan strings.  For each height L from
-    the index down to 1, the string vectors at height L are N times those
-    at height L + 1, followed by the new string tops of length L: the
-    columns of ker N^L independent modulo ker N^(L-1) and those vectors,
-    one elimination per height.  A string of length s has weight
-    center + 2L - s - 1 at height L, and step w is the columns of G (the
-    heights side by side) of weight at most w, so no step eliminates
-    anything.  rank G = n is checked as the certificate (N G = G S holds by
-    construction, S the shift along the strings), and both defining
-    conditions are re-verified on the output before it is returned.
+    Read off one basis G of Jordan strings: from height L = index down to
+    1, the string vectors at height L are N times those at L + 1, then the
+    new tops, the columns of ker N^L independent modulo ker N^(L-1) and
+    those vectors (one elimination per height).  A string of length s has
+    weight center + 2L - s - 1 at height L, and step w is the columns of G
+    of weight at most w, so no step eliminates.  rank G = n is checked as
+    the certificate (N G = G S by construction, S the shift along the
+    strings); both defining conditions are re-verified on the output.
     """
     k = n.index
     kernels = [kernel_basis(p).basis for p in n.powers]  # ker N^k is everything
@@ -222,10 +220,8 @@ def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     if rank(g) != n.dim:
         raise PostconditionError(f"Jordan string basis has rank {rank(g)}, not {n.dim}")
     top = max(k, 1)  # the zero space still gets a zero step and a full one
-    steps = tuple(
-        (w, _from_basis(_columns(g, [j for j, v in enumerate(weights) if v <= w])))
-        for w in range(center - top, center + top)
-    )
+    steps = tuple((w, _from_basis(_columns(g, [j for j, v in enumerate(weights) if v <= w])))
+                  for w in range(center - top, center + top))
     filtration = WeightFiltration(center, steps)
     issues = check_weight_conditions(n, filtration)
     if issues:
