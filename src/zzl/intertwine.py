@@ -7,20 +7,20 @@ which an element with prescribed blocks invertible is wanted.
 
 The solution set is an affine subspace p + span(h_1, ..., h_k) of the
 flat vector of unknowns (the blocks row-major, in the order of
-``BlockSystem.variables``).  ``BlockSystem.solve_affine`` reads p and the
-h_i off the reduced form of the augmented system [M | rhs], one
-fraction-free forward pass (``linalg._eliminate``) and one backward pass
-(``linalg._reduce_above``), and returns them as flat vectors.
+``BlockSystem.variables``).  ``BlockSystem.solve_affine`` builds the
+augmented system [M | rhs] as one matrix and reads p and the h_i off
+its reduced form (``linalg._reduced``), exactly as ``linalg.solve``
+does; the system is inconsistent when a pivot lands in the rhs column.
 ``find_invertible`` scales p and the h_i once to integers over a common
 denominator, keeping each h_i as its nonzero entries only, so that every
 candidate p + sum t_i h_i is combined on integers and each of its square
-blocks is tested for full rank by integer elimination; only the candidate
-returned becomes rational matrix blocks.  Candidates are drawn at random
-with growing radius, and an invertible element is certified absent by
-exhausting a rational grid large enough for the degree of the
-block-determinant polynomial (a nonzero polynomial of total degree d
-cannot vanish on a grid with d+1 values per coordinate).  A grid of more
-than ``CERTIFY_CAP`` points is refused with ``SizeBound``.
+blocks is tested for full rank by ``linalg.rank`` of an integer matrix;
+only the candidate returned becomes rational matrix blocks.  Candidates
+are drawn at random with growing radius, and an invertible element is
+certified absent by exhausting a rational grid large enough for the
+degree of the block-determinant polynomial (a nonzero polynomial of
+total degree d cannot vanish on a grid with d+1 values per coordinate).
+A grid of more than ``CERTIFY_CAP`` points is refused with ``SizeBound``.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from .linalg import (
     ShapeMismatch,
     _ZERO,
     _common_denominator,
-    _eliminate,
-    _int_row,
-    _reduce_above,
+    _from_nums,
+    _reduced,
     _scaled,
     _solution_space,
+    rank,
 )
 
 #: Largest certification grid searched exhaustively.
@@ -124,14 +124,13 @@ class BlockSystem:
     def solve_affine(self) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
         """Particular solution (None when inconsistent) and homogeneous basis,
         each a flat vector of the unknowns."""
-        work = [_int_row(row + [b]) for row, b in zip(self._rows, self._rhs)]
-        pivots = _eliminate(work, self._total)
-        _reduce_above(work, pivots)
-        den, particular, basis = _solution_space(work, pivots, self._total, 1)
-        return (
-            None if particular is None else _scaled(particular, den),
-            [_scaled(h, den) for h in basis],
-        )
+        n = self._total
+        entries = [x for row, b in zip(self._rows, self._rhs) for x in (*row, b)]
+        pivots, rows = _reduced(QMatrix(len(self._rows), n + 1, entries))
+        if pivots and pivots[-1] == n:
+            return None, []
+        den, particular, basis = _solution_space(rows, pivots, n, 1)
+        return _scaled(particular, den), [_scaled(h, den) for h in basis]
 
 
 def _invertible_at(
@@ -148,8 +147,7 @@ def _invertible_at(
             for i, x in zip(positions, entries):
                 v[i] += t * x
     for off, n in squares:
-        rows = [v[off + r * n : off + (r + 1) * n] for r in range(n)]
-        if len(_eliminate(rows, n)) < n:
+        if rank(_from_nums(n, n, 1, v[off : off + n * n])) < n:
             return None
     return v
 

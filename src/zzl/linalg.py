@@ -19,22 +19,22 @@ only where a caller reads entries (``entries``, ``entry``, ``row``,
 input and accepts ``Fraction`` and ``int`` entries.
 
 No floating point is used anywhere.  Every elimination (``rref``,
-``rank``, ``solve``, ``kernel_basis``, ``image_basis`` and
-``intertwine.BlockSystem.solve_affine``) runs on one fraction-free
-integer kernel in the style of Bareiss: rows are taken from the stored
-numerators, updated as ``p*row_i - f*row_r`` and divided by their gcd,
-and each result is read off over one denominator, the LCM of the pivot
-entries.  The kernel has two passes: a forward pass that clears below
-each pivot, which fixes the pivots and the rank, and a backward pass
-that clears above them, which gives the reduced form.
-Each matrix is eliminated at most once: the first ``rank``,
-``image_basis``, ``kernel_basis`` or ``rref`` of a matrix stores its
-forward pass on the matrix, written once and dropped with the matrix,
-and each reduced form is a backward pass over a copy of it, not stored.
-Every linear system of this module is one ``solve``,
-which takes a matrix of right-hand sides: ``QMatrix.inverse`` is the
-solution against the identity.  Augmented systems (``solve`` and
-``solve_affine``) are built fresh and run both passes.  The pivot is
+``rank``, ``solve``, ``kernel_basis`` and ``image_basis``) runs on one
+fraction-free integer kernel in the style of Bareiss: rows are taken
+from the stored numerators, updated as ``p*row_i - f*row_r`` and
+divided by their gcd, and each result is read off over one
+denominator, the LCM of the pivot entries.  The kernel has two passes
+and one entry point each: ``_echelon``, the forward pass that clears
+below each pivot, which fixes the pivots and the rank, and
+``_reduced``, the backward pass that clears above them, which gives the
+reduced form.  Each matrix is eliminated at most once: the first
+``_echelon`` of a matrix stores its forward pass on the matrix, written
+once and dropped with the matrix, and each reduced form is a backward
+pass over a copy of it, not stored.  Every linear system of this module
+is one ``solve``, which takes a matrix of right-hand sides and reads X
+off the reduced form of [a | b]: a consistent system never has a pivot
+in b's columns, and an inconsistent one always does.
+``QMatrix.inverse`` is the solution against the identity.  The pivot is
 always the first nonzero entry of its column, exactly as in rational
 Gauss-Jordan elimination, and the reduced row-echelon form of a matrix
 is unique, so the pivots, bases and serialized output are the same as
@@ -365,36 +365,21 @@ def product_is_zero(a: QMatrix, b: QMatrix) -> bool:
     return True
 
 
-def _int_rows(m: QMatrix, right: QMatrix | None = None) -> list[list[int]]:
-    """The rows of m, each extended by the same row of right, as integer rows.
+def _int_rows(m: QMatrix) -> list[list[int]]:
+    """The rows of m as integer rows: its numerators, row by row.
 
-    Each row is a positive multiple of the rational row: the numerators
-    over the LCM of the two denominators.  Rows are sliced from lists, not
-    from the stored tuple: short tuples freed in bulk stay on the
-    interpreter's tuple free lists, which fragments memory and raises the
-    peak resident size of long runs.
+    Rows are sliced from a list, not from the stored tuple: short tuples
+    freed in bulk stay on the interpreter's tuple free lists, which
+    fragments memory and raises the peak resident size of long runs.
     """
-    c = m.cols
-    if right is None:
-        left = list(m.nums)
-        return [left[i * c : (i + 1) * c] for i in range(m.rows)]
-    den, k = lcm(m.den, right.den), right.cols
-    left, extra = _over(m, den), _over(right, den)
-    return [left[i * c : (i + 1) * c] + extra[i * k : (i + 1) * k] for i in range(m.rows)]
+    c, left = m.cols, list(m.nums)
+    return [left[i * c : (i + 1) * c] for i in range(m.rows)]
 
 
 def _over(m: QMatrix, den: int) -> list[int]:
     """The numerators of m over ``den``, a multiple of ``m.den``."""
     s = den // m.den
     return list(m.nums) if s == 1 else [s * x for x in m.nums]
-
-
-def _int_row(values: Sequence[Fraction]) -> list[int]:
-    """The row times the LCM of its denominators, divided by the content."""
-    den = _common_denominator(values)
-    row = [x.numerator * (den // x.denominator) for x in values]
-    g = _content(row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _common_denominator(values: Iterable[Fraction]) -> int:
@@ -420,26 +405,25 @@ def _content(row: Sequence[int], g: int = 0) -> int:
     return g
 
 
-def _eliminate(rows: list[list[int]], pivot_cols: int) -> list[int]:
+def _eliminate(rows: list[list[int]]) -> list[int]:
     """The forward pass of fraction-free elimination of integer rows, in
-    place: clears each pivot column below its pivot.
+    place: clears each pivot column below its pivot.  Only ``_echelon``
+    calls it.
 
-    Pivots are searched in the first ``pivot_cols`` columns only, always
-    the first nonzero entry from the top; the row updates span the whole
-    row, so extra columns (a right-hand side, an identity) ride along.
-    Each row update is ``p*row_i - f*row_r`` with ``p, f`` the pivot and
-    the entry to clear (divided by their gcd), and the result is divided
-    by its content, so entries stay small.  The pivot search reads only
-    the rows at and below the current one, which no clearing above a
-    pivot touches, so the pivot columns agree exactly with those of
-    rational Gauss-Jordan elimination.  Returns the pivot columns; the
-    first ``len(pivots)`` rows are the pivot rows, and the rows after them
-    are zero in the first ``pivot_cols`` columns.
+    The pivot of a column is its first nonzero entry from the top.  Each
+    row update is ``p*row_i - f*row_r`` with ``p, f`` the pivot and the
+    entry to clear (divided by their gcd), and the result is divided by
+    its content, so entries stay small.  The pivot search reads only the
+    rows at and below the current one, which no clearing above a pivot
+    touches, so the pivot columns agree exactly with those of rational
+    Gauss-Jordan elimination.  Returns the pivot columns; the first
+    ``len(pivots)`` rows are the pivot rows, and the rows after them are
+    zero.
     """
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(pivot_cols):
+    for c in range(len(rows[0]) if rows else 0):
         if r == nrows:
             break
         for i in range(r, nrows):
@@ -469,9 +453,10 @@ def _reduce_above(rows: list[list[int]], pivots: Sequence[int]) -> None:
     ``pivots``: clears each pivot column above its pivot, last pivot
     first, with the row update of the forward pass, so that pivot row
     ``r`` divided by its pivot entry is row ``r`` of the reduced
-    row-echelon form.  Rows are replaced, never written to.  (The update
-    is written out in both passes: most eliminations are of tiny
-    matrices, where a helper call per pivot costs measurably.)
+    row-echelon form.  Only ``_reduced`` calls it.  Rows are replaced,
+    never written to.  (The update is written out in both passes: most
+    eliminations are of tiny matrices, where a helper call per pivot
+    costs measurably.)
     """
     for r in range(len(pivots) - 1, 0, -1):
         pivot_row = rows[r]
@@ -511,7 +496,7 @@ def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]]]:
     entry = m._echelon
     if entry is None:
         rows = _int_rows(m)
-        pivots = _eliminate(rows, m.cols)
+        pivots = _eliminate(rows)
         del rows[len(pivots) :]
         entry = (pivots, rows)
         _SET_ECHELON(m, entry)
@@ -602,15 +587,16 @@ def solve(a: QMatrix, b: QMatrix) -> QMatrix | None:
     """One solution X of a*X = b, or None when some column is inconsistent.
 
     The k columns of b are right-hand sides, and column j of the a.cols x k
-    matrix X solves column j; [a | b] is eliminated once.
+    matrix X solves column j.  X is read off the reduced form of [a | b];
+    the system is inconsistent exactly when a pivot lands in b's columns.
     """
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side of wrong length")
-    work = _int_rows(a, b)
-    pivots = _eliminate(work, a.cols)
-    _reduce_above(work, pivots)
-    den, x, _ = _solution_space(work, pivots, a.cols, b.cols)
-    return None if x is None else _from_nums(a.cols, b.cols, den, x)
+    pivots, rows = _reduced(hstack(a, b))
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    den, x, _ = _solution_space(rows, pivots, a.cols, b.cols)
+    return _from_nums(a.cols, b.cols, den, x)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
@@ -623,25 +609,20 @@ def kernel_basis(m: QMatrix) -> Subspace:
 
 def _solution_space(
     work: list[list[int]], pivots: Sequence[int], n: int, k: int
-) -> tuple[int, list[int] | None, list[list[int]]]:
+) -> tuple[int, list[int], list[list[int]]]:
     """A solution X of M*X = B and a basis of the kernel of M, read off one
-    elimination, as integer vectors over one common denominator.
+    reduced form, as integer vectors over one common denominator.
 
-    ``work`` holds the rows of [M | B], M with n columns and B with k,
-    after ``_eliminate(work, n)`` returned ``pivots`` and
-    ``_reduce_above(work, pivots)`` ran, and is only read; a homogeneous
-    system (k = 0) may leave out its rows without a pivot.  The solution
-    sets each pivot unknown to its row's B entries over the pivot entry
-    and every free unknown to 0; it is None, with no basis, when a row
-    without a pivot keeps a nonzero B entry.  Basis vector q sets the q-th
-    free unknown f to 1, the other free unknowns to 0, and each pivot
-    unknown to minus its row's entry at f over the pivot entry.  Returns
-    the denominator, the solution (n x k, row-major) and the basis; the
-    denominator is the LCM of the reduced denominators of all their
-    entries.
+    ``pivots`` and ``work`` are ``_reduced`` of [M | B], M with n columns
+    and B with k, and are only read.  The system must be consistent: no
+    pivot lands in B's columns.  The solution sets each pivot unknown to
+    its row's B entries over the pivot entry and every free unknown to 0.
+    Basis vector q sets the q-th free unknown f to 1, the other free
+    unknowns to 0, and each pivot unknown to minus its row's entry at f
+    over the pivot entry.  Returns the denominator, the solution (n x k,
+    row-major) and the basis; the denominator is the LCM of the reduced
+    denominators of all their entries.
     """
-    if k and any(any(row[n:]) for row in work[len(pivots):]):
-        return 1, None, []
     den, factors = _pivot_den(work, pivots)
     x = [0] * (n * k)
     for row, c, s in zip(work, pivots, factors):

@@ -85,14 +85,20 @@ def pl_operator(delta: Iterable[Scalar], q: Pairing) -> QMatrix:
 
 def _power_ladder(m: QMatrix) -> tuple[QMatrix, ...] | None:
     """(I, m, ..., m^k) with m^k = 0 and k least, or None if m is not
-    nilpotent (k <= dim suffices).  The only place powers are multiplied."""
+    nilpotent (k <= dim suffices).  The only place powers are multiplied.
+
+    Every power of a nilpotent matrix has trace 0, so the ladder stops at
+    the first power with a nonzero trace (a sum of diagonal numerators)."""
     if not m.is_square():
         raise DimensionMismatch("nilpotency of a non-square matrix")
     powers = [QMatrix.identity(m.rows)]
     while not powers[-1].is_zero():
         if len(powers) > m.rows:
             return None
-        powers.append(powers[-1] * m)
+        power = powers[-1] * m
+        if sum(power.nums[:: m.rows + 1]):
+            return None
+        powers.append(power)
     return tuple(powers)
 
 
@@ -206,7 +212,9 @@ def weight_filtration(n: NilpotentOperator, center: int) -> WeightFiltration:
     strings); both defining conditions are re-verified on the output.
     """
     k = n.index
-    kernels = [kernel_basis(p).basis for p in n.powers]  # ker N^k is everything
+    # ker N^0 = 0 and ker N^k is everything; only the powers between are eliminated
+    kernels = [QMatrix.zero(n.dim, 0), *(kernel_basis(p).basis for p in n.powers[1:k]),
+               QMatrix.identity(n.dim)]
     g = strings = QMatrix.zero(n.dim, 0)
     lengths: list[int] = []
     weights: list[int] = []

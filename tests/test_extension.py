@@ -305,9 +305,9 @@ class TestBlockRegimeWitness:
         original_find = intertwine.find_invertible
         original_at = intertwine._invertible_at
 
-        def eliminate(rows, pivot_cols):
-            eliminations.append(pivot_cols)
-            return original_eliminate(rows, pivot_cols)
+        def eliminate(rows):
+            eliminations.append(rows)
+            return original_eliminate(rows)
 
         def solve(a, b):
             before = len(eliminations)

@@ -1,5 +1,7 @@
+import ast
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -122,9 +124,9 @@ class TestKernelImage:
         calls = []
         original = linalg._eliminate
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(rows):
+            calls.append(rows)
+            return original(rows)
 
         monkeypatch.setattr(linalg, "_eliminate", counting)
         s = basis(QMatrix.from_rows([[1, 2, 3], [2, 4, 7]]))
@@ -479,6 +481,39 @@ class TestAgainstSympy:
             assert [x.col(j) for j in range(k)] == columns
             assert from_dm(sympy_qq(a) * sympy_qq(x)) == b
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+    def test_solve_is_the_read_off_of_the_augmented_rref(self, sympy_qq, rows, cols, k, data):
+        # None exactly when a pivot of [a | b] lands in b's columns; else
+        # each pivot unknown is its reduced row's b entries, every free one 0
+        a = data.draw(st.one_of(
+            shaped_qmatrices(rows, cols),
+            st.integers(0, 2).flatmap(lambda inner: st.tuples(
+                shaped_qmatrices(rows, inner), shaped_qmatrices(inner, cols))).map(lambda p: p[0] * p[1]),
+        ))
+        columns = [a * data.draw(shaped_qmatrices(cols, 1)) for _ in range(k)]
+        if k and data.draw(st.booleans()):  # one column drawn freely, often inconsistent
+            columns[data.draw(st.integers(0, k - 1))] = data.draw(shaped_qmatrices(rows, 1))
+        b = hstack(QMatrix.zero(rows, 0), *columns)
+        reduced, pivots = sympy_qq(a).hstack(sympy_qq(b)).rref()
+        x = solve(a, b)
+        if any(p >= cols for p in pivots):
+            assert x is None
+            return
+        expected = [[Fraction(0)] * k for _ in range(cols)]
+        for r, p in enumerate(pivots):
+            expected[p] = [Fraction(int(y.numerator), int(y.denominator)) for y in reduced.to_list()[r][cols:]]
+        assert x == QMatrix.from_rows(expected, cols=k) and is_canonical(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.integers(0, n - 1).flatmap(
+        lambda inner: st.tuples(shaped_qmatrices(n, inner), shaped_qmatrices(inner, n)))))
+    def test_singular_inverse_raises(self, sympy_qq, factors):
+        m = factors[0] * factors[1]
+        assert sympy_qq(m).rank() < m.rows
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            m.inverse()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: shaped_qmatrices(n, n)))
     def test_inverse(self, sympy_qq, m):
@@ -607,3 +642,38 @@ class TestStoredElimination:
                 setattr(m, name, None)
             with pytest.raises(AttributeError):
                 delattr(m, name)
+
+
+# -- one entry point per elimination pass ---------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zzl"
+
+
+def _references(name: str) -> set[tuple[str, str]]:
+    """(module, enclosing definition) of every reference to ``name`` in the
+    package: loads, attribute reads and imports; its own ``def`` is none."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.alias) and name in (child.name, child.asname)
+            ):
+                found.add((module, scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, module, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_each_elimination_pass_has_one_entry_point():
+    # every forward pass is a stored _echelon and every backward pass a
+    # _reduced, so a kernel swap replaces one function per pass
+    assert _references("_eliminate") == {("linalg", "_echelon")}
+    assert _references("_reduce_above") == {("linalg", "_reduced")}

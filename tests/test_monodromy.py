@@ -26,6 +26,7 @@ from zzl.monodromy import (
     check_weight_conditions,
     conjugate,
     jordan_nilpotent,
+    nilpotency_index,
     nilpotent_log,
     pl_operator,
     pl_transform,
@@ -118,6 +119,42 @@ class TestLogExp:
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotent):
             NilpotentOperator(QMatrix.identity(1))
+
+
+class TestPowerLadder:
+    @pytest.mark.parametrize("m,products", [
+        (QMatrix.identity(5), 1),  # m^k never vanishes; its trace is 5
+        (QMatrix.from_rows([[0, 1], [1, 0]]), 2),  # trace 0, then m^2 = I
+    ])
+    def test_work_gate_stops_at_the_first_nonzero_trace(self, monkeypatch, m, products):
+        # every power of a nilpotent map has trace 0
+        calls = []
+        product = QMatrix.__mul__
+
+        def counting(a, b):
+            calls.append(b)
+            return product(a, b)
+
+        monkeypatch.setattr(QMatrix, "__mul__", counting)
+        assert nilpotency_index(m) is None
+        assert len(calls) == products
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.booleans())
+    def test_agrees_with_the_full_ladder(self, seed, dim, nilpotent):
+        rng = random.Random(seed)
+        if nilpotent:
+            g = random_invertible(rng, dim)
+            m = g * random_nilpotent_upper(rng, dim) * g.inverse()
+        else:
+            m = QMatrix(dim, dim, [rng.randint(-1, 1) for _ in range(dim * dim)])
+        power, full = QMatrix.identity(dim), None
+        for k in range(dim + 1):
+            if power.is_zero():
+                full = k
+                break
+            power = power * m
+        assert nilpotency_index(m) == full
 
 
 class TestWeightFiltration:
@@ -254,11 +291,11 @@ def _construction_work(monkeypatch, n):
     counting = [True]
     eliminate, image, post_check = linalg._eliminate, linalg.image_basis, monodromy.check_weight_conditions
 
-    def eliminating(rows, pivot_cols):
+    def eliminating(rows):
         if counting[0]:
             work["_eliminate"] += 1
             work["entries"] += sum(map(len, rows))
-        return eliminate(rows, pivot_cols)
+        return eliminate(rows)
 
     def imaging(m):
         work["image_basis"] += 1
@@ -277,13 +314,14 @@ def _construction_work(monkeypatch, n):
 
 
 def test_work_gate_jordan_strings_without_step_eliminations(monkeypatch):
-    # 4 kernels of the stored powers, one keep-first elimination per
-    # height (3) and the rank certificate, against 10 calls of 546 entries
-    # with one span per step; no step builds a span
+    # the kernels of N and N^2 (ker N^0 = 0 and ker N^3 = Q^6 are known),
+    # one keep-first elimination per height (3) and the rank certificate,
+    # against 10 calls of 546 entries with one span per step; no step
+    # builds a span
     n = conjugate(jordan_nilpotent([3, 2, 1]), random_invertible(random.Random(0), 6))
     w, work = _construction_work(monkeypatch, n)
     assert w.graded_dims() == {-2: 1, -1: 1, 0: 2, 1: 1, 2: 1}
-    assert work == {"_eliminate": 8, "entries": 330, "image_basis": 0}
+    assert work == {"_eliminate": 6, "entries": 258, "image_basis": 0}
 
 
 def test_work_gate_single_block_of_twenty(monkeypatch):
@@ -291,7 +329,7 @@ def test_work_gate_single_block_of_twenty(monkeypatch):
     n = conjugate(jordan_nilpotent([20]), random_invertible(random.Random(0), 20))
     w, work = _construction_work(monkeypatch, n)
     assert w.graded_dims() == {2 * a - 19: 1 for a in range(20)}
-    assert work["_eliminate"] == 21 + 20 + 1
+    assert work["_eliminate"] == 19 + 20 + 1
     assert work["entries"] < 20_000
     assert work["image_basis"] == 0
 
