@@ -60,6 +60,7 @@ from .zigzag import (
     direct_sum,
     dualize,
     is_isomorphic,
+    self_dual,
     std_corrected,
     std_ic,
     std_skyscraper,
@@ -336,21 +337,21 @@ def _table1_rows() -> list[tuple[str, ZigZag, str, bool]]:
     ic_ok = (
         not validate(ic)
         and ic.a_dim == 0 == ic.b_dim
-        and is_isomorphic(dualize(ic), ic)
+        and self_dual(ic)
     )
     sky_ok = (
         not validate(sky)
         and sky.a_dim == sky.b_dim == 1
         and sky.beta == QMatrix.identity(1)
         and sky.alpha.is_zero() and sky.gamma.is_zero()
-        and is_isomorphic(dualize(sky), sky)
+        and self_dual(sky)
     )
     corrected_pres = make_extension(ic, sky, 1)
     corrected_ok = (
         not validate(corrected)
         and corrected == total_zigzag(corrected_pres)
         and extension_class(corrected_pres).normalized == 1
-        and is_isomorphic(dualize(corrected), corrected)
+        and self_dual(corrected)
     )
     multi_ok = (
         not validate(multi)

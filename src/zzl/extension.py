@@ -25,7 +25,9 @@ verdict is backed by an explicit verified witness; every negative one by
 the sub's rank profile or, in the collapsed regime, by the zero-ness of
 the class.  That zero-ness is the normal form the rank-one
 classification partitions its grid by: each member is witnessed once
-against the first member of its part.
+against the first member of its part.  Self-duality builds no witness:
+the total is isomorphic to its dual iff its rank profile is symmetric,
+one formula for both regimes.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from .zigzag import (
     IsoWitness,
     ZERO_LABEL,
     ZigZag,
-    dualize,
-    is_isomorphic,
     iso_witness,
+    self_dual,
     std_ic,
     std_skyscraper,
     validate,
@@ -325,37 +326,15 @@ def ext_isomorphic(e1: ExtensionPresentation, e2: ExtensionPresentation) -> bool
 # -- self-duality and classification -----------------------------------
 
 
-def dual_presentation(e: ExtensionPresentation) -> ExtensionPresentation:
-    """The dual total, re-presented with the (self-dual) factor roles restored.
-
-    Only defined in the collapsed regime, where the coupling is the
-    stored scalar vector and dualizing the factors keeps the shape; a
-    sub with nonzero A would flip regimes and has no such re-presentation.
-    """
-    if not e.collapsed:
-        raise RegimeMismatch("dual re-presentation is defined in the collapsed regime")
-    return ExtensionPresentation(
-        dualize(e.sub), dualize(e.quot), None, e.class_vector
-    )
-
-
 def is_self_dual(e: ExtensionPresentation) -> bool:
-    """Total fixed by duality, and the stored class preserved by the witness."""
-    if e.collapsed:
-        # one check: the verified witness intertwines the dual presentation's
-        # total with this total, and here that total is dualize(e.total).  A
-        # sub with A > 0 has no dual presentation, and its total is not
-        # self-dual either: exactness at B bounds the total's B by the
-        # quotient's A, which is less than the total's A
-        try:
-            return ext_isomorphic(dual_presentation(e), e)
-        except (ShapeMismatch, RegimeMismatch, InvalidTotal):
-            return False
-    # in the block regime the class is the total's u-block, not a stored
-    # value, so a self-dual total leaves nothing else to check; the class
-    # need not be trivial (a sub with B = 1 and gamma = 0, a quotient with
-    # A = 1 and B = 0, u = [1] give an exact total of class 1)
-    return is_isomorphic(dualize(e.total), e.total)
+    """Total fixed by duality, read off its rank profile in both regimes.
+
+    The block-regime class is the total's u-block, so it needs no other
+    check and need not be trivial.  In the collapsed regime a symmetric
+    profile forces A_sub = 0 (exactness at B bounds B_tot by A_quot), so
+    the dual presentation, the dual factors with this class, exists.
+    """
+    return self_dual(e.total)
 
 
 class ClassRepresentative(NamedTuple):

@@ -207,11 +207,11 @@ class QMatrix:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> QMatrix:
-        if not columns:
-            return QMatrix(0 if rows is None else rows, 0, ())
-        return QMatrix.from_rows(
-            [[col[i] for col in columns] for i in range(len(columns[0]))]
-        )
+        """Build from a list of columns; ``rows`` disambiguates zero-column
+        matrices and must agree with the columns otherwise."""
+        if columns and rows not in (None, len(columns[0])):
+            raise ShapeMismatch(f"declared {rows} rows, columns have {len(columns[0])}")
+        return QMatrix.from_rows(columns, cols=rows).transpose()
 
     # -- access: the API edge, where entries become fractions ------------
 

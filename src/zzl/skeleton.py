@@ -60,7 +60,11 @@ class Skeleton:
 
 
 def skeleton_of(datum: FiniteNodeDatum) -> Skeleton:
-    """Star graph centered at the bulk, in node order, with class annotations."""
+    """Star graph centered at the bulk, in node order, with class annotations;
+    a shadow with one class per node is required (ValueError otherwise)."""
+    classes, nodes = len(datum.shadow.class_vector), len(datum.nodes)
+    if classes != nodes:
+        raise ValueError(f"shadow stores {classes} classes for {nodes} nodes")
     return Skeleton(
         datum.bulk_label,
         tuple(

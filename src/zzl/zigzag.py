@@ -266,12 +266,24 @@ def verify_witness(z1: ZigZag, z2: ZigZag, w: IsoWitness) -> bool:
 
 def _rank_profile(z: ZigZag) -> tuple[int, ...]:
     # dims plus ranks of all forward composites: a complete invariant for
-    # four-term chains of linear maps, by interval decomposition.
+    # four-term chains, by interval decomposition; self_dual reads its entries.
     return (
         z.e_minus, z.a_dim, z.b_dim, z.e_zero,
         rank(z.alpha), rank(z.beta), rank(z.gamma),
         rank(z.beta * z.alpha), rank(z.gamma * z.beta),
         rank(z.gamma * z.beta * z.alpha),
+    )
+
+
+def self_dual(z: ZigZag) -> bool:
+    """Whether z is isomorphic to dualize(z), read off z's rank profile:
+    the dual's reverses the dims and swaps rank alpha with rank gamma and
+    rank beta*alpha with rank gamma*beta, so only those are compared.  The
+    profile is complete, so no witness is built and no size bound applies."""
+    return (
+        z.e_minus == z.e_zero and z.a_dim == z.b_dim
+        and rank(z.alpha) == rank(z.gamma)
+        and rank(z.beta * z.alpha) == rank(z.gamma * z.beta)
     )
 
 

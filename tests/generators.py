@@ -3,13 +3,16 @@
 Valid zig-zags are built from the five exact interval blocks (boundary
 tails, the boundary-to-A arc, the skyscraper arc, the B-to-boundary arc)
 and then conjugated by random invertible matrices on every space, which
-preserves exactness while hiding the block structure.
+preserves exactness while hiding the block structure.  ``int_matrices``
+is the one hypothesis strategy here: matrices with entries in [-1, 1].
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from zzl.extension import ExtensionPresentation, ExtWitness
 from zzl.linalg import QMatrix, kernel_basis, rank
@@ -57,6 +60,12 @@ def random_valid_zigzag(
         g_a * QMatrix.from_rows(alpha, cols=e_minus) * p.inverse(),
         g_b * QMatrix.from_rows(beta, cols=a_dim) * g_a.inverse(),
         q * QMatrix.from_rows(gamma, cols=b_dim) * g_b.inverse(),
+    )
+
+
+def int_matrices(rows: int, cols: int):
+    return st.lists(st.integers(-1, 1), min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: QMatrix(rows, cols, entries)
     )
 
 

@@ -1,15 +1,22 @@
 import ast
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import conjugate_block_presentation, random_block_presentation
-from zzl import extension, intertwine, linalg
-from zzl.linalg import PostconditionError, QMatrix, ShapeMismatch, block_assemble, rank
+from generators import (
+    conjugate_block_presentation,
+    int_matrices,
+    random_block_presentation,
+    random_invertible,
+)
+from zzl import extension, intertwine, linalg, zigzag
+from zzl.linalg import PostconditionError, QMatrix, ShapeMismatch, block_assemble
 from zzl.extension import (
     DEFAULT_CLASS_GRID,
     ExtClass,
@@ -17,7 +24,6 @@ from zzl.extension import (
     InvalidTotal,
     RegimeMismatch,
     classify_selfdual_rank_one,
-    dual_presentation,
     ext_isomorphic,
     ext_isomorphism_witness,
     extension_class,
@@ -397,22 +403,11 @@ class TestSelfDuality:
         assert not is_self_dual(e)
 
     def test_block_regime_self_dual_total_with_nontrivial_class(self):
-        # neither factor is exact, yet the total is: u = [1] fills B_sub,
-        # which gamma = 0 leaves to the kernel; im beta_sub = 0, so class 1
-        zero = QMatrix.zero
-        sub = ZigZag("L", 1, 1, 0, 1, zero(0, 1), zero(1, 0), zero(1, 1))
-        quot = ZigZag("0", 0, 0, 1, 0, zero(1, 0), zero(0, 1), zero(0, 0))
-        assert validate(sub) and validate(quot)
-        e = make_extension(sub, quot, QMatrix.from_rows([[1]]))
+        e = _block_class_one()
+        assert validate(e.sub) and validate(e.quot)
         assert validate(total_zigzag(e)) == []
         assert extension_class(e).normalized == 1
         assert is_self_dual(e)
-
-    def test_dual_presentation_keeps_class(self):
-        e = make_extension(IC, SKY, Fraction(1, 2))
-        d = dual_presentation(e)
-        assert d.class_vector == e.class_vector
-        assert ext_isomorphic(d, e)
 
     def test_collapsed_sub_with_a_above_the_bound_is_not_self_dual(self):
         # a collapsed sub with A > 0 has no dual presentation and its total
@@ -426,35 +421,61 @@ class TestSelfDuality:
         small = make_extension(sub, SKY, 1)
         assert not is_isomorphic(dualize(total_zigzag(small)), total_zigzag(small))
 
+    def test_block_total_above_the_bound_is_read_off_the_profile(self):
+        e = _block_above_the_bound()
+        total = total_zigzag(e)
+        assert total.dims() == (7, 8, 8, 7) and max(total.dims()) > ISO_DIM_BOUND
+        assert e.sub.beta != e.sub.beta.transpose() and total != dualize(total)
+        assert is_self_dual(e)
 
-@st.composite
-def _collapsed_presentations(draw):
-    """Collapsed presentations that have a dual presentation: the sub has
-    A = B = 0, so the total is exact exactly when the quotient's beta is
-    invertible."""
-    e_minus, e_zero, r = (draw(st.integers(0, 3)) for _ in range(3))
-    entries = draw(st.lists(st.integers(-2, 2), min_size=r * r, max_size=r * r))
-    beta = QMatrix(r, r, entries)
-    assume(rank(beta) == r)
+    def test_work_gate_no_witness_and_no_search(self, monkeypatch):
+        examples = _self_duality_examples()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("is_self_dual built a witness or ran the search")
+
+        for module, name in (
+            (zigzag, "iso_witness"),
+            (extension, "iso_witness"),
+            (extension, "ext_isomorphism_witness"),
+            (intertwine, "find_invertible"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert [is_self_dual(e) for e, _ in examples] == [want for _, want in examples]
+
+
+def _block_class_one() -> ExtensionPresentation:
+    """Neither factor is exact, yet the total is: u = [1] fills B_sub,
+    which gamma = 0 leaves to the kernel; im beta_sub = 0, so class 1."""
     zero = QMatrix.zero
-    quot = ZigZag("0", 0, 0, r, r, zero(r, 0), beta, zero(0, r))
-    classes = draw(st.lists(st.fractions(max_denominator=3), min_size=r, max_size=r))
-    sub = std_ic(draw(st.sampled_from([LABEL, "C"])), e_minus, e_zero)
-    return make_extension(sub, quot, classes)
+    sub = ZigZag("L", 1, 1, 0, 1, zero(0, 1), zero(1, 0), zero(1, 1))
+    quot = ZigZag("0", 0, 0, 1, 0, zero(1, 0), zero(0, 1), zero(0, 0))
+    return make_extension(sub, quot, QMatrix.from_rows([[1]]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_collapsed_presentations())
-def test_dual_presentation_total_is_the_dual_total(e):
-    # why is_self_dual makes one check in the collapsed regime: the witness
-    # of ext_isomorphic(dual, e) intertwines this total with e's total
-    assert total_zigzag(dual_presentation(e)) == dualize(total_zigzag(e))
+def _block_above_the_bound() -> ExtensionPresentation:
+    """Seven corrected summands moved on A and B, so that beta is not
+    symmetric, under a rank-one quotient with a nonzero u: an exact total
+    of dims (7, 8, 8, 7), past the search's size bound."""
+    rng = random.Random(25)
+    corrected = functools.reduce(direct_sum, [std_corrected(LABEL, 1, 1)] * 7)
+    g_a, g_b = random_invertible(rng, 7), random_invertible(rng, 7)
+    sub = dataclasses.replace(corrected, beta=g_b * corrected.beta * g_a.inverse())
+    return make_extension(sub, SKY, QMatrix.column(range(1, 8)))
 
 
-def _int_matrices(rows: int, cols: int):
-    return st.lists(st.integers(-1, 1), min_size=rows * cols, max_size=rows * cols).map(
-        lambda entries: QMatrix(rows, cols, entries)
-    )
+def _self_duality_examples() -> list[tuple[ExtensionPresentation, bool]]:
+    """The TestSelfDuality presentations of both regimes, each with its verdict."""
+    a_sub = ZigZag(LABEL, 1, 1, 1, 0, QMatrix.identity(1), QMatrix.zero(0, 1), QMatrix.zero(1, 0))
+    return [
+        (make_extension(IC, SKY, 0), True),
+        (make_extension(IC, SKY, 1), True),
+        (make_extension(std_ic(LABEL, 2, 1), SKY, 1), False),
+        (make_extension(a_sub, std_skyscraper(ISO_DIM_BOUND), [1] * ISO_DIM_BOUND), False),
+        (_block_class_one(), True),
+        (make_extension(std_corrected(LABEL, 2, 1), SKY, QMatrix.from_rows([[1]])), False),
+        (_block_above_the_bound(), True),
+    ]
 
 
 @st.composite
@@ -466,11 +487,79 @@ def _collapsed_factors(draw):
     zero = QMatrix.zero
     sub = ZigZag(
         LABEL, e_minus, e_zero, a_sub, 0,
-        draw(_int_matrices(a_sub, e_minus)), zero(0, a_sub), zero(e_zero, 0),
+        draw(int_matrices(a_sub, e_minus)), zero(0, a_sub), zero(e_zero, 0),
     )
-    quot = ZigZag("0", 0, 0, a_q, b_q, zero(a_q, 0), draw(_int_matrices(b_q, a_q)), zero(0, b_q))
+    quot = ZigZag("0", 0, 0, a_q, b_q, zero(a_q, 0), draw(int_matrices(b_q, a_q)), zero(0, b_q))
     classes = draw(st.lists(st.integers(-2, 2), min_size=a_q, max_size=a_q))
     return sub, quot, classes
+
+
+@st.composite
+def _exact_collapsed_presentations(draw):
+    """Valid collapsed presentations with factor dims <= 4: a sub with B = 0
+    whose alpha is onto A, an invertible quotient beta and a class per
+    quotient coordinate.  (Most draws of _collapsed_factors are not exact,
+    too many to filter.)"""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    e_minus, e_zero, r = (draw(st.integers(0, 4)) for _ in range(3))
+    a_sub = draw(st.integers(0, e_minus))
+    onto = QMatrix.from_rows(
+        [[int(i == j) for j in range(e_minus)] for i in range(a_sub)], cols=e_minus
+    )
+    zero = QMatrix.zero
+    sub = ZigZag(
+        LABEL, e_minus, e_zero, a_sub, 0,
+        onto * random_invertible(rng, e_minus), zero(0, a_sub), zero(e_zero, 0),
+    )
+    quot = ZigZag("0", 0, 0, r, r, zero(r, 0), random_invertible(rng, r), zero(0, r))
+    classes = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    return make_extension(sub, quot, classes)
+
+
+def _witnessed_self_duality(e: ExtensionPresentation) -> bool:
+    """The search-backed reference: the total against its dual."""
+    return is_isomorphic(dualize(e.total), e.total)
+
+
+def _dual_presentation_self_duality(e: ExtensionPresentation) -> bool:
+    """The collapsed-regime reference for A_sub = 0: the dual factors with
+    the same stored class, witnessed against e; subs over different
+    boundaries admit no witness."""
+    dual = ExtensionPresentation(dualize(e.sub), dualize(e.quot), None, e.class_vector)
+    try:
+        return ext_isomorphic(dual, e)
+    except ShapeMismatch:
+        return False
+
+
+class TestSelfDualityDifferential:
+    """is_self_dual, read off the total's rank profile, against the
+    witness-backed definitions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_exact_collapsed_presentations())
+    def test_collapsed(self, e):
+        # over the minimal extension on (E^-, E^-) the profile is symmetric,
+        # so every example also checks a self-dual presentation
+        mirrored = make_extension(
+            std_ic(LABEL, e.sub.e_minus, e.sub.e_minus), e.quot, e.class_vector
+        )
+        for p in (e, mirrored):
+            verdict = is_self_dual(p)
+            assert verdict == _witnessed_self_duality(p)
+            if p.sub.a_dim == 0:
+                assert verdict == _dual_presentation_self_duality(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_block(self, seed):
+        rng = random.Random(seed)
+        e1 = random_block_presentation(rng, max_dim=4)
+        e2, _ = conjugate_block_presentation(rng, e1)
+        verdict = is_self_dual(e1)
+        assert is_self_dual(e2) == verdict
+        if max(e1.total.dims()) <= ISO_DIM_BOUND:
+            assert verdict == _witnessed_self_duality(e1)
 
 
 class TestCollapsedTotal:
@@ -566,10 +655,8 @@ class TestClassificationWork:
         monkeypatch.setattr(extension, "ext_isomorphism_witness", counting)
         classify_selfdual_rank_one((1, 1))
         # the split part has one member; five nonzero members are witnessed
-        # against the first nonzero one; each representative's
-        # self-duality check is one more call
-        assert len(calls) == 7
-        assert calls[1:6] == [((c,), (Fraction(1),)) for c in DEFAULT_CLASS_GRID[2:]]
+        # against the first nonzero one; self-duality builds no witness
+        assert calls == [((c,), (Fraction(1),)) for c in DEFAULT_CLASS_GRID[2:]]
 
     def test_one_total_per_presentation(self, monkeypatch):
         totals, presentations = [], []
@@ -587,8 +674,8 @@ class TestClassificationWork:
         monkeypatch.setattr(extension, "_total", total)
         monkeypatch.setattr(ExtensionPresentation, "__post_init__", post_init)
         classify_selfdual_rank_one((1, 1))
-        # seven grid members and the dual of each representative
-        assert len(presentations) == len(totals) == 9
+        # the seven grid members; self-duality builds no dual presentation
+        assert len(presentations) == len(totals) == 7
 
     def test_a_member_without_a_witness_is_a_postcondition_failure(self, monkeypatch):
         monkeypatch.setattr(extension, "ext_isomorphism_witness", lambda e1, e2: None)

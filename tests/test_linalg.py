@@ -296,6 +296,22 @@ class TestBlocks:
             )
 
 
+class TestFromColumns:
+    def test_empty_columns_keep_their_count(self):
+        assert QMatrix.from_columns([(), (), ()], rows=0) == QMatrix.zero(0, 3)
+        assert QMatrix.from_columns([(), ()]) == QMatrix.zero(0, 2)
+        assert QMatrix.from_columns([], rows=2) == QMatrix.zero(2, 0)
+
+    def test_declared_rows_must_agree(self):
+        assert QMatrix.from_columns([(1, 2)], rows=2) == QMatrix.from_rows([[1], [2]])
+        with pytest.raises(ShapeMismatch, match="declared 3 rows, columns have 2"):
+            QMatrix.from_columns([(1, 2)], rows=3)
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            QMatrix.from_columns([(1, 2), (3,)])
+
+
 class TestProductIsZero:
     @settings(max_examples=100, deadline=None)
     @given(qmatrices(max_dim=4, min_rows=1, min_cols=1), st.data())

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zzl.assembly import NodeDatum, assemble
+from zzl.assembly import FiniteNodeDatum, NodeDatum, assemble, verify_shadow_compat
 from zzl.extension import make_extension
 from zzl.skeleton import Edge, skeleton_of, to_dot, to_json
 from zzl.zigzag import std_ic, std_skyscraper
@@ -45,6 +45,13 @@ class TestSkeletonShape:
         d = datum([0, 1, 1])
         sk = skeleton_of(d)
         assert sk.node_vertices == ("p1", "p2", "p3")
+
+    def test_shadow_with_fewer_classes_than_nodes_rejected(self):
+        d = datum([1, 0])
+        short = FiniteNodeDatum(d.bulk_label, d.nodes, datum([1]).shadow)
+        assert not verify_shadow_compat(short).passed
+        with pytest.raises(ValueError, match="shadow stores 1 classes for 2 nodes"):
+            skeleton_of(short)
 
 
 class TestDotExport:

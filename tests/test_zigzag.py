@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_valid_zigzag
+from generators import int_matrices, random_valid_zigzag
 from zzl import zigzag
 from zzl.extension import make_extension, total_zigzag
 from zzl.intertwine import BlockSystem
@@ -178,6 +178,36 @@ class TestDuality:
             z1 = random_valid_zigzag(rng)
             z2 = random_valid_zigzag(rng)
             assert dualize(direct_sum(z1, z2)) == direct_sum(dualize(z1), dualize(z2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.data())
+    def test_self_dual_is_isomorphism_with_the_dual(self, seed, data):
+        # exactness ties the profile's entries together (the composites
+        # vanish, and A - B = rank alpha - rank gamma), so inexact zig-zags
+        # are drawn too, and a sum with its own dual is self-dual
+        e_minus, a, b, e_zero = (data.draw(st.integers(0, 2)) for _ in range(4))
+        alpha, beta, gamma = (
+            data.draw(int_matrices(rows, cols))
+            for rows, cols in ((a, e_minus), (b, a), (e_zero, b))
+        )
+        inexact = ZigZag(LABEL, e_minus, e_zero, a, b, alpha, beta, gamma)
+        valid = random_valid_zigzag(random.Random(seed))
+        for z in (valid, inexact, direct_sum(inexact, dualize(inexact))):
+            assert zigzag.self_dual(z) == is_isomorphic(dualize(z), z)
+
+    @pytest.mark.parametrize("z", [
+        # intervals [1,3] + [2,2] + [3,4]: only rank beta*alpha != rank gamma*beta
+        ZigZag(
+            LABEL, 1, 1, 2, 2, QMatrix.from_rows([[1], [0]]),
+            QMatrix.from_rows([[1, 0], [0, 0]]), QMatrix.from_rows([[0, 1]]),
+        ),
+        # [1,2] + [3,3] + [4,4]: only rank alpha != rank gamma
+        ZigZag(LABEL, 1, 1, 1, 1, QMatrix.identity(1), QMatrix.zero(1, 1), QMatrix.zero(1, 1)),
+        # [2,2]: only A != B
+        ZigZag(LABEL, 0, 0, 1, 0, QMatrix.zero(1, 0), QMatrix.zero(0, 1), QMatrix.zero(0, 0)),
+    ], ids=["composites", "alpha-gamma", "a-b"])
+    def test_one_asymmetric_entry_is_not_self_dual(self, z):
+        assert not zigzag.self_dual(z) and not is_isomorphic(dualize(z), z)
 
 
 class TestIsomorphism:
