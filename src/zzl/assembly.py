@@ -287,7 +287,8 @@ def assemble_gluing(
             )
         if u_k.rows != v_k.cols:
             raise ShapeMismatch(f"node {label}: u rows must equal v cols")
-        if nilpotency_index(v_k * u_k) is None:
+        # (vu)^(j+1) = v (uv)^j u, so the w x w v*u is nilpotent iff the r x r u*v is
+        if nilpotency_index(u_k * v_k) is None:
             raise NotNilpotent(f"node {label}: v*u is not nilpotent")
         r_k = u_k.rows
         u_rows.append(hstack(QMatrix.zero(r_k, start), u_k, QMatrix.zero(r_k, psi_dim - stop)))

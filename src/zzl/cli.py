@@ -456,15 +456,15 @@ def _square_map(document: lang.Document, name: str) -> QMatrix:
 def _cmd_wfilt(ns: argparse.Namespace, document: lang.Document) -> CommandResult:
     operator = NilpotentOperator(_square_map(document, ns.name))
     filtration = weight_filtration(operator, ns.center)
-    steps = [
-        {
-            "weight": w,
-            "dimension": sub.dim,
-            "basis": _matrix_payload(sub.basis.transpose()),
-        }
-        for w, sub in filtration.steps
-    ]
     if ns.format == "json":
+        steps = [
+            {
+                "weight": w,
+                "dimension": sub.dim,
+                "basis": _matrix_payload(sub.basis.transpose()),
+            }
+            for w, sub in filtration.steps
+        ]
         payload = {
             "map": ns.name,
             "center": ns.center,
@@ -473,8 +473,7 @@ def _cmd_wfilt(ns: argparse.Namespace, document: lang.Document) -> CommandResult
         }
         return CommandResult(EXIT_OK, _json_dump(payload))
     lines = [f"weight filtration of {ns.name} centered at {ns.center}"]
-    for entry in steps:
-        lines.append(f"  W_{entry['weight']}: dim {entry['dimension']}")
+    lines += [f"  W_{w}: dim {sub.dim}" for w, sub in filtration.steps]
     graded = ", ".join(
         f"Gr_{w}={d}" for w, d in sorted(filtration.graded_dims().items())
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zzl import assembly, extension, linalg
 from zzl.lang import parse
 from zzl.linalg import QMatrix, ShapeMismatch
-from zzl.monodromy import NotNilpotent
+from zzl.monodromy import NotNilpotent, nilpotency_index
 from zzl.extension import (
     ExtensionPresentation,
     ext_isomorphic,
@@ -312,6 +312,24 @@ class TestGluing:
         blocks = {"p1": GluingBlock(QMatrix.from_rows([[1]]), QMatrix.from_rows([[1]]))}
         with pytest.raises(NotNilpotent):
             assemble_gluing(blocks, 1, [("p1", (0, 1))])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_node_nilpotency_is_read_on_the_small_side(self, r, width, data):
+        # (vu)^(j+1) = v (uv)^j u, so the width x width v*u and the r x r
+        # u*v are nilpotent together
+        def entries(count):
+            return data.draw(st.lists(st.integers(-1, 1), min_size=count, max_size=count))
+
+        u, v = QMatrix(r, width, entries(r * width)), QMatrix(width, r, entries(width * r))
+        nilpotent = nilpotency_index(v * u) is not None
+        assert (nilpotency_index(u * v) is not None) == nilpotent
+        blocks = {"p1": GluingBlock(u, v)}
+        if nilpotent:
+            assert assemble_gluing(blocks, width, [("p1", (0, width))]).n == v * u
+        else:
+            with pytest.raises(NotNilpotent, match=r"^node p1: v\*u is not nilpotent$"):
+                assemble_gluing(blocks, width, [("p1", (0, width))])
 
     def test_overlapping_ranges_rejected(self):
         blocks = {

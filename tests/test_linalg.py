@@ -693,3 +693,9 @@ def test_each_elimination_pass_has_one_entry_point():
     # _reduced, so a kernel swap replaces one function per pass
     assert _references("_eliminate") == {("linalg", "_echelon")}
     assert _references("_reduce_above") == {("linalg", "_reduced")}
+
+
+def test_the_weight_condition_re_derivation_has_no_engine_caller():
+    # weight_filtration certifies itself from its Jordan strings; the
+    # public re-derivation is left to callers that want an oracle
+    assert _references("check_weight_conditions") == set()

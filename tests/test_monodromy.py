@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from generators import random_invertible, random_nilpotent_upper, random_skew_pairing_gram
 from zzl import linalg, monodromy
 from zzl.linalg import (
+    AmbientMismatch,
     DimensionMismatch,
     QMatrix,
     Subspace,
@@ -227,6 +228,17 @@ def test_filtration_without_steps_is_refused():
         WeightFiltration(0, ())
 
 
+def test_filtration_steps_in_different_ambient_spaces_are_refused():
+    with pytest.raises(AmbientMismatch, match=r"ambient dims \[2, 3\]"):
+        WeightFiltration(0, ((-1, Subspace.zero(2)), (0, Subspace.full(3))))
+
+
+def test_conditions_of_a_filtration_of_another_space_are_refused():
+    w = WeightFiltration(0, ((-1, Subspace.zero(3)), (0, Subspace.full(3))))
+    with pytest.raises(DimensionMismatch, match=r"operator on Q\^2, filtration of Q\^3"):
+        check_weight_conditions(jordan_nilpotent([2]), w)
+
+
 class TestWeightConditionMessages:
     """Each message of check_weight_conditions, from a filtration that
     violates it."""
@@ -281,20 +293,20 @@ def test_each_step_is_the_fold_of_its_pieces(blocks, seed, center):
     # the same weights, and each step spans the fold of its pieces
     assert [w for w, _ in ours] == [w for w, _ in folded]
     assert all(subspace_equal(a, b) for (_, a), (_, b) in zip(ours, folded))
+    # the public re-derivation is the oracle for the string certificate
+    assert not check_weight_conditions(n, WeightFiltration(center, ours))
 
 
 def _construction_work(monkeypatch, n):
     """weight_filtration(n, 0), with the calls and entries handed to
-    ``_eliminate`` before its post-check and the ``image_basis`` calls of
-    the whole run (``subspace_intersect`` goes through it)."""
-    work = {"_eliminate": 0, "entries": 0, "image_basis": 0}
-    counting = [True]
+    ``_eliminate``, the ``image_basis`` calls (``subspace_intersect`` goes
+    through it) and the ``check_weight_conditions`` calls of the run."""
+    work = {"_eliminate": 0, "entries": 0, "image_basis": 0, "check_weight_conditions": 0}
     eliminate, image, post_check = linalg._eliminate, linalg.image_basis, monodromy.check_weight_conditions
 
     def eliminating(rows):
-        if counting[0]:
-            work["_eliminate"] += 1
-            work["entries"] += sum(map(len, rows))
+        work["_eliminate"] += 1
+        work["entries"] += sum(map(len, rows))
         return eliminate(rows)
 
     def imaging(m):
@@ -302,7 +314,7 @@ def _construction_work(monkeypatch, n):
         return image(m)
 
     def checking(*args):
-        counting[0] = False
+        work["check_weight_conditions"] += 1
         return post_check(*args)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminating)
@@ -317,11 +329,11 @@ def test_work_gate_jordan_strings_without_step_eliminations(monkeypatch):
     # the kernels of N and N^2 (ker N^0 = 0 and ker N^3 = Q^6 are known),
     # one keep-first elimination per height (3) and the rank certificate,
     # against 10 calls of 546 entries with one span per step; no step
-    # builds a span
+    # builds a span, and the certificate re-derives neither condition
     n = conjugate(jordan_nilpotent([3, 2, 1]), random_invertible(random.Random(0), 6))
     w, work = _construction_work(monkeypatch, n)
     assert w.graded_dims() == {-2: 1, -1: 1, 0: 2, 1: 1, 2: 1}
-    assert work == {"_eliminate": 6, "entries": 258, "image_basis": 0}
+    assert work == {"_eliminate": 6, "entries": 258, "image_basis": 0, "check_weight_conditions": 0}
 
 
 def test_work_gate_single_block_of_twenty(monkeypatch):
@@ -332,6 +344,7 @@ def test_work_gate_single_block_of_twenty(monkeypatch):
     assert work["_eliminate"] == 19 + 20 + 1
     assert work["entries"] < 20_000
     assert work["image_basis"] == 0
+    assert work["check_weight_conditions"] == 0
 
 
 def _partitions_by_total(n_max):

@@ -1,9 +1,9 @@
 """Post-condition checks raise PostconditionError in every interpreter mode.
 
-Each case swaps the verifier a result is re-checked with for one that
-always reports failure, and expects the named error instead of a wrong
-result.  The same cases run again in a ``python -O`` subprocess, where
-``assert`` statements would have vanished.
+Each case swaps the verifier a result is re-checked with, or a step its
+certificate rests on, for one that fails, and expects the named error
+instead of a wrong result.  The same cases run again in a ``python -O``
+subprocess, where ``assert`` statements would have vanished.
 """
 
 import importlib
@@ -16,8 +16,8 @@ import pytest
 
 import zzl
 from zzl.extension import classify_selfdual_rank_one, ext_isomorphism_witness, make_extension
-from zzl.linalg import PostconditionError, QMatrix
-from zzl.monodromy import jordan_nilpotent, weight_filtration
+from zzl.linalg import PostconditionError, QMatrix, _columns, independent_modulo
+from zzl.monodromy import jordan_nilpotent, nilpotent_log, weight_filtration
 from zzl.zigzag import ZigZag, iso_witness, std_corrected, std_ic, std_skyscraper
 
 
@@ -32,6 +32,11 @@ def _block_regime():
 
 def _never(*_args):
     return False
+
+
+def _losing_the_last_column(b, c):
+    kept = independent_modulo(b, c)
+    return _columns(kept, range(kept.cols - 1))
 
 
 # name -> (module, verifier attribute, failing stand-in, call that re-checks)
@@ -66,14 +71,25 @@ CASES = {
         "zzl.extension", "is_self_dual", _never,
         lambda: classify_selfdual_rank_one((1, 1), grid=[0, 1]),
     ),
+    # N must vanish on the string vectors at height 1, the one part of
+    # N G = G S that the construction does not give
     "weight_filtration": (
-        "zzl.monodromy", "check_weight_conditions", lambda _n, _w: ["forced"],
+        "zzl.monodromy", "product_is_zero", _never,
         lambda: weight_filtration(jordan_nilpotent([2, 1]), 0),
     ),
     # the rank of the Jordan string basis is the certificate read first
     "weight_filtration_certificate": (
         "zzl.monodromy", "rank", lambda _m: -1,
         lambda: weight_filtration(jordan_nilpotent([2, 1]), 0),
+    ),
+    # a string top that the keep-first step loses leaves G short of a basis
+    "weight_filtration_lost_string": (
+        "zzl.monodromy", "independent_modulo", _losing_the_last_column,
+        lambda: weight_filtration(jordan_nilpotent([2, 1]), 0),
+    ),
+    "nilpotent_log": (
+        "zzl.monodromy", "unipotent_exp", lambda n: n.matrix,
+        lambda: nilpotent_log(QMatrix.from_rows([[1, 1], [0, 1]])),
     ),
 }
 
