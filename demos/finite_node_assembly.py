@@ -20,7 +20,6 @@ from zzl import (
     std_ic,
     std_skyscraper,
     to_dot,
-    total_zigzag,
     verify_gluing,
     verify_shadow_compat,
 )
@@ -36,7 +35,7 @@ nodes = [
 datum = assemble("C_bulk", nodes)
 shadow = datum.shadow
 print(f"  shadow class vector: {tuple(str(c) for c in shadow.class_vector)}")
-print(f"  shadow total dims (e-, A, B, e0): {total_zigzag(shadow).dims()}")
+print(f"  shadow total dims (e-, A, B, e0): {shadow.total.dims()}")
 
 print("\nShadow compatibility report:")
 report = verify_shadow_compat(datum)

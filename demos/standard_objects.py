@@ -23,7 +23,6 @@ from zzl import (
     std_corrected,
     std_ic,
     std_skyscraper,
-    total_zigzag,
     validate,
 )
 
@@ -49,11 +48,11 @@ print("\nThe compressed zig-zag cannot see the class:")
 split_pres = make_extension(ic, sky, 0)
 corrected_pres = make_extension(ic, sky, 1)
 print(f"  total of class-0 presentation == total of class-1: "
-      f"{total_zigzag(split_pres) == total_zigzag(corrected_pres)}")
+      f"{split_pres.total == corrected_pres.total}")
 print(f"  equal compressed shapes: "
-      f"{compressed_shape(total_zigzag(split_pres)) == compressed_shape(total_zigzag(corrected_pres))}")
+      f"{compressed_shape(split_pres.total) == compressed_shape(corrected_pres.total)}")
 print(f"  corrected total == IC (+) skyscraper as bare zig-zags: "
-      f"{total_zigzag(corrected_pres) == direct_sum(ic, sky)}")
+      f"{corrected_pres.total == direct_sum(ic, sky)}")
 print(f"  presentations isomorphic as extensions: "
       f"{ext_isomorphic(split_pres, corrected_pres)}  (class 0 vs class 1)")
 

@@ -63,7 +63,6 @@ from .extension import (
     extension_class,
     is_self_dual,
     make_extension,
-    total_zigzag,
 )
 from .assembly import (
     DuplicateNode,
@@ -94,7 +93,7 @@ __all__ = [
     "iso_witness", "std_corrected", "std_ic", "std_skyscraper", "validate",
     "ExtClass", "ExtensionPresentation", "InvalidTotal", "RegimeMismatch",
     "classify_selfdual_rank_one", "ext_isomorphic", "ext_isomorphism_witness",
-    "extension_class", "is_self_dual", "make_extension", "total_zigzag",
+    "extension_class", "is_self_dual", "make_extension",
     "DuplicateNode", "FiniteNodeDatum", "GluingBlock", "GluingQuadruple",
     "NodeDatum", "NonRankOneQuotient", "Report", "assemble",
     "assemble_gluing", "verify_gluing", "verify_shadow_compat",

@@ -37,7 +37,6 @@ from .extension import (
     make_extension,
     ext_isomorphic,
     is_self_dual,
-    total_zigzag,
 )
 from .linalg import (
     QMatrix,
@@ -293,7 +292,7 @@ def _cmd_assemble(ns: argparse.Namespace, document: lang.Document) -> CommandRes
             "bulk": datum.bulk_label,
             "nodes": list(datum.node_labels),
             "classes": [format_rational(c) for c in shadow.class_vector],
-            "total": _zigzag_payload(total_zigzag(shadow)),
+            "total": _zigzag_payload(shadow.total),
             "report": report.to_payload(),
         }
         code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -306,7 +305,7 @@ def _cmd_assemble(ns: argparse.Namespace, document: lang.Document) -> CommandRes
             f"{label}={format_rational(c)}"
             for label, c in zip(datum.node_labels, shadow.class_vector)
         ),
-        f"shadow total: {_zigzag_tuple(total_zigzag(shadow))}",
+        f"shadow total: {_zigzag_tuple(shadow.total)}",
         "",
     ]
     code = EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -349,7 +348,7 @@ def _table1_rows() -> list[tuple[str, ZigZag, str, bool]]:
     corrected_pres = make_extension(ic, sky, 1)
     corrected_ok = (
         not validate(corrected)
-        and corrected == total_zigzag(corrected_pres)
+        and corrected == corrected_pres.total
         and extension_class(corrected_pres).normalized == 1
         and self_dual(corrected)
     )
@@ -373,7 +372,7 @@ def _table2_rows() -> list[tuple[str, str, str, bool]]:
     split = make_extension(ic, sky, 0)
     corrected = make_extension(ic, sky, 1)
 
-    split_total = total_zigzag(split)
+    split_total = split.total
     split_ok = (
         extension_class(split).normalized == 0
         and is_isomorphic(split_total, direct_sum(ic, sky))
@@ -382,12 +381,12 @@ def _table2_rows() -> list[tuple[str, str, str, bool]]:
     block_sub = std_corrected(label, 1, 1)
     u = QMatrix.from_rows([[1]])
     general = make_extension(block_sub, sky, u)
-    general_ok = total_zigzag(general).beta == block_assemble(
+    general_ok = general.total.beta == block_assemble(
         [[block_sub.beta, u], [None, sky.beta]], [1, 1], [1, 1]
     )
     corrected_ok = (
         extension_class(corrected).normalized == 1
-        and compressed_shape(total_zigzag(corrected)) == compressed_shape(split_total)
+        and compressed_shape(corrected.total) == compressed_shape(split_total)
         and not ext_isomorphic(corrected, split)
         and is_self_dual(corrected)
     )
@@ -401,7 +400,7 @@ def _table2_rows() -> list[tuple[str, str, str, bool]]:
         ),
         (
             "corrected non-split extension",
-            _zigzag_tuple(total_zigzag(corrected)),
+            _zigzag_tuple(corrected.total),
             "same compressed shape as split, class 1, self-dual",
             corrected_ok,
         ),

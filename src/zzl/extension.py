@@ -77,17 +77,14 @@ class ExtClass:
     """An extension class value with its {0, 1} normalization."""
 
     value: Fraction
-    normalized: Fraction
 
-    def __post_init__(self) -> None:
-        expected = Fraction(0) if self.value == 0 else Fraction(1)
-        if self.normalized != expected:
-            raise ValueError("normalized class must be 0 iff the value is 0")
+    @property
+    def normalized(self) -> Fraction:
+        return Fraction(0) if self.value == 0 else Fraction(1)
 
     @staticmethod
     def of(value: Scalar) -> ExtClass:
-        v = _frac(value)
-        return ExtClass(v, Fraction(0) if v == 0 else Fraction(1))
+        return ExtClass(_frac(value))
 
 
 @dataclass(frozen=True)
@@ -173,11 +170,6 @@ def make_extension(
     if isinstance(class_data, (int, Fraction)):
         class_data = (class_data,)
     return ExtensionPresentation(sub, quot, None, tuple(_frac(c) for c in class_data))
-
-
-def total_zigzag(e: ExtensionPresentation) -> ZigZag:
-    """The compressed total, assembled at most once per presentation."""
-    return e.total
 
 
 def extension_class(e: ExtensionPresentation) -> ExtClass:

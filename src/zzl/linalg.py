@@ -90,10 +90,7 @@ def _frac(x: Scalar) -> Fraction:
 
 def format_rational(x: Scalar) -> str:
     """Render as ``p/q`` in lowest terms, or ``p`` when the denominator is 1."""
-    x = _frac(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(_frac(x))
 
 
 # a .zzl entry, in ASCII digits, with a nonzero denominator
@@ -289,16 +286,6 @@ class QMatrix:
 
     def __rmul__(self, other: Scalar) -> QMatrix:
         return self * other
-
-    def __pow__(self, k: int) -> QMatrix:
-        if not self.is_square():
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = QMatrix.identity(self.rows)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def apply(self, vec: Iterable[Scalar]) -> Vector:
         v = as_vector(vec)
@@ -528,16 +515,11 @@ def rank(m: QMatrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim; basis columns are linearly independent."""
+    """A subspace of Q^basis.rows; basis columns are linearly independent."""
 
-    ambient_dim: int
     basis: QMatrix
 
     def __post_init__(self) -> None:
-        if self.basis.rows != self.ambient_dim:
-            raise ShapeMismatch(
-                f"basis lives in Q^{self.basis.rows}, ambient is Q^{self.ambient_dim}"
-            )
         if rank(self.basis) != self.basis.cols:
             raise ShapeMismatch("basis columns are dependent")
 
@@ -555,6 +537,10 @@ class Subspace:
         if any(len(v) != ambient_dim for v in vectors):
             raise AmbientMismatch("spanning vector of wrong length")
         return image_basis(QMatrix.from_columns(vectors, rows=ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.rows
 
     @property
     def dim(self) -> int:
@@ -578,7 +564,6 @@ def _from_basis(basis: QMatrix) -> Subspace:
     are independent by construction (pivot columns, a kernel basis with a
     unit entry at each free column); nothing is re-checked."""
     s = object.__new__(Subspace)
-    object.__setattr__(s, "ambient_dim", basis.rows)
     object.__setattr__(s, "basis", basis)
     return s
 

@@ -87,16 +87,16 @@ def pl_operator(delta: Iterable[Scalar], q: Pairing) -> QMatrix:
 
 def _power_ladder(m: QMatrix) -> tuple[QMatrix, ...] | None:
     """(I, m, ..., m^k) with m^k = 0 and k least, or None if m is not
-    nilpotent (k <= dim suffices).  The only place powers are multiplied.
+    nilpotent.  The only place powers are multiplied.
 
     Every power of a nilpotent matrix has trace 0, so the ladder stops at
-    the first power with a nonzero trace (a sum of diagonal numerators)."""
+    the first power with a nonzero trace (a sum of diagonal numerators),
+    within n = dim products: traces 0 for m^1..m^n make the characteristic
+    polynomial x^n (Newton's identities), so m^n = 0 (Cayley-Hamilton)."""
     if not m.is_square():
         raise DimensionMismatch("nilpotency of a non-square matrix")
     powers = [QMatrix.identity(m.rows)]
     while not powers[-1].is_zero():
-        if len(powers) > m.rows:
-            return None
         power = powers[-1] * m
         if sum(power.nums[:: m.rows + 1]):
             return None

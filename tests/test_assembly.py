@@ -15,7 +15,6 @@ from zzl.extension import (
     ExtensionPresentation,
     ext_isomorphic,
     make_extension,
-    total_zigzag,
 )
 from zzl.assembly import (
     DuplicateNode,
@@ -46,7 +45,7 @@ def corrected_node(label):
 class TestAssemble:
     def test_single_corrected_node_matches_table_row(self):
         d = assemble("C_bulk", [node("p1", 1)])
-        assert total_zigzag(d.shadow) == std_corrected("C_bulk", 1, 1)
+        assert d.shadow.total == std_corrected("C_bulk", 1, 1)
         assert d.shadow.class_vector == (Fraction(1),)
 
     def test_two_nodes(self):
@@ -58,7 +57,7 @@ class TestAssemble:
         d = assemble("C_bulk", [])
         shadow = d.shadow
         assert shadow.quot.a_dim == 0
-        assert total_zigzag(shadow) == std_ic("C_bulk", 1, 1)
+        assert shadow.total == std_ic("C_bulk", 1, 1)
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(DuplicateNode):

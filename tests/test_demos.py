@@ -23,8 +23,12 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    # run the demo in the suite's own mode, so `python -O -m pytest` runs
+    # it with asserts stripped too
+    optimize = ["-O"] * sys.flags.optimize
     out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *optimize, str(script)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()

@@ -23,7 +23,6 @@ from zzl.lang import (
     parse,
     serialize,
 )
-from zzl.extension import total_zigzag
 from zzl.linalg import QMatrix
 from zzl.zigzag import std_corrected, std_skyscraper
 
@@ -96,7 +95,7 @@ class TestParse:
         )
         pres = doc.build_extension("P")
         assert pres.class_vector == (Fraction(-1, 2),)
-        assert total_zigzag(pres) == std_corrected("Q_U[3]", 1, 1)
+        assert pres.total == std_corrected("Q_U[3]", 1, 1)
 
     def test_nonzero_class_needs_collapsed_sub(self):
         diags = parse_fails(

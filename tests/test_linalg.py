@@ -175,10 +175,8 @@ class TestSubspaces:
 
     def test_direct_construction_checks_independence(self):
         with pytest.raises(ShapeMismatch, match="dependent"):
-            Subspace(2, QMatrix.from_rows([[1, 2], [2, 4]]))
-        with pytest.raises(ShapeMismatch, match="ambient"):
-            Subspace(3, QMatrix.identity(2))
-        assert Subspace(2, QMatrix.identity(2)) == Subspace.full(2)
+            Subspace(QMatrix.from_rows([[1, 2], [2, 4]]))
+        assert Subspace(QMatrix.identity(2)) == Subspace.full(2)
 
     def test_sum_and_intersection(self):
         s1 = Subspace.spanned_by(3, [[1, 0, 0], [0, 1, 0]])

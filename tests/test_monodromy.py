@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import random_invertible, random_nilpotent_upper, random_skew_pairing_gram
+from generators import (
+    int_matrices,
+    random_invertible,
+    random_nilpotent_upper,
+    random_skew_pairing_gram,
+)
 from zzl import linalg, monodromy
 from zzl.linalg import (
     AmbientMismatch,
@@ -74,7 +80,8 @@ class TestPicardLefschetz:
             assert q.is_skew
             delta = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
             t = pl_operator(delta, q)
-            assert ((t - QMatrix.identity(n)) ** 2).is_zero()
+            d = t - QMatrix.identity(n)
+            assert (d * d).is_zero()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -122,23 +129,62 @@ class TestLogExp:
             NilpotentOperator(QMatrix.identity(1))
 
 
+@contextlib.contextmanager
+def _counted_products():
+    """Record every ``QMatrix`` product taken inside the block."""
+    calls = []
+    product = QMatrix.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return product(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QMatrix, "__mul__", counting)
+        yield calls
+
+
+def _companion(n: int, m: int) -> QMatrix:
+    """Companion matrix of x^m (x^(n-m) - 1): its powers have trace 0 up to
+    the (n-m)-th, whose trace is n - m."""
+    entries = [0] * (n * n)
+    for i in range(1, n):
+        entries[i * n + i - 1] = 1
+    entries[m * n + n - 1] = 1
+    return QMatrix(n, n, entries)
+
+
 class TestPowerLadder:
     @pytest.mark.parametrize("m,products", [
         (QMatrix.identity(5), 1),  # m^k never vanishes; its trace is 5
         (QMatrix.from_rows([[0, 1], [1, 0]]), 2),  # trace 0, then m^2 = I
     ])
-    def test_work_gate_stops_at_the_first_nonzero_trace(self, monkeypatch, m, products):
+    def test_work_gate_stops_at_the_first_nonzero_trace(self, m, products):
         # every power of a nilpotent map has trace 0
-        calls = []
-        product = QMatrix.__mul__
-
-        def counting(a, b):
-            calls.append(b)
-            return product(a, b)
-
-        monkeypatch.setattr(QMatrix, "__mul__", counting)
-        assert nilpotency_index(m) is None
+        with _counted_products() as calls:
+            assert nilpotency_index(m) is None
         assert len(calls) == products
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: int_matrices(n, n)))
+    def test_never_more_products_than_the_dimension(self, m):
+        # traces 0 through m^n make the characteristic polynomial x^n, and
+        # then m^n = 0 (Newton's identities, Cayley-Hamilton)
+        with _counted_products() as calls:
+            index = nilpotency_index(m)
+        assert len(calls) <= m.rows
+        assert index is None or len(calls) == index
+
+    @pytest.mark.parametrize("n,m", [(10, 2), (40, 2), (12, 0)])
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_trace_zero_run_costs_one_product_per_power(self, n, m, conjugated):
+        c = _companion(n, m)
+        if conjugated:
+            g = random_invertible(random.Random(n), n)
+            c = g * c * g.inverse()
+        with _counted_products() as calls:
+            assert nilpotency_index(c) is None
+        assert len(calls) == n - m
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.booleans())

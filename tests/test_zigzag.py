@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from generators import int_matrices, random_valid_zigzag
 from zzl import zigzag
-from zzl.extension import make_extension, total_zigzag
+from zzl.extension import make_extension
 from zzl.intertwine import BlockSystem
 from zzl.lang import parse
 from zzl.linalg import QMatrix, ShapeMismatch, rank
@@ -79,10 +79,10 @@ class TestValidate:
         for name in ("three_nodes.zzl", "table1.zzl"):
             doc = parse((fixtures / name).read_text())
             zigzags += [item.zigzag for item in doc.zigzags.values()]
-            zigzags += [total_zigzag(doc.build_extension(e)) for e in doc.extensions]
+            zigzags += [doc.build_extension(e).total for e in doc.extensions]
         ic, sky, corrected = std_ic(LABEL, 1, 1), std_skyscraper(1), std_corrected(LABEL, 1, 1)
         zigzags += [ic, sky, corrected, std_ic("C_bulk", 1, 1), dualize(corrected), direct_sum(ic, sky)]
-        zigzags += [total_zigzag(make_extension(ic, sky, c)) for c in (0, 1, 5, Fraction(-1, 3))]
+        zigzags += [make_extension(ic, sky, c).total for c in (0, 1, 5, Fraction(-1, 3))]
         rng = random.Random(7)
         zigzags += [random_valid_zigzag(rng, max_dim=4) for _ in range(20)]
         broken = dataclasses.replace(corrected, alpha=QMatrix.identity(1))
