@@ -90,17 +90,23 @@ CODE_LIMIT = "limit"
 # not for eliminating it: MAX_WRITTEN_WORK bounds the sum of
 # rows*cols*min(rows, cols)*bits over the matrices the text writes (maps,
 # zig-zag alpha/beta/gamma, gluing u/v/N), bits being the bit length of the
-# literal's largest numerator.  On 2 vCPUs (Python 3.11), `linalg.rank` of
-# an n x n matrix of random integers in [-99, 99] (7 bits) took 0.06 s at
-# n = 64, 0.36 s at 96 and 1.0-1.2 s at 128 (14.7M), of one in [-1, 1]
-# 1.9 s at 200 (8.0M) and 5.2 s at 256, and of a 20 x 20 one of 1000-bit
-# integers 0.65 s (8.0M).  The cap admits [-1, 1] up to n = 200.  A matrix
-# with at most _FREE_PIVOTS rows or columns is not charged: it is eliminated
-# in that many passes over its entries, which its text pays for as it pays
-# for reading them: 256 x 4 of 4000-digit integers ranked at 1 ms per KB of
-# text, twice what checking a benchmark corpus document costs per KB, and
-# 256 x 8 at 7.7 ms.  The same measure charges a block-regime extension
-# for the matrices that checking it eliminates.
+# literal's largest numerator.  On 2 vCPUs (Python 3.11), with the exact
+# division kernel of `linalg`, `linalg.rank` of an n x n matrix of random
+# integers in [-99, 99] (7 bits) took 0.07 s at n = 64, 0.35 s at 96 and
+# 0.75 s at 128 (14.7M), of one in [-1, 1] 1.0 s at 200 (8.0M), and of a
+# 20 x 20 one of 1000-bit integers 0.29 s (8.0M); the calibrated worst case
+# at the cap is the [-1, 1] matrix at n = 200.  The one class the kernel
+# made slower is an integer matrix whose rows or columns share a large
+# factor, since every minor then carries it: a 30 x 30 one with rows times
+# 200-bit integers went from 0.005 s to 0.12 s (5.5M), and at the cap, 20 x
+# 20 with rows times 996-bit integers took 0.29 s, 40 x 40 with 121-bit
+# 0.19 s and 60 x 60 with 33-bit 0.17 s, all inside that worst case.  A
+# matrix with at most _FREE_PIVOTS rows or columns is not charged: it is
+# eliminated in that many passes over its entries, which its text pays for
+# as it pays for reading them: 256 x 4 of 4000-digit integers ranked at
+# 0.43 ms per KB of text, about what checking a benchmark corpus document
+# costs per KB, and 256 x 8 at 4.0 ms.  The same measure charges a
+# block-regime extension for the matrices that checking it eliminates.
 MAX_DIM = 256
 MAX_IMPLIED_ENTRIES = 1_000_000
 MAX_WRITTEN_WORK = 8_000_000

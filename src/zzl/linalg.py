@@ -16,21 +16,25 @@ build their results through one trusted constructor, ``_from_nums``, which
 reduces by the gcd and checks nothing else; ``Fraction`` objects are built
 only where a caller reads entries (``entries``, ``entry``, ``row``,
 ``col``, ``serialize_matrix``).  The public constructor validates its
-input and accepts ``Fraction`` and ``int`` entries.
+input and accepts exact rationals only (``numbers.Rational``: ``int``,
+``Fraction``); a float, a ``Decimal`` or a string raises ``TypeError``.
 
 No floating point is used anywhere.  Every elimination (``rref``,
 ``rank``, ``solve``, ``kernel_basis`` and ``image_basis``) runs on one
-fraction-free integer kernel in the style of Bareiss: rows are taken
-from the stored numerators, updated as ``p*row_i - f*row_r`` and
-divided by their gcd, and each result is read off over one
-denominator, the LCM of the pivot entries.  The kernel has two passes
-and one entry point each: ``_echelon``, the forward pass that clears
-below each pivot, which fixes the pivots and the rank, and
-``_reduced``, the backward pass that clears above them, which gives the
-reduced form.  Each matrix is eliminated at most once: the first
-``_echelon`` of a matrix stores its forward pass on the matrix, written
-once and dropped with the matrix, and each reduced form is a backward
-pass over a copy of it, not stored.  Every linear system of this module
+fraction-free integer kernel, Bareiss's exact division (Bareiss 1968,
+from Sylvester's identity): rows are taken from the stored numerators,
+and each update divides exactly by an earlier pivot, so every entry is
+a minor of the matrix and no gcd is taken.  Only a matrix with a common
+denominator has its rows made primitive first, since that denominator
+puts cofactors into every minor.  The kernel has two passes and one
+entry point each: ``_echelon``, the forward pass that clears below each
+pivot, which fixes the pivots and the rank, and ``_reduced``, the
+backward pass that clears above them, which gives D times the reduced
+form, D the last pivot; each result is read off over one denominator.
+Each matrix is eliminated at most once: the first ``_echelon`` of a
+matrix stores its forward pass on the matrix, written once and dropped
+with the matrix, and each reduced form is a backward pass over a copy
+of it, not stored.  Every linear system of this module
 is one ``solve``, which takes a matrix of right-hand sides and reads X
 off the reduced form of [a | b]: a consistent system never has a pivot
 in b's columns, and an inconsistent one always does.
@@ -56,6 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -85,7 +90,14 @@ _ZERO = Fraction(0)
 
 
 def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a ``Fraction``; only exact rationals (``numbers.Rational``:
+    ``int``, ``bool``, ``Fraction``, numpy integers) are accepted, so a
+    float, a ``Decimal`` or a string raises ``TypeError``."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def format_rational(x: Scalar) -> str:
@@ -115,7 +127,8 @@ class QMatrix:
     of the module docstring.
 
     ``QMatrix(rows, cols, entries)`` takes the row-major entries as any
-    sequence of ``Fraction`` or ``int`` values and keeps none of it.
+    sequence of exact rationals (``Fraction``, ``int``; see ``_frac``) and
+    keeps none of it.
 
     The slot ``_echelon`` holds the matrix's forward elimination once one
     has been asked for (see ``_echelon``), so that each matrix is
@@ -134,7 +147,7 @@ class QMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]) -> None:
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape {rows}x{cols}")
-        values = [x if isinstance(x, Fraction) else Fraction(x) for x in entries]
+        values = [x if isinstance(x, Fraction) else _frac(x) for x in entries]
         if len(values) != rows * cols:
             raise ShapeMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(values)}"
@@ -397,18 +410,29 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
     place: clears each pivot column below its pivot.  Only ``_echelon``
     calls it.
 
-    The pivot of a column is its first nonzero entry from the top.  Each
-    row update is ``p*row_i - f*row_r`` with ``p, f`` the pivot and the
-    entry to clear (divided by their gcd), and the result is divided by
-    its content, so entries stay small.  The pivot search reads only the
-    rows at and below the current one, which no clearing above a pivot
-    touches, so the pivot columns agree exactly with those of rational
-    Gauss-Jordan elimination.  Returns the pivot columns; the first
-    ``len(pivots)`` rows are the pivot rows, and the rows after them are
-    zero.
+    The pivot of a column is its first nonzero entry from the top.  The
+    update is Bareiss's exact division (Sylvester's identity): with p the
+    pivot and f the entry to clear, row i becomes
+    ``(p*row_i - f*row_r) // d_i``, d_i the pivot of the step that last
+    updated row i (1 if none did), and a row with f = 0 is left alone.
+    Such a row is the Bareiss row of the current step divided by the
+    nonzero ``prev / d_i``, prev the last pivot, so its zeros are exact,
+    and a row chosen as pivot row is first brought up to date by one
+    exact scaling, ``row * prev // d_r``.  Every row at and below the
+    pivot is zero left of the pivot column, so an update computes only
+    the entries right of it.  Pivot row k then holds the minors of the
+    row-permuted matrix on its first k + 1 rows and the columns
+    ``c_0, ..., c_{k-1}, j``, so the last pivot is plus or minus the
+    determinant of the pivot minor, and no gcd is taken.  The pivot
+    search reads only the rows at and below the current one, so the
+    pivot columns agree exactly with those of rational Gauss-Jordan
+    elimination.  Returns the pivot columns; the first ``len(pivots)``
+    rows are the pivot rows, and the rows after them are zero.
     """
     nrows = len(rows)
+    dens = [1] * nrows
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(len(rows[0]) if rows else 0):
         if r == nrows:
@@ -419,45 +443,54 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
         else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
+        dens[r], dens[i] = dens[i], dens[r]
         pivot_row = rows[r]
+        d = dens[r]
+        if d != prev:
+            pivot_row = rows[r] = [x * prev // d for x in pivot_row]
         p = pivot_row[c]
+        zeros, tail = [0] * (c + 1), pivot_row[c + 1 :]
         for i in range(r + 1, nrows):
             row = rows[i]
             f = row[c]
             if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, pivot_row)]
-                g = _content(row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+                d = dens[i]
+                if d == 1:
+                    rows[i] = zeros + [p * x - f * y for x, y in zip(row[c + 1 :], tail)]
+                else:
+                    rows[i] = zeros + [(p * x - f * y) // d for x, y in zip(row[c + 1 :], tail)]
+                dens[i] = p
         pivots.append(c)
+        prev = p
         r += 1
     return pivots
 
 
 def _reduce_above(rows: list[list[int]], pivots: Sequence[int]) -> None:
     """The backward pass, in place, after ``_eliminate`` returned
-    ``pivots``: clears each pivot column above its pivot, last pivot
-    first, with the row update of the forward pass, so that pivot row
-    ``r`` divided by its pivot entry is row ``r`` of the reduced
-    row-echelon form.  Only ``_reduced`` calls it.  Rows are replaced,
-    never written to.  (The update is written out in both passes: most
-    eliminations are of tiny matrices, where a helper call per pivot
-    costs measurably.)
+    ``pivots``: replaces the pivot rows by D times the reduced row-echelon
+    form, D the last pivot, bottom-up.  Only ``_reduced`` calls it.
+
+    Row j of the forward pass is ``T_j = sum_k T_j[c_k] * E_k`` over the
+    reduced rows E_k with k >= j, c_k the pivot columns, so
+    ``R_j = (D*T_j - sum_{k>j} T_j[c_k] * R_k) // p_j`` with p_j its pivot;
+    the division is exact because D is plus or minus the determinant of
+    the pivot minor, which clears every denominator of the reduced form
+    (Cramer's rule).  Every row then holds D at its pivot, and no gcd is
+    taken.  Rows are replaced, never written to.
     """
-    for r in range(len(pivots) - 1, 0, -1):
-        pivot_row = rows[r]
-        c = pivots[r]
-        p = pivot_row[c]
-        for i in range(r):
-            row = rows[i]
-            f = row[c]
+    if len(pivots) < 2:
+        return
+    d = rows[len(pivots) - 1][pivots[-1]]
+    for j in range(len(pivots) - 2, -1, -1):
+        forward = rows[j]
+        row = [d * x for x in forward]
+        for k in range(j + 1, len(pivots)):
+            f = forward[pivots[k]]
             if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, pivot_row)]
-                g = _content(row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+                row = [x - f * y for x, y in zip(row, rows[k])]
+        p = forward[pivots[j]]
+        rows[j] = row if p == 1 else [x // p for x in row]
 
 
 def _pivot_den(work: list[list[int]], pivots: Sequence[int]) -> tuple[int, list[int]]:
@@ -479,10 +512,16 @@ def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
 def _echelon(m: QMatrix) -> tuple[list[int], list[list[int]]]:
     """The forward pass stored on m: its pivot columns and its pivot rows
     as integer rows.  The first call runs it and stores it without its
-    zero rows, once; a stored entry and its rows are never written to."""
+    zero rows, once; a stored entry and its rows are never written to.
+    The numerators of a matrix with ``den != 1`` are divided by their
+    row's content first: the common denominator would put its cofactors
+    into every minor, while on an integer matrix the gcd scan costs more
+    than it saves."""
     entry = m._echelon
     if entry is None:
         rows = _int_rows(m)
+        if m.den != 1:
+            rows = [[x // g for x in row] if (g := _content(row)) > 1 else row for row in rows]
         pivots = _eliminate(rows)
         del rows[len(pivots) :]
         entry = (pivots, rows)

@@ -89,15 +89,17 @@ def _power_ladder(m: QMatrix) -> tuple[QMatrix, ...] | None:
     """(I, m, ..., m^k) with m^k = 0 and k least, or None if m is not
     nilpotent.  The only place powers are multiplied.
 
-    Every power of a nilpotent matrix has trace 0, so the ladder stops at
+    The ladder starts at m itself and takes one product per further
+    power.  Every power of a nilpotent matrix has trace 0, so it stops at
     the first power with a nonzero trace (a sum of diagonal numerators),
-    within n = dim products: traces 0 for m^1..m^n make the characteristic
-    polynomial x^n (Newton's identities), so m^n = 0 (Cayley-Hamilton)."""
+    within n - 1 products for n = dim >= 1: traces 0 for m^1..m^n make the
+    characteristic polynomial x^n (Newton's identities), so m^n = 0
+    (Cayley-Hamilton)."""
     if not m.is_square():
         raise DimensionMismatch("nilpotency of a non-square matrix")
     powers = [QMatrix.identity(m.rows)]
     while not powers[-1].is_zero():
-        power = powers[-1] * m
+        power = powers[-1] * m if len(powers) > 1 else m
         if sum(power.nums[:: m.rows + 1]):
             return None
         powers.append(power)

@@ -1,10 +1,12 @@
 import ast
+import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zzl import linalg
@@ -373,6 +375,22 @@ class TestStoredForm:
             assert s == m and hash(s) == hash(m) and is_canonical(s)
         assert (m == other) == ((m.rows, m.cols, m.entries) == (other.rows, other.cols, other.entries))
 
+    def test_only_exact_rationals_are_entries(self):
+        import numpy as np
+
+        exact = [True, 2, Fraction(1, 3), np.int64(-4)]
+        assert QMatrix(1, 4, exact).entries == (1, 2, Fraction(1, 3), -4)
+        assert QMatrix.column(exact) == QMatrix(4, 1, exact)
+        for inexact in (0.1, 1.0, Decimal("0.1"), "1/2", np.float64(1), 1j, None):
+            with pytest.raises(TypeError, match="^not an exact rational"):
+                QMatrix(1, 2, [1, inexact])
+            with pytest.raises(TypeError, match="^not an exact rational"):
+                QMatrix.column([inexact])
+            with pytest.raises(TypeError, match="^not an exact rational"):
+                QMatrix.identity(2) * inexact
+            with pytest.raises(TypeError, match="^not an exact rational"):
+                format_rational(inexact)
+
 
 class TestArithmetic:
     def test_zero_dim_composition(self):
@@ -589,6 +607,182 @@ class TestAgainstSympy:
         assert rref(a) == (a, ())
 
 
+# -- entry growth: the classes that stress an integer kernel -----------------
+
+
+def _primes(k: int) -> list[int]:
+    found: list[int] = []
+    n = 2
+    while len(found) < k:
+        if all(n % q for q in found):
+            found.append(n)
+        n += 1
+    return found
+
+
+def _growth_matrix(kind: str, seed: int) -> QMatrix:
+    """A seeded matrix of one class that grows entries: rank-deficient
+    integer products, rows or columns times 200-bit integers, rationals
+    over many distinct prime denominators, thin matrices of 1000-digit
+    integers."""
+    rng = random.Random(f"{kind}/{seed}")
+
+    def ints(r, c, lo=-9, hi=9):
+        return QMatrix(r, c, [rng.randint(lo, hi) for _ in range(r * c)])
+
+    if kind == "product":
+        n, inner = [(60, 45), (40, 39), (30, 12)][seed]
+        return ints(n, inner) * ints(inner, n + seed)
+    if kind in ("rows", "cols"):
+        base = ints(30, 30) if seed == 0 else ints(30, 20) * ints(20, 30)
+        scale = [rng.getrandbits(200) | 1 for _ in range(30)]
+        if kind == "rows":
+            return QMatrix(30, 30, [x * scale[i // 30] for i, x in enumerate(base.nums)])
+        return QMatrix(30, 30, [x * scale[i % 30] for i, x in enumerate(base.nums)])
+    if kind == "rationals":
+        primes = _primes(30)
+
+        def rationals(r, c):
+            return QMatrix(r, c, [Fraction(rng.randint(-9, 9), rng.choice(primes)) for _ in range(r * c)])
+
+        return rationals(25, 10) * rationals(10, 35) if seed == 1 else rationals(30, 30 + seed)
+    assert kind == "thin"
+    big = 10**999
+    shape = [(64, 3), (3, 64), (40, 5)][seed]
+    return QMatrix(*shape, [rng.randrange(big, 10 * big) * rng.choice((-1, 1)) for _ in range(shape[0] * shape[1])])
+
+
+# a full-rank row-scaled and a rank-deficient column-scaled case
+GROWTH_CASES = [
+    *((kind, seed) for kind in ("product", "rationals", "thin") for seed in range(3)),
+    ("rows", 0),
+    ("cols", 1),
+]
+
+
+def _oracle(sympy_qq, m: QMatrix):
+    """m as a sympy DomainMatrix, over ZZ when m is an integer matrix
+    (sympy's fraction-free path, much faster there than over QQ)."""
+    if m.den != 1:
+        return sympy_qq(m)
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[sympy.ZZ(int(x)) for x in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), sympy.ZZ)
+
+
+class TestEntryGrowthAgainstSympy:
+    @pytest.mark.parametrize("kind,seed", GROWTH_CASES)
+    def test_rank_rref_kernel_and_solve(self, sympy_qq, kind, seed):
+        m = _growth_matrix(kind, seed)
+        theirs = _oracle(sympy_qq, m)
+        reduced, den, pivots = theirs.rref_den()
+        expected = from_dm(reduced) * (1 / Fraction(int(den.numerator), int(den.denominator)))
+        assert rank(m) == len(pivots)
+        assert rref(m) == (expected, tuple(pivots))
+        # the kernel basis is the one with the identity on the free unknowns
+        free = [j for j in range(m.cols) if j not in pivots]
+        k = kernel_basis(m)
+        assert k.dim == len(free) and (sympy_qq(m) * sympy_qq(k.basis)).is_zero_matrix
+        assert QMatrix.from_rows([k.basis.row(j) for j in free], cols=len(free)) == QMatrix.identity(len(free))
+        # a consistent pair of right-hand sides, read off with free unknowns 0
+        rng = random.Random(seed)
+        b = m * QMatrix(m.cols, 2, [rng.randint(-5, 5) for _ in range(2 * m.cols)])
+        x = solve(m, b)
+        assert x is not None and from_dm(sympy_qq(m) * sympy_qq(x)) == b
+        assert all(not any(x.row(j)) for j in free)
+        # a random one, inconsistent unless m has full row rank
+        c = QMatrix.column([rng.randint(-5, 5) for _ in range(m.rows)])
+        y = solve(m, c)
+        assert (y is None) == (len(pivots) < m.rows and _oracle(sympy_qq, hstack(m, c)).rank() > len(pivots))
+        if y is not None:
+            assert from_dm(sympy_qq(m) * sympy_qq(y)) == c
+
+
+def integer_matrices(max_dim=6):
+    """Integer matrices with entries in [-20, 20], mostly zero ones (so
+    that rows skip steps and a pivot row must be brought up to date), and
+    products through an inner dimension of at most 3, so often
+    rank-deficient."""
+
+    def shaped(r, c, values=st.integers(-20, 20)):
+        return st.lists(values, min_size=r * c, max_size=r * c).map(lambda e: QMatrix(r, c, e))
+
+    dims = st.integers(0, max_dim)
+    plain = st.tuples(dims, dims).flatmap(lambda s: shaped(*s))
+    sparse = st.tuples(dims, dims).flatmap(lambda s: shaped(*s, st.sampled_from((0, 0, 0, 2, -3, 5, 12))))
+    product = st.tuples(dims, st.integers(0, 3), dims).flatmap(
+        lambda s: st.tuples(shaped(s[0], s[1]), shaped(s[1], s[2]))
+    ).map(lambda f: f[0] * f[1])
+    return st.one_of(plain, sparse, product)
+
+
+def _pivot_row_order(m: QMatrix) -> list[int]:
+    """The row of m at each pivot position under the kernel's pivot rule
+    (the first nonzero entry of the column at or below the current row,
+    swapped up), found by rational Gaussian elimination."""
+    rows = [(i, list(m.row(i))) for i in range(m.rows)]
+    r = 0
+    for c in range(m.cols):
+        i = next((i for i in range(r, len(rows)) if rows[i][1][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot = rows[r][1]
+        for t in range(r + 1, len(rows)):
+            f = rows[t][1][c] / pivot[c]
+            rows[t] = (rows[t][0], [x - f * y for x, y in zip(rows[t][1], pivot)])
+        r += 1
+    return [i for i, _ in rows[:r]]
+
+
+def _det(rows: list[list[int]]) -> int:
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    return int(DomainMatrix([[sympy.ZZ(x) for x in row] for row in rows], (len(rows), len(rows)), sympy.ZZ).det())
+
+
+class TestBareissInvariants:
+    @settings(max_examples=80, deadline=None)
+    @given(integer_matrices())
+    @example(QMatrix.from_rows([[2, 1, 0], [0, 3, 1], [4, 5, 7]]))  # row 1 skips step 0
+    def test_stored_and_reduced_entries_are_minors(self, m):
+        # forward row k at column j is the minor on the first k + 1 pivot
+        # rows and the columns (c_0, ..., c_{k-1}, j) (Sylvester's identity);
+        # reduced row j at column c is D*E_j[c], the pivot minor with c_j
+        # replaced by c (Cramer's rule), D the last pivot; so every entry is
+        # within the Hadamard bound of its minor
+        a = [[int(x) for x in m.row(i)] for i in range(m.rows)]
+        pivots, forward = linalg._echelon(m)
+        order = _pivot_row_order(m)
+        assert len(order) == len(pivots)
+
+        def minor(rows, cols):
+            square = [[a[i][c] for c in cols] for i in rows]
+            hadamard = 1
+            for row in square:
+                hadamard *= sum(x * x for x in row)
+            return _det(square), hadamard
+
+        for k, row in enumerate(forward):
+            for j, x in enumerate(row):
+                det, hadamard = minor(order[: k + 1], [*pivots[:k], j])
+                assert x == det and x * x <= hadamard
+        if not pivots:
+            return
+        d = forward[-1][pivots[-1]]
+        assert d == minor(order, pivots)[0]
+        _, reduced = linalg._reduced(m)
+        assert [row[c] for row, c in zip(reduced, pivots)] == [d] * len(pivots)
+        for j, row in enumerate(reduced):
+            for c, x in enumerate(row):
+                det, hadamard = minor(order, [*pivots[:j], c, *pivots[j + 1 :]])
+                assert x == det and x * x <= hadamard
+        top = QMatrix.from_rows([rref(m)[0].row(i) for i in range(len(pivots))])
+        assert QMatrix.from_rows(reduced) * Fraction(1, d) == top
+
+
 # -- the elimination stored on a matrix ---------------------------------------
 
 READ_OFFS = {"rank": rank, "image_basis": image_basis, "kernel_basis": kernel_basis, "rref": rref}
@@ -691,6 +885,16 @@ def test_each_elimination_pass_has_one_entry_point():
     # _reduced, so a kernel swap replaces one function per pass
     assert _references("_eliminate") == {("linalg", "_echelon")}
     assert _references("_reduce_above") == {("linalg", "_reduced")}
+
+
+def test_the_elimination_passes_take_no_gcd():
+    # exact division by an earlier pivot keeps every entry a minor, so
+    # neither pass divides a row by its content
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    passes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_eliminate", "_reduce_above"):
+        called = {node.id for node in ast.walk(passes[name]) if isinstance(node, ast.Name)}
+        assert not called & {"_content", "gcd"}, name
 
 
 def test_the_weight_condition_re_derivation_has_no_engine_caller():
