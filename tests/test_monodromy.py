@@ -155,16 +155,16 @@ def _companion(n: int, m: int) -> QMatrix:
 
 
 class TestPowerLadder:
-    @pytest.mark.parametrize("m,products", [
-        (QMatrix.identity(5), 0),  # m itself has trace 5
-        (QMatrix.from_rows([[0, 1], [1, 0]]), 1),  # trace 0, then m^2 = I
+    @pytest.mark.parametrize("m,k", [
+        (QMatrix.identity(5), 1),  # m itself has trace 5
+        (QMatrix.from_rows([[0, 1], [1, 0]]), 2),  # trace 0, then m^2 = I
     ])
-    def test_work_gate_stops_at_the_first_nonzero_trace(self, m, products):
+    def test_work_gate_stops_at_the_first_nonzero_trace(self, m, k):
         # every power of a nilpotent map has trace 0; the ladder starts at
         # m, so the k-th power costs k - 1 products
         with _counted_products() as calls:
             assert nilpotency_index(m) is None
-        assert len(calls) == products
+        assert len(calls) == k - 1
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 6).flatmap(lambda n: int_matrices(n, n)))
