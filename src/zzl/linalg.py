@@ -30,7 +30,7 @@ puts cofactors into every minor.  The kernel has two passes and one
 entry point each: ``_echelon``, the forward pass that clears below each
 pivot, which fixes the pivots and the rank, and ``_reduced``, the
 backward pass that clears above them, which gives D times the reduced
-form, D the last pivot; each result is read off over one denominator.
+form, D the last pivot; each result is read off over the one denominator |D|.
 Each matrix is eliminated at most once: the first ``_echelon`` of a
 matrix stores its forward pass on the matrix, written once and dropped
 with the matrix, and each reduced form is a backward pass over a copy
@@ -493,13 +493,12 @@ def _reduce_above(rows: list[list[int]], pivots: Sequence[int]) -> None:
         rows[j] = row if p == 1 else [x // p for x in row]
 
 
-def _pivot_den(work: list[list[int]], pivots: Sequence[int]) -> tuple[int, list[int]]:
-    """The LCM of the pivot entries of an elimination, and for each pivot
-    row the factor (signed) that scales it to that denominator."""
-    den = 1
-    for row, c in zip(work, pivots):
-        den = lcm(den, row[c])
-    return den, [den // row[c] for row, c in zip(work, pivots)]
+def _pivot_den(work: list[list[int]], pivots: Sequence[int]) -> tuple[int, int]:
+    """The denominator of a reduced form and the sign that scales its rows
+    to it: every reduced pivot row holds the same D at its pivot (see
+    ``_reduce_above``), so the denominator is |D|."""
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return abs(d), 1 if d > 0 else -1
 
 
 def _scaled(values: Sequence[int], den: int) -> list[Fraction]:
@@ -541,8 +540,8 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot column indices."""
     pivots, rows = _reduced(m)
     # each pivot row divided by its pivot entry, then the zero rows
-    den, factors = _pivot_den(rows, pivots)
-    nums = [s * x for row, s in zip(rows, factors) for x in row]
+    den, s = _pivot_den(rows, pivots)
+    nums = [s * x for row in rows for x in row]
     nums += [0] * ((m.rows - len(pivots)) * m.cols)
     return _from_nums(m.rows, m.cols, den, nums), tuple(pivots)
 
@@ -647,9 +646,9 @@ def _solution_space(
     row-major) and the basis; the denominator is the LCM of the reduced
     denominators of all their entries.
     """
-    den, factors = _pivot_den(work, pivots)
+    den, s = _pivot_den(work, pivots)
     x = [0] * (n * k)
-    for row, c, s in zip(work, pivots, factors):
+    for row, c in zip(work, pivots):
         x[c * k : (c + 1) * k] = [s * y for y in row[n:]]
     pivot_set = set(pivots)
     kernel = []
@@ -658,7 +657,7 @@ def _solution_space(
             continue
         v = [0] * n
         v[f] = den
-        for row, c, s in zip(work, pivots, factors):
+        for row, c in zip(work, pivots):
             if row[f]:
                 v[c] = -s * row[f]
         kernel.append(v)

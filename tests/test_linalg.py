@@ -376,12 +376,10 @@ class TestStoredForm:
         assert (m == other) == ((m.rows, m.cols, m.entries) == (other.rows, other.cols, other.entries))
 
     def test_only_exact_rationals_are_entries(self):
-        import numpy as np
-
-        exact = [True, 2, Fraction(1, 3), np.int64(-4)]
+        exact = [True, 2, Fraction(1, 3), -4]
         assert QMatrix(1, 4, exact).entries == (1, 2, Fraction(1, 3), -4)
         assert QMatrix.column(exact) == QMatrix(4, 1, exact)
-        for inexact in (0.1, 1.0, Decimal("0.1"), "1/2", np.float64(1), 1j, None):
+        for inexact in (0.1, 1.0, Decimal("0.1"), "1/2", 1j, None):
             with pytest.raises(TypeError, match="^not an exact rational"):
                 QMatrix(1, 2, [1, inexact])
             with pytest.raises(TypeError, match="^not an exact rational"):
@@ -390,6 +388,12 @@ class TestStoredForm:
                 QMatrix.identity(2) * inexact
             with pytest.raises(TypeError, match="^not an exact rational"):
                 format_rational(inexact)
+
+    def test_numpy_integers_are_exact_rationals(self):
+        np = pytest.importorskip("numpy")
+        assert QMatrix(1, 2, [np.int64(-4), 1]).entries == (-4, 1)
+        with pytest.raises(TypeError, match="^not an exact rational"):
+            QMatrix(1, 1, [np.float64(1)])
 
 
 class TestArithmetic:
