@@ -312,26 +312,32 @@ def verify_gluing(g: GluingQuadruple) -> Report:
         )
     ]
 
-    # the last offender in scan order: per node, its u rows, then its v columns
+    # the last offender in scan order: per node, its u rows, then its v
+    # columns; each vector's entries outside the node's range are tested
+    # with any(), and the offending coordinate is found only where one is
     psi, m2_total = g.psi_dim, g.v.cols
     u_rows = [g.u.nums[i * psi : (i + 1) * psi] for i in range(m2_total)]
     v_cols = [g.v.nums[j::m2_total] for j in range(m2_total)]
-    offender = ""
+    last = None  # (kind, label, vector, start, stop) of the last offending vector
     nonzero = []  # per node: whether some u row, some v column is nonzero
     row_offset = 0
     for (label, (start, stop)), r_k in zip(g.decomposition, g.m2_dims):
+        # coordinates k < start or k >= stop lie outside the range
+        head, tail = max(start, 0), max(stop, 0)
         found = []
         for kind, vectors in (("u row", u_rows), ("v column", v_cols)):
-            seen = False
-            for vector in vectors[row_offset : row_offset + r_k]:
-                for k, x in enumerate(vector):
-                    if x:
-                        seen = True
-                        if not start <= k < stop:
-                            offender = f"{kind} for node {label} touches psi coordinate {k}"
-            found.append(seen)
+            block = vectors[row_offset : row_offset + r_k]
+            for vector in block:
+                if any(vector[:head]) or any(vector[tail:]):
+                    last = kind, label, vector, head, tail
+            found.append(any(map(any, block)))
         nonzero.append(found)
         row_offset += r_k
+    offender = ""
+    if last is not None:
+        kind, label, vector, head, tail = last
+        k = max(k for k, x in enumerate(vector) if x and not head <= k < tail)
+        offender = f"{kind} for node {label} touches psi coordinate {k}"
     checks.append(
         Check(
             "u and v respect the node decomposition",

@@ -25,23 +25,25 @@ and hands the parser one token at a time.  A token records its offset
 into the text; line and column are found from the offset only where a
 diagnostic or an item span needs them.
 
-Matrix literals and the `{ key = value, ... }` blocks of zig-zags and
-gluings are read straight from the text where they are plain, and the
-scanner restarts after what was read.  A literal whose brackets hold
-entries and separators with blanks only next to them is split at `;`
-and `,`: each entry is read with `int()`, `p/q` as the pair (p, q), and
-the matrix is built from the numerators over the LCM of the
-denominators, with no `Fraction` per entry.  A block is read one match
-per `key = value` pair, each on one line and followed by `,` or `}`,
-the value a plain literal, a natural or a label `x` or `x[3]`.  Reading
-declines, having consumed nothing, wherever the token path could report
-something (ragged rows, a zero denominator, an integer past CPython's
-digit limit, an unknown or duplicate key, a value of the wrong kind, a
-dimension over the budget, a quoted or `0...` label) and wherever the
-text leaves that plain form (a line break or comment inside, `- 3`,
-`1 / 2`, a missing or trailing separator).  The token path then reads
-the literal, or the block from the first field declined with the fields
-read so far, so every diagnostic and offset is the token path's.
+A declaration written the way `serialize` writes it is read straight
+from the text with one `_DECL_RE` match, which also skips the blanks,
+line breaks and comments before it.  Such a declaration is on one line,
+has its fields in `serialize`'s order, writes naturals and bracket
+indices without leading zeros, and is followed by a blank, a line
+break, a comment or the end of the text; blanks may stand wherever a
+token ends.  Its matrix literals are plain: on one line, with no blank
+after a `-`.  A plain literal is split at `;` and `,`, each entry is
+read with `int()`, `p/q` as the pair (p, q), and the matrix is built
+from the numerators over the LCM of the denominators, with no
+`Fraction` per entry.  The reader declines a declaration, having
+consumed nothing, wherever the token path could report something on it
+(ragged rows, a zero denominator, an integer past CPython's digit
+limit, a dimension over the budget, a shape the dimensions do not fit)
+and wherever the text leaves that form.  The scanner then starts at
+that declaration and the token path reads it, so every diagnostic and
+offset is the token path's; the reader takes over again at the next
+declaration keyword.  The token path reads a plain literal with one
+match as well, and any other token by token.
 
 Untrusted input has a budget: a declared dimension above `MAX_DIM`, a
 document whose extensions, nodes block and gluings would make checking
@@ -285,17 +287,22 @@ class Document:
 # source; line and column are found from the offset (_Lines) only where a
 # diagnostic or an item span needs them.  The scanner hands the parser one
 # token at a time, so no token list is ever built, and the parser restarts
-# it (_Parser.restart) after a literal or fields read straight from the
-# text.
+# it (_Parser.restart) after a literal read straight from the text, and
+# at each declaration the reader declines.
 _Token = tuple[str, str, int]
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAT = r"[0-9]+"  # ASCII only: int() accepts every NAT token up to its digit limit
 _BLANK = r"[ \t\r\f\v]"
+_SKIP = r"(?:[ \t\r\f\v\n]+|\#[^\n]*)*"  # blanks, line breaks and comments
 _ENTRY = rf"-?{_NAT}(?:/{_NAT})?"
-# a whole matrix literal, blanks allowed only next to brackets and separators
-_MATRIX = rf"\[{_BLANK}*(?:{_ENTRY}{_BLANK}*(?:[,;]{_BLANK}*{_ENTRY}{_BLANK}*)*)?\]"
+# a matrix literal on one line: its brackets and what entries, separators
+# and blanks are made of, one character class, so that matching it saves
+# no state per entry; _read_literal reads the entries
+_MATRIX = r"\[[-0-9/,;\ \t\r\f\v]*\]"
 _MATRIX_RE = re.compile(_MATRIX)
+# a label that serialize writes bare: its bracket index parses back unchanged
+_BARE_LABEL = rf"{_IDENT}(?:\[(?:0|[1-9][0-9]*)\])?"
 
 # one match per token: blanks, line breaks and comments are a skipped
 # prefix, then one alternative per token kind, and any other single
@@ -305,7 +312,7 @@ _MATRIX_RE = re.compile(_MATRIX)
 # input keeps what it read.
 _TOKEN_RE = re.compile(
     rf"""
-    (?:[ \t\r\f\v\n]+|\#[^\n]*)*
+    {_SKIP}
     (?:
         (?P<PUNCT>->|[{{}}\[\](),;:=/-])
       | (?P<STRING>"(?P<body>(?:\\[\s\S]|[^"\\\n])*\\?)(?P<close>"?))
@@ -383,8 +390,10 @@ _EMPTY: _Literal = (0, 0, 1, ())
 
 def _read_literal(body: str) -> _Literal | None:
     """The body of a literal that `_MATRIX` matched; None when reading it
-    token by token would report something: ragged rows, a zero
-    denominator, an integer past CPython's digit limit."""
+    token by token would report something or read other entries: ragged
+    rows, an entry int() does not read (an empty one, a blank after `-`,
+    a second `/`), a denominator that is not positive, an integer past
+    CPython's digit limit."""
     if not body.strip():
         return _EMPTY
     rows = body.split(";")
@@ -393,63 +402,81 @@ def _read_literal(body: str) -> _Literal | None:
         return None
     texts = body.replace(";", ",").split(",")
     try:
-        # int() ignores the blanks next to an entry
+        # int() ignores the blanks around an entry and around its `/`
         if "/" not in body:
             return len(rows), commas + 1, 1, list(map(int, texts))
-        parts = [text.split("/") for text in texts]
-        entries = [(int(p[0]), int(p[1]) if len(p) == 2 else 1) for p in parts]
+        halves = [text.partition("/") for text in texts]
+        entries = [(int(num), int(den) if slash else 1) for num, slash, den in halves]
     except ValueError:
         return None
-    if any(d == 0 for _, d in entries):
+    if any(d <= 0 for _, d in entries):
         return None
     return len(rows), commas + 1, *_over_lcm(entries)
 
 
-def _nat(text: str) -> int | None:
-    """A NAT's value; None past CPython's limit on integer-string conversion."""
-    try:
-        return int(text)
-    except ValueError:
-        return None
-
-
-def _bracket_label(name: str, index: str) -> str:
-    """The label `name[index]`, its index in decimal without leading zeros,
-    as int() would print it, at any length."""
-    return f"{name}[{index.lstrip('0') or '0'}]"
-
-
-# fields whose value is a declared dimension; the others but `open` are matrices
+# the fields of a zig-zag and of a gluing block, in serialize's order; the
+# first three of a gluing's are required.  A dimension field's value is a
+# natural, `open`'s a label and every other's a matrix literal
+_ZIGZAG_FIELDS = ("open", "eminus", "ezero", "A", "B", "alpha", "beta", "gamma")
+_GLUING_FIELDS = ("psi", "u", "v", "N")
 _DIM_FIELDS = frozenset(("eminus", "ezero", "A", "B", "psi"))
 
-# one `key = value` pair of a field block and the `,` or `}` after it, all on
-# one line; the value is a plain matrix literal, a natural, or a label with
-# an optional bracket index.  The value is matched in a lookahead and
-# consumed by a backreference, so when no `,` or `}` follows it the match
-# fails at once instead of retrying every shorter prefix of the value, none
-# of which one can follow either
-_FIELD_RE = re.compile(
-    rf"{_BLANK}*({_IDENT}){_BLANK}*={_BLANK}*"
-    rf"(?=(({_MATRIX})|({_NAT})|({_IDENT})(?:\[({_NAT})\])?))\2{_BLANK}*([,}}])"
+
+def _atomic(name: str, pattern: str) -> str:
+    """`pattern` as the group `name`, never backtracked into: a lookahead
+    matches it and a backreference consumes what it matched (Python 3.10
+    has no atomic groups)."""
+    return rf"(?=(?P<{name}>{pattern}))(?P={name})"
+
+
+_BLANKS = rf"{_BLANK}*"
+# a dimension as serialize writes it, up to three digits (one above MAX_DIM
+# is declined), and a label as serialize writes it on one line
+_DIM = r"0|[1-9][0-9]{0,2}"
+_LABEL = rf'0|{_BARE_LABEL}|"(?:\\[^\n]|[^"\\\n])*"'
+
+
+def _fields(*keys: str) -> str:
+    """The `key = value` pairs of a block in this order, each value the
+    group named by its key; a matrix literal is matched atomically."""
+
+    def value(key: str) -> str:
+        if key in _DIM_FIELDS:
+            return rf"(?P<{key}>{_DIM})"
+        return rf"(?P<open>{_LABEL})" if key == "open" else _atomic(key, _MATRIX)
+
+    return rf"{_BLANKS},{_BLANKS}".join(rf"{key}{_BLANKS}={_BLANKS}{value(key)}" for key in keys)
+
+
+# one match per declaration as serialize writes it, the blanks, line breaks
+# and comments before it skipped (atomically, so a comment is never cut
+# short to read a declaration out of it).  Each alternative is a group
+# named by its keyword.  A declaration ends where no token can go on from
+# it: a blank, a line break, a comment or the end follows it, and no `/`
+# follows a class written without one.  Every literal is matched
+# atomically, so a declaration that fails after a long literal fails at
+# once instead of retrying every shorter prefix of the literal
+_DECL_RE = re.compile(
+    rf"""
+    {_atomic("skip", _SKIP)}
+    (?:
+        (?P<zigzag>zigzag{_BLANK}+(?P<zigzag_name>{_IDENT}){_BLANKS}
+            \{{{_BLANKS}{_fields(*_ZIGZAG_FIELDS)}{_BLANKS}\}})
+      | (?P<extension>extension{_BLANK}+(?P<extension_name>{_IDENT}){_BLANKS}={_BLANKS}
+            ext{_BLANKS}\({_BLANKS}(?P<sub>{_IDENT}){_BLANKS},{_BLANKS}(?P<quot>{_IDENT}){_BLANKS}\)
+            {_BLANKS}class{_BLANK}+{_atomic("class", _ENTRY)}(?!{_atomic("gap", _SKIP)}/))
+      | (?P<nodes>nodes{_BLANKS}\{{{_BLANKS}
+            (?P<names>{_IDENT}(?:{_BLANKS},{_BLANKS}{_IDENT})*){_BLANKS}\}})
+      | (?P<gluing>gluing{_BLANK}+(?P<gluing_name>{_IDENT}){_BLANKS}\{{{_BLANKS}
+            {_fields(*_GLUING_FIELDS[:3])}(?:{_BLANKS},{_BLANKS}{_fields("N")})?{_BLANKS}\}})
+      | (?P<space>space{_BLANK}+(?P<space_name>{_IDENT}){_BLANK}+dim{_BLANK}+(?P<dim>{_DIM}))
+      | (?P<map>map{_BLANK}+(?P<map_name>{_IDENT}){_BLANKS}:{_BLANKS}(?P<source>{_IDENT})
+            {_BLANKS}->{_BLANKS}(?P<target>{_IDENT}){_BLANKS}={_BLANKS}{_atomic("matrix", _MATRIX)})
+    )
+    (?![^ \t\r\f\v\n\#])
+    """,
+    re.VERBOSE,
 )
-
-
-def _field_value(
-    m: re.Match[str], allowed: tuple[str, ...], fields: dict[str, object]
-) -> object | None:
-    """The value of the field that `_FIELD_RE` matched, typed by its key;
-    None wherever reading it token by token could report something."""
-    key, _, matrix, nat, label, index, _ = m.groups()
-    if key not in allowed or key in fields:
-        return None
-    if key == "open":
-        if label is not None:
-            return label if index is None else _bracket_label(label, index)
-        return ZERO_LABEL if nat == "0" else None
-    if key in _DIM_FIELDS:
-        value = None if nat is None else _nat(nat)
-        return None if value is None or value > MAX_DIM else value
-    return None if matrix is None else _read_literal(matrix[1:-1])
 
 
 # -- parser ------------------------------------------------------------
@@ -464,13 +491,12 @@ class _Parser:
         self.text = text
         self.lexical = lexical
         self.lines = _Lines(text)
-        self.stream = _tokenize(text, lexical, self.lines)
-        self.tok = next(self.stream)
         self.diagnostics = diagnostics
         self.where = self.lines.at
 
     def restart(self, pos: int) -> None:
-        """Scan on from `pos`, after text read without tokens."""
+        """Scan from `pos`, where text read without tokens ends or a
+        declaration the reader declines starts."""
         self.stream = _tokenize(self.text, self.lexical, self.lines, pos)
         self.tok = next(self.stream)
 
@@ -527,12 +553,12 @@ class _Parser:
     def nat_value(self, tok: _Token) -> int:
         """The NAT token's value; a literal longer than CPython's limit on
         integer-string conversion is a lexical error at the token."""
-        value = _nat(tok[1])
-        if value is None:
+        try:
+            return int(tok[1])
+        except ValueError:
             raise self.diagnose(
                 CODE_LEX, f"integer literal of {len(tok[1])} digits is too long", tok
-            )
-        return value
+            ) from None
 
     def at_punct(self, text: str) -> bool:
         tok = self.tok
@@ -611,7 +637,8 @@ class _Parser:
                     raise self.error(f"expected bracket index, found {self._describe(index)}")
                 self.advance()
                 self.expect_punct("]")
-                label = _bracket_label(label, index[1])
+                # the index as int() would print it, at any length
+                label = f"{label}[{index[1].lstrip('0') or '0'}]"
             return label
         raise self.error("expected an open-part label")
 
@@ -627,8 +654,22 @@ class _Parser:
             self.advance()
 
     def parse_document(self) -> list[Item]:
+        """Each declaration read with one `_DECL_RE` match where the reader
+        takes it; from one it declines, token by token up to the next
+        declaration keyword, where the reader is tried again."""
         out: list[Item] = []
+        text, match, pos = self.text, _DECL_RE.match, 0
         while True:
+            if pos is not None:
+                m = match(text, pos)
+                item = None if m is None else self._read_declaration(m)
+                if item is not None:
+                    out.append(item)
+                    pos = m.end()
+                    continue
+                # pos is where the text was read up to, or a keyword token
+                # the scanner passed: scanning it again reports nothing twice
+                self.restart(pos)
             tok = self.tok
             if tok[0] == "EOF":
                 return out
@@ -636,11 +677,54 @@ class _Parser:
                 self.diagnose(CODE_SYNTAX, f"expected a declaration keyword, found {tok[1]!r}", tok)
                 self.advance()
                 self.synchronize()
-                continue
-            try:
-                out.append(self._parse_item(tok[1]))
-            except _SyntaxAbort:
-                self.synchronize()
+            else:
+                try:
+                    out.append(self._parse_item(tok[1]))
+                except _SyntaxAbort:
+                    self.synchronize()
+            tok = self.tok
+            pos = tok[2] if tok[0] == "IDENT" and tok[1] in _KINDS else None
+
+    def _read_declaration(self, m: re.Match[str]) -> Item | None:
+        """The item of a declaration that `_DECL_RE` matched; None wherever
+        reading it token by token would report something."""
+        kind = m.lastgroup
+        span = self.where(m.start(kind))
+        try:
+            if kind == "zigzag":
+                dims = [int(m[key]) for key in _ZIGZAG_FIELDS[1:5]]
+                literals = [_read_literal(m[key][1:-1]) for key in _ZIGZAG_FIELDS[5:]]
+                if max(dims) > MAX_DIM or None in literals:
+                    return None
+                label = m["open"]
+                if label[0] == '"':
+                    label = _ESCAPE_RE.sub(r"\1", label[1:-1])
+                elif label == "0":
+                    label = ZERO_LABEL
+                return ZigZagItem(m["zigzag_name"], _zigzag(label, *dims, *literals), span)
+            if kind == "extension":
+                num, _, den = m["class"].partition("/")
+                value = Fraction(int(num), int(den or 1))
+                return ExtensionItem(m["extension_name"], m["sub"], m["quot"], value, span)
+            if kind == "nodes":
+                return NodesItem(tuple(name.strip() for name in m["names"].split(",")), span)
+            if kind == "gluing":
+                psi = int(m["psi"])
+                literals = [_read_literal(m[key][1:-1]) for key in _GLUING_FIELDS[1:] if m[key]]
+                if psi > MAX_DIM or None in literals:
+                    return None
+                return _gluing_item(m["gluing_name"], psi, *literals, span=span)
+            if kind == "space":
+                dim = int(m["dim"])
+                return None if dim > MAX_DIM else SpaceItem(m["space_name"], dim, span)
+            literal = _read_literal(m["matrix"][1:-1])
+            if literal is None:
+                return None
+            return MapItem(
+                m["map_name"], m["source"], m["target"], _matrix(literal, None, None), span
+            )
+        except (ValueError, ZeroDivisionError):  # a shape, a digit limit, a zero denominator
+            return None
 
     def _parse_item(self, keyword: str) -> Item:
         start = self.advance()
@@ -662,7 +746,12 @@ class _Parser:
             matrix = _matrix(self.parse_matrix(), None, None)
             return MapItem(name, source, target, matrix, span)
         if keyword == "zigzag":
-            return self._parse_zigzag(span)
+            name = self.expect_ident("zig-zag name")[1]
+            fields = self._parse_fields(f"zigzag {name!r}", _ZIGZAG_FIELDS, _ZIGZAG_FIELDS)
+            try:
+                return ZigZagItem(name, _zigzag(*(fields[k] for k in _ZIGZAG_FIELDS)), span)
+            except ValueError as exc:
+                raise self.shape_error(exc, span) from exc
         if keyword == "extension":
             name = self.expect_ident("extension name")[1]
             self.expect_punct("=")
@@ -688,26 +777,26 @@ class _Parser:
             self.expect_punct("}")
             return NodesItem(tuple(names), span)
         if keyword == "gluing":
-            return self._parse_gluing(span)
+            name = self.expect_ident("gluing name")[1]
+            fields = self._parse_fields(f"gluing {name!r}", _GLUING_FIELDS, _GLUING_FIELDS[:3])
+            try:
+                return _gluing_item(
+                    name, fields["psi"], fields["u"], fields["v"], fields.get("N"), span=span
+                )
+            except ValueError as exc:
+                raise self.shape_error(exc, span) from exc
         raise AssertionError(keyword)
 
-    def _parse_fields(self, allowed: tuple[str, ...]) -> dict[str, object]:
-        """key = value pairs inside braces; values typed by key name.  Each
-        field is read straight from the text while _field_value takes it,
-        and the rest of the block token by token from the first it
-        declines, with the fields read so far."""
-        tok = self.tok
-        if not self.at_punct("{"):
-            raise self.error(f"expected '{{', found {self._describe(tok)}")
+    def shape_error(self, exc: ValueError, span: Span) -> _SyntaxAbort:
+        self.diagnostics.append(Diagnostic(SEVERITY_ERROR, CODE_SHAPE, str(exc), *span))
+        return _SyntaxAbort()
+
+    def _parse_fields(
+        self, what: str, allowed: tuple[str, ...], required: tuple[str, ...]
+    ) -> dict[str, object]:
+        """key = value pairs inside braces; values typed by key name."""
+        self.expect_punct("{")
         fields: dict[str, object] = {}
-        text, match, pos = self.text, _FIELD_RE.match, tok[2] + 1
-        while (m := match(text, pos)) and (value := _field_value(m, allowed, fields)) is not None:
-            fields[m[1]] = value
-            pos = m.end()
-            if text[pos - 1] == "}":  # the match ends with the `,` or `}` after the value
-                self.restart(pos)
-                return fields
-        self.restart(pos)
         while not self.at_punct("}"):
             key_tok = self.expect_ident("field name")
             key = key_tok[1]
@@ -726,58 +815,35 @@ class _Parser:
             if self.at_punct(","):
                 self.advance()
         self.expect_punct("}")
+        missing = [k for k in required if k not in fields]
+        if missing:
+            raise self.error(f"{what} is missing fields {missing}")
         return fields
 
-    def _parse_zigzag(self, span: Span) -> ZigZagItem:
-        name = self.expect_ident("zig-zag name")[1]
-        fields = self._parse_fields(
-            ("open", "eminus", "ezero", "A", "B", "alpha", "beta", "gamma")
-        )
-        missing = [
-            k
-            for k in ("open", "eminus", "ezero", "A", "B", "alpha", "beta", "gamma")
-            if k not in fields
-        ]
-        if missing:
-            raise self.error(f"zigzag {name!r} is missing fields {missing}")
-        open_label = fields["open"]
-        e_minus = fields["eminus"]
-        e_zero = fields["ezero"]
-        a_dim = fields["A"]
-        b_dim = fields["B"]
-        try:
-            alpha = _matrix(fields["alpha"], a_dim, e_minus)
-            beta = _matrix(fields["beta"], b_dim, a_dim)
-            gamma = _matrix(fields["gamma"], e_zero, b_dim)
-            zigzag = ZigZag(open_label, e_minus, e_zero, a_dim, b_dim, alpha, beta, gamma)
-        except ValueError as exc:
-            self.diagnostics.append(
-                Diagnostic(SEVERITY_ERROR, CODE_SHAPE, str(exc), span[0], span[1])
-            )
-            raise _SyntaxAbort() from exc
-        return ZigZagItem(name, zigzag, span)
 
-    def _parse_gluing(self, span: Span) -> GluingItem:
-        name = self.expect_ident("gluing name")[1]
-        fields = self._parse_fields(("psi", "u", "v", "N"))
-        missing = [k for k in ("psi", "u", "v") if k not in fields]
-        if missing:
-            raise self.error(f"gluing {name!r} is missing fields {missing}")
-        psi = fields["psi"]
-        try:
-            u = _matrix(fields["u"], None, psi)
-            v = _matrix(fields["v"], psi, None)
-            expected_n = (
-                _matrix(fields["N"], psi, psi) if "N" in fields else None
-            )
-            if u.rows != v.cols:
-                raise ValueError(f"u has {u.rows} rows but v has {v.cols} columns")
-        except ValueError as exc:
-            self.diagnostics.append(
-                Diagnostic(SEVERITY_ERROR, CODE_SHAPE, str(exc), span[0], span[1])
-            )
-            raise _SyntaxAbort() from exc
-        return GluingItem(name, psi, u, v, expected_n, span)
+def _zigzag(
+    label: str, e_minus: int, e_zero: int, a_dim: int, b_dim: int,
+    alpha: _Literal, beta: _Literal, gamma: _Literal,
+) -> ZigZag:
+    """The zig-zag of a declaration's fields; ValueError where a literal's
+    shape does not fit the dimensions."""
+    return ZigZag(
+        label, e_minus, e_zero, a_dim, b_dim,
+        _matrix(alpha, a_dim, e_minus), _matrix(beta, b_dim, a_dim), _matrix(gamma, e_zero, b_dim),
+    )
+
+
+def _gluing_item(
+    name: str, psi: int, u: _Literal, v: _Literal, n: _Literal | None = None, *, span: Span
+) -> GluingItem:
+    """The item of a gluing declaration's fields; ValueError where a
+    literal's shape does not fit psi or the other literals."""
+    u_matrix = _matrix(u, None, psi)
+    v_matrix = _matrix(v, psi, None)
+    expected_n = None if n is None else _matrix(n, psi, psi)
+    if u_matrix.rows != v_matrix.cols:
+        raise ValueError(f"u has {u_matrix.rows} rows but v has {v_matrix.cols} columns")
+    return GluingItem(name, psi, u_matrix, v_matrix, expected_n, span)
 
 
 def _matrix(literal: _Literal, want_rows: int | None, want_cols: int | None) -> QMatrix:
@@ -966,7 +1032,7 @@ def parse(text: str) -> Document | list[Diagnostic]:
 
 # a bracket index with a leading zero parses back without it, so such a
 # label is written quoted
-_BARE_LABEL_RE = re.compile(rf"{_IDENT}(?:\[(?:0|[1-9][0-9]*)\])?")
+_BARE_LABEL_RE = re.compile(_BARE_LABEL)
 
 
 def _serialize_label(label: str) -> str:

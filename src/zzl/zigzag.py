@@ -19,6 +19,7 @@ standard objects, which is the property that pins the convention down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from . import intertwine
@@ -79,6 +80,17 @@ class ZigZag:
     def dims(self) -> tuple[int, int, int, int]:
         return (self.e_minus, self.a_dim, self.b_dim, self.e_zero)
 
+    @cached_property
+    def _exactness(self) -> tuple[int, int, int, bool, bool]:
+        """(rank alpha, rank beta, rank gamma, beta*alpha = 0, gamma*beta =
+        0), computed on the first read and kept, so the products are tested
+        once per zig-zag however many sums ``validate_sum`` reads it in."""
+        alpha, beta, gamma = self.alpha, self.beta, self.gamma
+        return (
+            rank(alpha), rank(beta), rank(gamma),
+            product_is_zero(beta, alpha), product_is_zero(gamma, beta),
+        )
+
 
 class ExactnessIssue(NamedTuple):
     position: str  # "A" or "B"
@@ -100,24 +112,24 @@ def validate_sum(parts: Sequence[ZigZag]) -> list[ExactnessIssue]:
     two zero tests of a product decide both positions.  The maps of a
     direct sum are block-diagonal, so its dimensions and ranks are the
     sums of the parts' and its products g*f vanish exactly when every
-    part's do; the sum is never built, and each rank is read from the
-    elimination stored on the part's map.
+    part's do; the sum is never built, and each part's ranks and product
+    tests are read from the record kept on it (``ZigZag._exactness``).
     """
     a_dim = b_dim = rank_alpha = rank_beta = rank_gamma = 0
+    zero_at_a = zero_at_b = True
     for z in parts:
+        r_alpha, r_beta, r_gamma, beta_alpha_zero, gamma_beta_zero = z._exactness
         a_dim += z.a_dim
         b_dim += z.b_dim
-        rank_alpha += rank(z.alpha)
-        rank_beta += rank(z.beta)
-        rank_gamma += rank(z.gamma)
+        rank_alpha += r_alpha
+        rank_beta += r_beta
+        rank_gamma += r_gamma
+        zero_at_a = zero_at_a and beta_alpha_zero
+        zero_at_b = zero_at_b and gamma_beta_zero
     issues = []
-    if rank_alpha != a_dim - rank_beta or not all(
-        product_is_zero(z.beta, z.alpha) for z in parts
-    ):
+    if rank_alpha != a_dim - rank_beta or not zero_at_a:
         issues.append(_issue("A", rank_alpha, a_dim - rank_beta))
-    if rank_beta != b_dim - rank_gamma or not all(
-        product_is_zero(z.gamma, z.beta) for z in parts
-    ):
+    if rank_beta != b_dim - rank_gamma or not zero_at_b:
         issues.append(_issue("B", rank_beta, b_dim - rank_gamma))
     return issues
 

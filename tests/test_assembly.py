@@ -574,6 +574,18 @@ class TestStackedPlacement:
         assert _support_detail(bad) == "v column for node p1 touches psi coordinate 3"
         assert _dense_support_detail(bad) == _support_detail(bad)
 
+    @pytest.mark.parametrize("rng", [(-2, 2), (-2, 4), (3, 1), (2, 9), (-3, -1), (0, 0), (4, 4)])
+    def test_support_detail_over_ranges_out_of_bounds(self, rng):
+        # the scan slices each vector outside the range; a range that starts
+        # or stops below 0, past psi or before it starts is read as the
+        # coordinates k with not start <= k < stop, as the dense scan reads it
+        g = assemble_gluing(ONE_NODE_BLOCKS, 4, [("p1", (1, 3))])
+        bad = dataclasses.replace(
+            g, u=QMatrix.from_rows([[1, 1, 0, 1]]), v=QMatrix.from_columns([[2, 0, 1, 0]]),
+            decomposition=(("p1", rng),),
+        )
+        assert _support_detail(bad) == _dense_support_detail(bad)
+
     def test_range_messages_shared_by_constructor_and_report(self):
         blocks = {
             "p1": GluingBlock(QMatrix.zero(1, 2), QMatrix.zero(2, 1)),

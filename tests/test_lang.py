@@ -258,15 +258,16 @@ NEVER = re.compile(r"(?!)")
 
 
 def token_path(text: str) -> Document | list[Diagnostic]:
-    """parse(text) with every field block and matrix literal read token by token."""
+    """parse(text) with every declaration and matrix literal read token by token."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lang, "_FIELD_RE", NEVER)
+        mp.setattr(lang, "_DECL_RE", NEVER)
         mp.setattr(lang, "_MATRIX_RE", NEVER)
         return parse(text)
 
 
-def pulled(text: str) -> list[tuple[str, str, int]]:
-    """The tokens the parser pulls from the scanner while parsing `text`."""
+def pulled(text: str, reader: bool = True) -> list[tuple[str, str, int]]:
+    """The tokens the parser pulls from the scanner while parsing `text`,
+    with the declaration reader on or off."""
     tokens = []
     scan = lang._tokenize
 
@@ -277,8 +278,35 @@ def pulled(text: str) -> list[tuple[str, str, int]]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lang, "_tokenize", counting)
+        if not reader:
+            mp.setattr(lang, "_DECL_RE", NEVER)
         parse(text)
     return tokens
+
+
+def attempts(text: str) -> list[int]:
+    """The offsets at which parsing `text` tries the declaration reader."""
+    offsets = []
+    decl_re = lang._DECL_RE
+
+    class Counting:
+        @staticmethod
+        def match(text, pos):
+            offsets.append(pos)
+            return decl_re.match(text, pos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lang, "_DECL_RE", Counting)
+        parse(text)
+    return offsets
+
+
+def read_literals(monkeypatch) -> list[str]:
+    """The bodies `_read_literal` is called on from here on."""
+    reads = []
+    read = lang._read_literal
+    monkeypatch.setattr(lang, "_read_literal", lambda body: reads.append(body) or read(body))
+    return reads
 
 
 class TestMatrixLiteral:
@@ -295,9 +323,14 @@ class TestMatrixLiteral:
         cycle = itertools.cycle(pads)
         padded = _literal(rows, lambda: next(cycle))
         head = f"space V dim {len(rows[0])}\nspace W dim {len(rows)}\nmap m : V -> W ={gap}"
-        # the compact literal is read in the text, after the line or comment
-        # between it and `=` too: the parser pulls its `[` and then the end
-        assert [t for _, t, _ in pulled(head + compact)[-3:]] == ["=", "[", ""]
+        # on the token path the compact literal is read in the text, after
+        # the line or comment between it and `=` too: the parser pulls its
+        # `[` and then the end
+        assert [t for _, t, _ in pulled(head + compact, reader=False)[-3:]] == ["=", "[", ""]
+        # the declaration reader reads the map whole where it is on one line
+        # and hands it to the token path otherwise
+        texts = [t for _, t, _ in pulled(head + compact)]
+        assert texts == ([""] if "\n" not in gap else ["map", "m", ":", "V", "->", "W", "=", "[", ""])
         # a line break after `[` keeps the padded literal on the token path
         padded = "[\n" + padded[1:]
         assert "]" in [t for _, t, _ in pulled(head + padded)]
@@ -315,6 +348,23 @@ class TestMatrixLiteral:
                 naive_position(text, len(head + literal)), (text.count("\n") + 1, 15)
             ]
             assert diags == token_path(text)
+
+    @pytest.mark.parametrize("literal", [
+        "[1 / 2]", "[1/ 2,0]", "[ -1 /2 ]", "[-0/3]", "[007/010]", "[1/-2]", "[1/2/3]", "[1/]",
+        "[/2]", "[1 2]", "[--1]", "[- 1]", "[1,,2]", "[;]", "[1;;2]", "[1/0]", "[1/-0]", "[\t1\t]",
+        "[\x0b1\x0c,\r2]", "[1,2;3]",
+    ])
+    def test_literal_read_in_one_match_as_token_by_token(self, literal):
+        # the one-match read takes what int() reads and declines the rest,
+        # with the declaration reader on or off
+        text = f"space V dim 2\nspace W dim 1\nmap m : V -> W = {literal}\nspace X dim 1"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lang, "_DECL_RE", NEVER)
+            literal_path = parse(text)
+        slow = token_path(text)
+        assert parse(text) == literal_path == slow
+        if isinstance(slow, Document):
+            assert serialize(literal_path) == serialize(slow)
 
     def test_work_gate_literals_build_no_fractions(self, monkeypatch):
         # literals are read with int() and built from their numerators:
@@ -347,21 +397,24 @@ class TestMatrixLiteral:
             "gluing g0 { psi = 4, u = [1,-2,0,0;0,0,1,1], v = [2,0;1,0;0,-1;0,1], "
             "N = [2,-4,0,0;1,-2,0,0;0,0,-1,-1;0,0,1,1] }"
         )
-        reads = []
-        read = lang._read_literal
-        monkeypatch.setattr(lang, "_read_literal", lambda body: reads.append(body) or read(body))
+        reads = read_literals(monkeypatch)
         for line in (zigzag, gluing):
-            # the parser pulls the keyword, the name, `{` and the end of
-            # input: the field block is read without tokens, and each of its
-            # literals is read once
+            # the declaration reader pulls no token but the end of input,
+            # and reads each literal once
             reads.clear()
-            assert [t for _, t, _ in pulled(line)] == [*line.split()[:2], "{", ""]
+            assert pulled(line) == [("EOF", "", len(line))]
             assert len(reads) == 3
+            # the token path pulls each literal's `[` and reads it once too;
+            # the label `Q_U[3]` is three tokens
+            reads.clear()
+            texts = [t for _, t, _ in pulled(line, reader=False)]
+            label = int("Q_U[3]" in line)
+            assert (texts.count("["), texts.count("]"), len(reads)) == (3 + label, label, 3)
 
 
 def assert_same_outcome(text: str) -> None:
-    """The field-block reader and the token path parse `text` alike: the same
-    serialization and item spans, or the same diagnostics."""
+    """The declaration reader and the token path parse `text` alike: the
+    same serialization and item spans, or the same diagnostics."""
     fast, slow = parse(text), token_path(text)
     if isinstance(slow, Document):
         assert isinstance(fast, Document)
@@ -372,21 +425,23 @@ def assert_same_outcome(text: str) -> None:
 
 
 # each block's fields, and values they can be mutated to: first values the
-# reader reads, then values it declines
+# reader reads where their kind fits the field, then values it declines
+# (the token path reads or reports them)
 ZIGZAG_FIELDS = {
     "open": "x", "eminus": "0", "ezero": "0", "A": "1", "B": "1",
     "alpha": "[]", "beta": "[1]", "gamma": "[]",
 }
 GLUING_FIELDS = {"psi": "2", "u": "[1,0]", "v": "[0;1]", "N": "[0,0;1,0]"}
 READ_VALUES = [
-    "0", "x", "Q_U[3]", "x[007]", "x[0]", "zigzag", "open", "1", "01", "007",
-    str(lang.MAX_DIM), f"0{lang.MAX_DIM}", "[]", "[ ]", "[1]", "[0,1]", "[1;0]",
-    "[ 1 , -2/4 ; 3 , 0 ]", "[-1/2]",
+    "0", "x", "Q_U[3]", "x[0]", "x[10]", "zigzag", "open", '"q"', '"x[007]"', '"a \\" b"', "1",
+    str(lang.MAX_DIM), "[]", "[ ]", "[1]", "[0,1]", "[1;0]", "[ 1 , -2/4 ; 3 , 0 ]", "[-1/2]",
+    "[007]", "[1 / 2]", "[ -1 /2 ]", "[-0/3]",
 ]
 DECLINED_VALUES = [
-    '"q"', '"x[007]"', "00", "5", "x [3]", "x[", "x[3]y", "x[-1]", str(lang.MAX_DIM + 1),
-    "9" * 5000, "1/2", "-1", "[1,0;1]", "[1;0,1]", "[1/0]", "[1,2/0]", "[" + "7" * 5000 + "]",
-    "[1/" + "3" * 5000 + "]", "[1,\n0]", "[1, # c\n0]", "[1,]", "[- 1]", "[1 / 2]", "[1", "[",
+    "x[007]", "01", "007", f"0{lang.MAX_DIM}", "00", "5", "x [3]", "x[", "x[3]y", "x[-1]",
+    str(lang.MAX_DIM + 1), "9" * 5000, "1/2", "-1", "[1,0;1]", "[1;0,1]", "[1/0]", "[1,2/0]",
+    "[" + "7" * 5000 + "]", "[1/" + "3" * 5000 + "]", "[1,\n0]", "[1, # c\n0]", "[1,]", "[- 1]",
+    "[1/-2]", "[1/2/3]", "[1/]", "[/2]", "[1 2]", "[--1]", "[1", "[", '"a\\\nb"', '"open',
 ]
 BLANKS = ["", " ", "\t", " \n", " # c\n"]
 SEPARATORS = [", ", ",", " , ", "\t,\t", " ", "", ",\n", " # c\n, ", ", ,", "; "]
@@ -397,13 +452,14 @@ SUFFIXES = ["", "\n", "\nspace V dim 1", " space V dim 1", "\nspace V dim x", "\
 
 @st.composite
 def field_blocks(draw) -> str:
-    """A zig-zag or gluing declaration with its fields in any order.  A plain
-    block is on one line with one comma separator and mutates values only
-    to values the reader reads; any other block may also drop, duplicate or
-    add keys, mutate to any value, break lines and vary separators and end."""
+    """A zig-zag or gluing declaration with its fields in serialize's order
+    or any other.  A plain block is on one line with one comma separator
+    and mutates values only to values the reader reads; any other block may
+    also drop, duplicate or add keys, mutate to any value, break lines and
+    vary separators and end."""
     keyword, base = draw(st.sampled_from([("zigzag", ZIGZAG_FIELDS), ("gluing", GLUING_FIELDS)]))
     plain = draw(st.booleans())
-    keys = list(draw(st.permutations(list(base))))
+    keys = list(base) if draw(st.booleans()) else list(draw(st.permutations(list(base))))
     for _ in range(0 if plain else draw(st.integers(0, 2))):
         edit = draw(st.sampled_from(["drop", "duplicate", "unknown"]))
         at = draw(st.integers(0, len(keys)))
@@ -431,8 +487,20 @@ def field_blocks(draw) -> str:
     return f"{keyword} n {{{opening}{body}{end}{suffix}"
 
 
+# a zig-zag as serialize writes it, with one of its fields replaced
+ZIGZAG = "zigzag z { " + ", ".join(f"{key} = {value}" for key, value in ZIGZAG_FIELDS.items()) + " }"
+
+
+def zigzag_with(field: str) -> str:
+    key = field.split()[0]
+    if key in ZIGZAG_FIELDS:
+        return ZIGZAG.replace(f"{key} = {ZIGZAG_FIELDS[key]}", field)
+    return ZIGZAG.replace("{ ", "{ " + field + ", ")
+
+
 class TestFieldBlockReader:
-    """A field block read with one match per field parses as it does token by token."""
+    """Field blocks, read with their declaration in one match where it is
+    written as serialize writes it, parse as they do token by token."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(field_blocks(), min_size=1, max_size=3))
@@ -445,7 +513,14 @@ class TestFieldBlockReader:
     def test_labels_read_as_the_token_path_reads_them(self, label, read):
         text = (f"zigzag z {{ open = {label}, eminus = 0, ezero = 0, A = 0, B = 0, "
                 "alpha = [], beta = [], gamma = [] }")
-        assert [t for _, t, _ in pulled(text)] == ["zigzag", "z", "{", ""]
+        # the reader reads a label serialize writes bare; one with a leading
+        # zero in its index is declined, and the token path reads it from
+        # the keyword on
+        first = pulled(text)[0]
+        if label == read:
+            assert first == ("EOF", "", len(text))
+        else:
+            assert first == ("IDENT", "zigzag", 0)
         expected = lang.ZERO_LABEL if read == "0" else read
         assert parse_ok(text).zigzags["z"].zigzag.open_label == expected
         assert token_path(text) == parse_ok(text)
@@ -457,11 +532,22 @@ class TestFieldBlockReader:
         "A = 1 B = 1", "A = 1,",
     ])
     def test_declines_without_consuming(self, field):
-        text = "zigzag z { " + field + " }"
-        # the token path reads on from the first field declined: after a
-        # field read before a duplicate or a trailing comma, from `{` otherwise
-        read = {"open = x, open = x": "open = x, ", "A = 1,": "A = 1, "}.get(field, "")
-        assert pulled(text)[3][2] == len("zigzag z { " + read)
+        # the field in a zig-zag otherwise as serialize writes it, then a
+        # declaration the reader reads
+        text = zigzag_with(field) + "\nspace V dim 1"
+        texts = [t for _, t, _ in pulled(text)]
+        if field == 'open = "x"':
+            # a quoted label is read too: serialize quotes a label it cannot
+            # write bare
+            assert texts == [""]
+        else:
+            # the token path reads the declaration declined from its keyword on
+            assert pulled(text)[0] == ("IDENT", "zigzag", 0)
+        # the reader takes over at the next keyword: one attempt per
+        # declaration and one at the end, and no token of `space V dim 1`
+        # but its keyword
+        assert len(attempts(text)) == 3
+        assert "dim" not in texts
         assert_same_outcome(text)
 
     def test_corpus_documents(self, tmp_path):
@@ -473,46 +559,136 @@ class TestFieldBlockReader:
             text = Path(op["path"]).read_bytes().decode("latin-1")
             assert_same_outcome(text)
             lines = text.splitlines()
-            blocks = sum(line.startswith(("zigzag ", "gluing ")) for line in lines)
-            nodes = sum(line.startswith("nodes ") for line in lines)
-            bad = lines.count("zigzag bad { open = , eminus = 1 }")
-            # every corpus block but the broken one is read without tokens:
-            # the parser pulls its `{` but not its `}`
-            texts = [t for _, t, _ in pulled(text)]
-            assert texts.count("{") == blocks + nodes
-            assert texts.count("}") == nodes + bad
-            broken += bad
+            bad = "zigzag bad { open = , eminus = 1 }"
+            # every corpus declaration but the broken one is read without
+            # tokens, with one reader attempt each; the broken one comes
+            # last, and the token path reads it to the end of input
+            broken_tokens = bad.split() if lines[-1] == bad else []
+            assert [t for _, t, _ in pulled(text)] == [*broken_tokens, ""]
+            assert len(attempts(text)) == len(lines) + (0 if broken_tokens else 1)
+            broken += bool(broken_tokens)
         assert broken
 
     def test_work_gate_broken_megabyte_block(self, monkeypatch):
         # one line of about 1 MB whose last character, where `}` belongs, is
-        # `)`: the reader makes one match attempt per field, then the token
-        # path reads the last field and reports the `)`; each literal is
-        # read once
+        # `)`: the reader makes one match attempt, then the token path reads
+        # the block and reports the `)`; each literal is read once
         dim = lang.MAX_DIM
         row = ",".join(["-12345678901234", "12345678901234"] * (dim // 2))
         gamma = "[" + ";".join([row] * dim) + "]"
         text = (f"zigzag z {{ open = x, eminus = 0, ezero = {dim}, A = 0, B = {dim}, "
                 f"alpha = [], beta = [], gamma = {gamma} )")
         assert len(text) > 1_000_000
-        attempts = []
-        field_re = lang._FIELD_RE
-
-        class Counting:
-            @staticmethod
-            def match(text, pos):
-                attempts.append(pos)
-                return field_re.match(text, pos)
-
-        reads = []
-        read = lang._read_literal
-        monkeypatch.setattr(lang, "_FIELD_RE", Counting)
-        monkeypatch.setattr(lang, "_read_literal", lambda body: reads.append(body) or read(body))
+        reads = read_literals(monkeypatch)
+        assert attempts(text) == [0]
+        assert len(reads) == 3
         diags = parse_fails(text)
         assert [d.render() for d in diags] == [f"1:{len(text)}: error [syntax] expected field name, found ')'"]
-        assert len(attempts) == 8 and attempts == sorted(set(attempts))
-        assert len(reads) == 3
         assert diags == token_path(text)
+
+
+# the declarations of a valid document of all six kinds, one space between
+# tokens; `~` marks a value that may be mutated
+TEMPLATES = [
+    "space V dim ~2",
+    "map f : V -> V = ~[0,1;0,0]",
+    "zigzag ic { open = ~C , eminus = ~1 , ezero = ~1 , A = ~0 , B = ~0 , "
+    "alpha = ~[] , beta = ~[] , gamma = ~[] }",
+    "zigzag sky { open = ~0 , eminus = ~0 , ezero = ~0 , A = ~1 , B = ~1 , "
+    "alpha = ~[] , beta = ~[1] , gamma = ~[] }",
+    "extension P = ext ( ic , sky ) class ~-1/2",
+    "nodes { P }",
+    "gluing g { psi = ~2 , u = ~[1,0] , v = ~[0;1] , N = ~[0,0;1,0] }",
+]
+CLASS_VALUES = ["0", "1", "-1/2", "2/4", "-0", "1/0", "- 1", "1 / 2", "1/2/3", "1/-2", "1\n/2"]
+# what may stand between tokens: the first three keep a declaration on one line
+GAPS = ["", " ", "\t", "\n", " # c\n", "\n\t"]
+# what may stand between declarations; a declaration inside a comment is
+# not one
+BETWEEN = ["\n", " ", "", "\n\n", " # c\n", "\n# space X dim 3\n", "\t", "# zigzag\n"]
+JUNK = ["=", "$", "}", "space V dim x", "zigzag", "[1;", "nodes {"]
+
+
+def _word(char: str) -> bool:
+    return char.isascii() and (char.isalnum() or char == "_")
+
+
+@st.composite
+def documents(draw) -> str:
+    """A document of the six kinds of declaration in any order.  Each is on
+    one line with one space or none between tokens, as serialize writes it,
+    or spread over lines and comments; a field block's fields are in
+    serialize's order or permuted; values may be mutated to ones the reader
+    reads or declines.  Junk or a field block of `field_blocks` may stand
+    between declarations."""
+    text = draw(st.sampled_from(["", "# head\n", "\n"]))
+    for template in draw(st.permutations(TEMPLATES)):
+        if draw(st.integers(0, 9)) == 9:
+            continue  # leave the declaration out
+        head, brace, body = template.partition(" { ")
+        if " = " in body and draw(st.booleans()):
+            body = " , ".join(draw(st.permutations(body[:-2].split(" , ")))) + " }"
+        gaps = st.sampled_from(GAPS if draw(st.booleans()) else GAPS[:3])
+        mutate = draw(st.booleans())
+        declaration = ""
+        for piece in (head + brace + body).split(" "):
+            if piece.startswith("~"):
+                piece = piece[1:]
+                if mutate and draw(st.integers(0, 3)) == 3:
+                    piece = draw(st.sampled_from(READ_VALUES + DECLINED_VALUES + CLASS_VALUES))
+            gap = draw(gaps) if declaration else ""
+            if not gap and _word(declaration[-1:]) and _word(piece[:1]):
+                gap = " "  # two words run together would be one token
+            declaration += gap + piece
+        text += declaration + draw(st.sampled_from(BETWEEN))
+        extra = draw(st.integers(0, 9))
+        if extra == 9:
+            text += draw(st.sampled_from(JUNK)) + "\n"
+        elif extra == 8:
+            text += draw(field_blocks()) + "\n"
+    return text
+
+
+class TestDeclarationReader:
+    """A document read one `_DECL_RE` match per declaration, where the
+    declaration is written as serialize writes it, parses as it does token
+    by token."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    def test_reader_and_token_path_agree(self, text):
+        assert_same_outcome(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(documents())
+    def test_work_gate_serialized_documents_pull_no_token(self, text):
+        # what serialize writes is read one match per declaration, with one
+        # more attempt at the end, and the parser pulls only the end of input
+        result = parse(text)
+        if isinstance(result, Document):
+            out = serialize(result)
+            assert pulled(out) == [("EOF", "", len(out))]
+            assert len(attempts(out)) == len(result.items) + 1
+
+    def test_work_gate_fixtures_pull_no_token(self):
+        for path in sorted(FIXTURES.glob("*.zzl")):
+            result = parse(path.read_text(encoding="latin-1"))
+            if isinstance(result, Document):
+                out = serialize(result)
+                assert pulled(out) == [("EOF", "", len(out))], path
+
+    def test_literals_are_matched_atomically(self):
+        # a literal the match has read is never backtracked into, so a
+        # declaration that fails after a long literal fails at once
+        for group in ("skip", "alpha", "beta", "gamma", "u", "v", "N", "matrix", "class"):
+            assert f"(?P={group})" in lang._DECL_RE.pattern, group
+
+    @pytest.mark.parametrize("text", [
+        "# space V dim 2\n", "#space V dim 2", "  # zigzag\n# map", "# space V dim 2\nspace W dim 1",
+    ])
+    def test_no_declaration_is_read_out_of_a_comment(self, text):
+        assert [it.name for it in parse_ok(text).items] == (["W"] if "W" in text else [])
+        assert_same_outcome(text)
 
 
 def naive_position(text: str, pos: int) -> tuple[int, int]:

@@ -94,6 +94,32 @@ class TestValidate:
         assert [validate(z) for z in zigzags] == [[]] * len(zigzags)
         assert [i.position for i in validate(broken)] == ["A"]
 
+    def test_work_gate_two_product_tests_per_zigzag(self, monkeypatch):
+        # `zzl check` on three nodes validates ic and sky, each of the three
+        # extensions over them from the parts, and the shadow: the products
+        # beta*alpha and gamma*beta are tested once per zig-zag object,
+        # however many sums it is a part of
+        from zzl import cli
+
+        calls, made = [], []
+        test, post = zigzag.product_is_zero, ZigZag.__post_init__
+        monkeypatch.setattr(zigzag, "product_is_zero", lambda g, f: calls.append(1) or test(g, f))
+        monkeypatch.setattr(ZigZag, "__post_init__", lambda z: made.append(z) or post(z))
+        result = cli.run(["check", str(Path(__file__).parent / "fixtures" / "three_nodes.zzl")])
+        assert result.exit_code == 0
+        assert 0 < len(calls) <= 2 * len(made)
+
+    def test_exactness_record_is_kept_and_not_compared(self, monkeypatch):
+        z = ZigZag(LABEL, 1, 1, 1, 1, QMatrix.zero(1, 1), QMatrix.zero(1, 1), QMatrix.zero(1, 1))
+        first = validate(z)
+        # later reads, in any sum, take the record: no product is tested again
+        monkeypatch.setattr(zigzag, "product_is_zero", None)
+        assert validate(z) == first
+        assert [i.position for i in zigzag.validate_sum((z, z))] == ["A", "B"]
+        # the record is no field: a copy made without it is equal and hashes alike
+        copy = dataclasses.replace(z)
+        assert copy == z and hash(copy) == hash(z)
+
 
 class TestConstructors:
     def test_ic_table_row(self):
