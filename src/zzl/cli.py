@@ -31,7 +31,6 @@ from .assembly import (
 )
 from .extension import (
     ExtClass,
-    ExtensionPresentation,
     extension_class,
     extension_class_vector,
     make_extension,
@@ -204,12 +203,12 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
                 )
         else:
             checks.append(Check(f"zigzag {name}: exactness", True, "exact at A and B"))
-    # each extension is built once; the nodes block reuses the result
-    built: dict[str, ExtensionPresentation | ValueError] = {}
+    # the document keeps each extension it builds; the nodes block reuses it
     for name in sorted(document.extensions):
         try:
-            presentation = built[name] = document.build_extension(name)
-            value, normalized = _class_fields(extension_class_vector(presentation))
+            value, normalized = _class_fields(
+                extension_class_vector(document.build_extension(name))
+            )
             checks.append(
                 Check(
                     f"extension {name}: total and class",
@@ -218,8 +217,6 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
                 )
             )
         except ValueError as exc:
-            # a presentation that built keeps its entry when only its class fails
-            built.setdefault(name, exc)
             checks.append(Check(f"extension {name}: total and class", False, str(exc)))
     for name in sorted(document.gluings):
         report = verify_gluing(document.build_gluing(name))
@@ -229,7 +226,7 @@ def _cmd_check(ns: argparse.Namespace, document: lang.Document) -> CommandResult
     nodes = document.nodes_item
     if nodes is not None:
         try:
-            datum = _assemble_from_document(document, built)
+            datum = _assemble_from_document(document)
             report = verify_shadow_compat(datum)
             for check in report.checks:
                 checks.append(Check(f"nodes: {check.name}", check.passed, check.detail))
@@ -265,21 +262,12 @@ def _cmd_ext_class(ns: argparse.Namespace, document: lang.Document) -> CommandRe
     )
 
 
-def _assemble_from_document(
-    document: lang.Document,
-    built: Mapping[str, ExtensionPresentation | ValueError] | None = None,
-):
-    """Assemble the nodes block.  `built` holds every extension already
-    built, or the ValueError building it raised, which is raised again."""
+def _assemble_from_document(document: lang.Document):
+    """Assemble the nodes block from the document's extensions."""
     nodes_item = document.nodes_item
     if nodes_item is None:
         raise ValueError("document has no nodes block")
-    node_data = []
-    for name in nodes_item.names:
-        pres = document.build_extension(name) if built is None else built[name]
-        if isinstance(pres, ValueError):
-            raise pres
-        node_data.append(NodeDatum(name, pres))
+    node_data = [NodeDatum(name, document.build_extension(name)) for name in nodes_item.names]
     return assemble(node_data[0].bulk[0], node_data)
 
 
@@ -326,7 +314,7 @@ def _cmd_skeleton(ns: argparse.Namespace, document: lang.Document) -> CommandRes
     return CommandResult(EXIT_OK, to_dot(sk))
 
 
-def _table1_rows() -> list[tuple[str, ZigZag, str, bool]]:
+def _table1_rows() -> list[tuple[str, str, str, bool]]:
     label = "Q_U[3]"
     ic = std_ic(label, 1, 1)
     sky = std_skyscraper(1)
@@ -358,10 +346,15 @@ def _table1_rows() -> list[tuple[str, ZigZag, str, bool]]:
         and multi == direct_sum(direct_sum(sky, sky), sky)
     )
     return [
-        ("minimal extension", ic, "zero point terms", ic_ok),
-        ("point-supported rank-one", sky, "self-dual skyscraper", sky_ok),
-        ("corrected object", corrected, "distinguished non-split class", corrected_ok),
-        ("3-node point sum", multi, "one rank-one summand per node", multi_ok),
+        ("minimal extension", _zigzag_tuple(ic), "zero point terms", ic_ok),
+        ("point-supported rank-one", _zigzag_tuple(sky), "self-dual skyscraper", sky_ok),
+        (
+            "corrected object",
+            _zigzag_tuple(corrected),
+            "distinguished non-split class",
+            corrected_ok,
+        ),
+        ("3-node point sum", _zigzag_tuple(multi), "one rank-one summand per node", multi_ok),
     ]
 
 
@@ -408,41 +401,32 @@ def _table2_rows() -> list[tuple[str, str, str, bool]]:
 
 
 def _cmd_tables(ns: argparse.Namespace, document: None) -> CommandResult:
-    t1 = _table1_rows()
-    t2 = _table2_rows()
-    all_ok = all(ok for *_, ok in t1) and all(ok for *_, ok in t2)
+    # each table: its key, its title, its rows and the width of its comments
+    tables = [
+        ("table1", "Table 1: standard zig-zags (ordinary double point)", _table1_rows(), 36),
+        ("table2", "Table 2: extension templates", _table2_rows(), 46),
+    ]
+    all_ok = all(ok for _, _, rows, _ in tables for *_, ok in rows)
+    code = EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    status = "pass" if all_ok else "fail"
     if ns.format == "json":
-        payload = {
-            "table1": [
-                {
-                    "object": name,
-                    "zigzag": _zigzag_tuple(z),
-                    "comment": comment,
-                    "verified": ok,
-                }
-                for name, z, comment, ok in t1
-            ],
-            "table2": [
+        payload: dict[str, object] = {
+            key: [
                 {"object": name, "zigzag": shown, "comment": comment, "verified": ok}
-                for name, shown, comment, ok in t2
-            ],
-            "status": "pass" if all_ok else "fail",
+                for name, shown, comment, ok in rows
+            ]
+            for key, _, rows, _ in tables
         }
-        return CommandResult(
-            EXIT_OK if all_ok else EXIT_CHECK_FAILED, _json_dump(payload)
-        )
-    lines = ["Table 1: standard zig-zags (ordinary double point)"]
-    for name, z, comment, ok in t1:
-        mark = "VERIFIED" if ok else "FAILED"
-        lines.append(f"  {name:<28} {_zigzag_tuple(z):<32} {comment:<36} {mark}")
-    lines.append("Table 2: extension templates")
-    for name, shown, comment, ok in t2:
-        mark = "VERIFIED" if ok else "FAILED"
-        lines.append(f"  {name:<28} {shown:<32} {comment:<46} {mark}")
-    lines.append(f"status: {'pass' if all_ok else 'fail'}")
-    return CommandResult(
-        EXIT_OK if all_ok else EXIT_CHECK_FAILED, "\n".join(lines) + "\n"
-    )
+        payload["status"] = status
+        return CommandResult(code, _json_dump(payload))
+    lines = []
+    for _, title, rows, width in tables:
+        lines.append(title)
+        for name, shown, comment, ok in rows:
+            mark = "VERIFIED" if ok else "FAILED"
+            lines.append(f"  {name:<28} {shown:<32} {comment:<{width}} {mark}")
+    lines.append(f"status: {status}")
+    return CommandResult(code, "\n".join(lines) + "\n")
 
 
 def _square_map(document: lang.Document, name: str) -> QMatrix:

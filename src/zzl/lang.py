@@ -54,7 +54,9 @@ and class tests assembled from them, would cost more than
 
 Parsing never raises on bad input: it returns a resolved
 :class:`Document` on success and a list of positioned
-:class:`Diagnostic` values otherwise, never both.  Resolution covers
+:class:`Diagnostic` values otherwise, never both.  A document builds
+each extension presentation once and keeps it; a build that raises
+keeps nothing, so asking again raises the same error.  Resolution covers
 names and shapes; deeper semantic validation (exactness, gluing
 relations) is the business of the individual modules and of the
 `check` command, which is what lets deliberately broken fixtures be
@@ -194,9 +196,11 @@ _KINDS = {
 @dataclass(frozen=True)
 class Document:
     items: tuple[Item, ...]
-    # per-kind name index and the first nodes block, built once from items
+    # per-kind name index and the first nodes block, built once from items,
+    # and each extension presentation built so far
     _index: dict[type, dict[str, Item]] = field(init=False, repr=False, compare=False)
     _nodes: NodesItem | None = field(init=False, repr=False, compare=False)
+    _built: dict[str, ExtensionPresentation] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[type, dict[str, Item]] = {
@@ -211,6 +215,7 @@ class Document:
                 index[type(it)][it.name] = it
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_built", {})
 
     @property
     def spaces(self) -> Mapping[str, SpaceItem]:
@@ -237,17 +242,24 @@ class Document:
         return self._nodes
 
     def build_extension(self, name: str) -> ExtensionPresentation:
-        """Materialize an extension declaration; may raise module errors."""
+        """Materialize an extension declaration, once: the presentation is
+        kept and returned again.  A build that raises a module error keeps
+        nothing, so asking again raises it again."""
+        if name in self._built:
+            return self._built[name]
         item = self.extensions[name]
         sub = self.zigzags[item.sub_name].zigzag
         quot = self.zigzags[item.quot_name].zigzag
         if sub.b_dim > 0:
             # a scalar class over a block-regime sub is expressible only
             # when it is zero: it denotes the zero u-block
-            return make_extension(sub, quot, QMatrix.zero(sub.b_dim, quot.a_dim))
-        # one class per quotient coordinate; resolution only lets class 0
-        # through for higher-rank quotients
-        return make_extension(sub, quot, (item.class_value,) * quot.a_dim)
+            u = QMatrix.zero(sub.b_dim, quot.a_dim)
+        else:
+            # one class per quotient coordinate; resolution only lets class 0
+            # through for higher-rank quotients
+            u = (item.class_value,) * quot.a_dim
+        presentation = self._built[name] = make_extension(sub, quot, u)
+        return presentation
 
     def build_gluing(self, name: str) -> GluingQuadruple:
         """Materialize a gluing declaration, reading each rank row as one node.
@@ -534,16 +546,12 @@ class _Parser:
             return tok
         raise self.error(f"expected {what}, found {self._describe(tok)}")
 
-    def expect_nat(self, what: str = "natural number") -> int:
-        tok = self.tok
-        if tok[0] == "NAT":
-            self.tok = next(self.stream)
-            return self.nat_value(tok)
-        raise self.error(f"expected {what}, found {self._describe(tok)}")
-
     def expect_dim(self, what: str) -> int:
         tok = self.tok
-        value = self.expect_nat(what)
+        if tok[0] != "NAT":
+            raise self.error(f"expected {what}, found {self._describe(tok)}")
+        self.tok = next(self.stream)
+        value = self.nat_value(tok)
         if value > MAX_DIM:
             raise self.diagnose(
                 CODE_LIMIT, f"{what} is above the limit of {MAX_DIM} on a declared dimension", tok
@@ -586,9 +594,6 @@ class _Parser:
             if den == 0:
                 raise self.diagnose(CODE_LEX, "zero denominator in rational literal", tok)
         return sign * num, den
-
-    def parse_rational(self) -> Fraction:
-        return Fraction(*self.parse_entry())
 
     def parse_matrix(self) -> _Literal:
         if self.at_punct("["):
@@ -766,8 +771,7 @@ class _Parser:
             kw = self.expect_ident("'class'")
             if kw[1] != "class":
                 raise self.error("expected 'class'", kw)
-            value = self.parse_rational()
-            return ExtensionItem(name, sub_name, quot_name, value, span)
+            return ExtensionItem(name, sub_name, quot_name, Fraction(*self.parse_entry()), span)
         if keyword == "nodes":
             self.expect_punct("{")
             names = [self.expect_ident("node name")[1]]

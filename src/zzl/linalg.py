@@ -261,10 +261,7 @@ class QMatrix:
             raise DimensionMismatch("matrix addition shape mismatch")
         den = lcm(self.den, other.den)
         s, t = den // self.den, sign * (den // other.den)
-        if s == 1 and t == 1:
-            nums = [x + y for x, y in zip(self.nums, other.nums)]
-        else:
-            nums = [s * x + t * y for x, y in zip(self.nums, other.nums)]
+        nums = [s * x + t * y for x, y in zip(self.nums, other.nums)]
         return _from_nums(self.rows, self.cols, den, nums)
 
     def __neg__(self) -> QMatrix:

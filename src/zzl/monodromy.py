@@ -46,12 +46,14 @@ class Pairing:
     """A bilinear pairing on Q^dim; skew-symmetry is checked, never assumed."""
 
     gram: QMatrix
-    is_skew: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.gram.is_square():
             raise DimensionMismatch("gram matrix must be square")
-        object.__setattr__(self, "is_skew", self.gram.transpose() == -self.gram)
+
+    @property
+    def is_skew(self) -> bool:
+        return self.gram.transpose() == -self.gram
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from zzl.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, run
 from zzl.extension import ExtensionPresentation
+from zzl.lang import parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -206,7 +207,8 @@ class TestSubcommands:
         assert payload["normalized"] == "1" and payload["split"] is False
 
     def test_work_gate_check_builds_each_extension_once(self, monkeypatch):
-        # the nodes block reuses the extensions the per-extension checks built
+        # the document keeps each extension it builds, so assembling the
+        # nodes block reuses the ones the per-extension checks built
         built = []
         original = ExtensionPresentation.__post_init__
 
@@ -215,12 +217,33 @@ class TestSubcommands:
             original(self)
 
         monkeypatch.setattr(ExtensionPresentation, "__post_init__", counting)
-        result = run(["check", fx("three_nodes.zzl"), "--format", "json"])
-        assert result.exit_code == EXIT_OK, result.payload
-        # one per declared extension, then the shadow that assembling the
-        # nodes block builds over all three
-        assert len(built) == 3 + 1
-        assert len(built[-1].class_vector) == 3
+        declared = len(parse((FIXTURES / "three_nodes.zzl").read_text()).extensions)
+        assert declared == 3
+        for command in ("check", "assemble"):
+            built.clear()
+            result = run([command, fx("three_nodes.zzl"), "--format", "json"])
+            assert result.exit_code == EXIT_OK, result.payload
+            # one per extension declaration, then the shadow that assembling
+            # the nodes block builds over all three
+            assert len(built) == declared + 1, command
+            assert [len(p.class_vector) for p in built] == [1] * declared + [3]
+
+    def test_failing_extension_fails_its_node_with_the_same_message(self, tmp_path):
+        # a build that raises is not kept: the nodes block builds it again
+        # and reports what the extension's own check reported
+        path = tmp_path / "bad_node.zzl"
+        text = (FIXTURES / "three_nodes.zzl").read_text().replace(
+            "zigzag sky ",
+            "zigzag bad { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, "
+            "alpha = [], beta = [0], gamma = [] }\nzigzag sky ",
+        ).replace("p2 = ext(ic, sky)", "p2 = ext(ic, bad)")
+        path.write_text(text)
+        result = run(["check", str(path), "--format", "json"])
+        assert result.exit_code == EXIT_CHECK_FAILED
+        checks = {c["name"]: c for c in json.loads(result.payload)["per_check"]}
+        failed = checks["extension p2: total and class"]
+        assert not failed["pass"] and "violates exactness" in failed["detail"]
+        assert checks["nodes: assembly"] == dict(failed, name="nodes: assembly")
 
     def test_assemble(self):
         result = run(["assemble", fx("three_nodes.zzl"), "--format", "json"])

@@ -97,6 +97,28 @@ class TestParse:
         assert pres.class_vector == (Fraction(-1, 2),)
         assert pres.total == std_corrected("Q_U[3]", 1, 1)
 
+    def test_extension_is_built_once_and_a_failing_build_is_not_kept(self):
+        text = (
+            "zigzag ic { open = Q_U[3], eminus = 1, ezero = 1, A = 0, B = 0, "
+            "alpha = [], beta = [], gamma = [] }\n"
+            "zigzag sky { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, "
+            "alpha = [], beta = [1], gamma = [] }\n"
+            "zigzag bad { open = 0, eminus = 0, ezero = 0, A = 1, B = 1, "
+            "alpha = [], beta = [0], gamma = [] }\n"
+            "extension P = ext(ic, sky) class 1\n"
+            "extension Q = ext(ic, bad) class 1"
+        )
+        doc = parse_ok(text)
+        assert doc.build_extension("P") is doc.build_extension("P")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="violates exactness") as info:
+                doc.build_extension("Q")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        # the kept presentations take no part in equality
+        assert doc == parse_ok(text)
+
     def test_nonzero_class_needs_collapsed_sub(self):
         diags = parse_fails(
             "zigzag s { open = Q_U[3], eminus = 1, ezero = 1, A = 1, B = 1, "

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -89,6 +90,11 @@ class TestPicardLefschetz:
 
     def test_skew_flag_is_checked(self):
         assert not Pairing(QMatrix.identity(2)).is_skew
+
+    def test_skew_flag_is_read_off_the_gram(self):
+        # the gram is the pairing's one field; skew-symmetry is computed from it
+        assert [f.name for f in dataclasses.fields(Pairing)] == ["gram"]
+        assert Pairing(SKEW2.gram).is_skew and Pairing(SKEW2.gram) == SKEW2
 
 
 class TestLogExp:
